@@ -2,14 +2,16 @@
 and trig tabulation.
 
 Exit codes: 0 success, 1 a verification suite found a certain violation,
-2 argument error, 3 inconclusive (interval overlap persisting at the
-precision cap).  Reports are deterministic for identical argv and seed.
+2 argument error (including a ``verify`` flag the suite does not take),
+3 inconclusive (interval overlap persisting at the precision cap).  Reports
+are deterministic for identical argv and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -21,15 +23,19 @@ from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
 from .errors import ArchpiError, BisectionStall, IterationCapExceeded
 from .interval import Interval
-from .polygons import RegularScheme, iter_scheme_measures, pi_digits, scheme_measures
+from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
+                       pi_digits, scheme_measures)
 from .rational import coprime_pairs, realize_rational, normalized_length, winding_count
-from .suites import SUITES, run_suite
+from .suites import DEFAULT_SEED, LEAST, SUITES, run_suite
 from .trig import sandwich_report
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+#: parsed ``verify`` arguments that are not suite parameters
+_NOT_SUITE_ARGS = {"command", "func", "suite", "format", "output"}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -39,7 +45,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return default
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 def _default_precision() -> int:
@@ -92,8 +98,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _precision(args, floor: int = 16) -> int:
     prec = args.precision if args.precision is not None else _default_precision()
     if prec < floor:
-        raise SystemExit(EXIT_USAGE)
+        source = "--precision" if args.precision is not None else "ARCHPI_PRECISION"
+        raise ValueError(f"{source} must be at least {floor} bits, got {prec}")
     return prec
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _cmd_bounds(args) -> int:
@@ -116,6 +127,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_digits(args) -> int:
+    if args.count > DEFAULT_DIGIT_CAP:
+        raise ValueError(f"--count must be at most {DEFAULT_DIGIT_CAP}, got {args.count}")
     digits = pi_digits(args.count)
     report = {"command": "digits", "count": args.count, "digits": digits}
     if args.format == "text":
@@ -148,23 +161,29 @@ def _cmd_archimedes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    prec = args.precision  # suites pick their own default when None
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    kwargs = {
-        "precision": prec,
-        "seed": args.seed,
-        "jobs": jobs,
-        "samples": args.samples,
-        "m_max": args.m_max,
-        "max_n": args.max_n,
-        "circuits_per_cap": args.circuits_per_cap,
-        "k_max": args.k_max,
-    }
-    result = run_suite(args.suite, **kwargs)
+    # the flags the user set become the suite's keyword arguments; a suite
+    # picks its own default for every flag left unset
+    takes = inspect.signature(SUITES[args.suite]).parameters
+    given = {key: value for key, value in vars(args).items()
+             if key not in _NOT_SUITE_ARGS and value is not None}
+    for key, value in given.items():
+        if key not in takes:
+            flags = ", ".join(_flag(k) for k in takes if k in vars(args))
+            raise ValueError(
+                f"{_flag(key)} does not apply to suite {args.suite}, "
+                f"which takes {flags}"
+            )
+        if key in LEAST and value < LEAST[key]:
+            raise ValueError(f"{_flag(key)} must be at least {LEAST[key]}, got {value}")
+    if "precision" in given:
+        _precision(args)
+    if "jobs" in takes:
+        given.setdefault("jobs", _default_jobs())
+    result = run_suite(args.suite, **given)
     report = {
         "command": "verify",
         "suite": result.suite,
-        "seed": args.seed,
+        "seed": given.get("seed", DEFAULT_SEED),
         "samples": result.samples,
         "violations": result.violations,
         "inconclusive": result.inconclusive,
@@ -201,7 +220,11 @@ def _cmd_trig(args) -> int:
     prec = _precision(args, floor=32)
     rows = []
     if args.theta is not None:
-        thetas = [Interval.from_fraction(Fraction(args.theta), prec)]
+        try:
+            theta = Fraction(args.theta)
+        except ZeroDivisionError:
+            raise ValueError(f"--theta {args.theta} has a zero denominator") from None
+        thetas = [Interval.from_fraction(theta, prec)]
         labels = [args.theta]
     else:
         thetas = [Interval.exact(Dyadic(1, -k), prec) for k in
@@ -274,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)

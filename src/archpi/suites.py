@@ -1,9 +1,23 @@
 """Verification suites: every inequality family gets a machine-checked run.
 
-Each suite produces deterministic, ordered report rows plus violation and
-inconclusive counts.  A violation means an inequality certifiably failed;
-inconclusive means intervals still overlapped at the precision cap.
-Randomized suites parallelize over samples; each sample owns its seed.
+Each suite returns a ``SuiteResult``: deterministic, ordered report rows plus
+violation and inconclusive counts.  Every row is recorded by
+``SuiteResult.check``, the one place where a row gets its ``status`` and
+``verdict``.  A check is either a certified comparison, given as
+``(expected, observed)`` Verdicts, or an exact predicate, given as a bool:
+
+- an observed ``overlap`` makes the row ``inconclusive`` (the intervals still
+  overlap at this precision);
+- otherwise any failed check makes it ``violated`` (the inequality certifiably
+  fails);
+- otherwise the row is ``ok``.
+
+``verdict`` is the observed value of a row's single comparison, or
+``holds``/``fails`` for a row with several checks or a predicate.  ``samples``
+is the number of rows.  Every suite takes only the keyword arguments in its
+signature; ``run_suite`` rejects, up front, a size below its ``LEAST`` value,
+where the suite would make no check.  Randomized suites parallelize over
+samples; each sample owns its seed.
 """
 
 from __future__ import annotations
@@ -11,7 +25,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple, Union
 
 from .chords import ArcSpec, chord_compare, partition_profile, tangent_compare
 from .circuits import circuit_measures, random_circuit
@@ -34,32 +48,57 @@ from .rational import (
 from .trig import sandwich_report
 
 DEFAULT_PRECISION = 64
+DEFAULT_SEED = 1
 
 #: chord range for sampled arcs, as 2^-16 fixed-point bounds on (0.1, 1.99)
 _ARC_LO = 6554
 _ARC_HI = 130416
 
+#: the least value of each size parameter that still yields a check
+LEAST = {"samples": 1, "circuits_per_cap": 1, "k_max": 1, "m_max": 0, "max_n": 3}
+
+LESS = Verdict.CERTAINLY_LESS
+GREATER = Verdict.CERTAINLY_GREATER
+
+#: a certified comparison (expected, observed) or an exact predicate
+Check = Union[Tuple[Verdict, Verdict], bool]
+#: what a sampler returns for one sample: its rows, each with its checks
+Checked = List[Tuple[dict, Tuple[Check, ...]]]
+
 
 @dataclass
 class SuiteResult:
     suite: str
-    samples: int
-    violations: int
-    inconclusive: int
     rows: List[dict] = field(default_factory=list)
+    violations: int = 0
+    inconclusive: int = 0
+
+    @property
+    def samples(self) -> int:
+        return len(self.rows)
 
     @property
     def passed(self) -> bool:
         return self.violations == 0 and self.inconclusive == 0
 
-    def merge_row(self, row: dict, expected: Verdict, verdict: Verdict) -> None:
-        row["verdict"] = verdict.value
-        if verdict is Verdict.OVERLAP:
-            self.inconclusive += 1
+    def check(self, row: dict, *checks: Check) -> None:
+        """Append ``row`` with the ``verdict`` and ``status`` its checks give.
+
+        An observed overlap makes the row inconclusive; otherwise any failed
+        check makes it violated.
+        """
+        observed = [c[1] for c in checks if isinstance(c, tuple)]
+        holds = all(c[0] is c[1] if isinstance(c, tuple) else c for c in checks)
+        if len(checks) == 1 and observed:
+            row["verdict"] = observed[0].value
+        else:
+            row["verdict"] = "holds" if holds else "fails"
+        if Verdict.OVERLAP in observed:
             row["status"] = "inconclusive"
-        elif verdict is not expected:
-            self.violations += 1
+            self.inconclusive += 1
+        elif not holds:
             row["status"] = "violated"
+            self.violations += 1
         else:
             row["status"] = "ok"
         self.rows.append(row)
@@ -78,74 +117,60 @@ def _dec(x: Interval) -> List[str]:
     return list(x.decimal_pair(17))
 
 
+def _map_samples(fn: Callable, args: List, jobs: int) -> List:
+    if jobs <= 1:
+        return [fn(a) for a in args]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, args, chunksize=8))
+
+
 # -- polygon grid suites -----------------------------------------------------
 
 
 def run_monotone(
-    n_values=(3, 4, 6), m_max: int = 25, precision: int = 256, **_
+    n_values=(3, 4, 6), m_max: int = 25, precision: int = 256
 ) -> SuiteResult:
     """Prop-style monotonicity: p, a increase in m; P, A decrease."""
-    result = SuiteResult("monotone", 0, 0, 0)
+    result = SuiteResult("monotone")
     for n in n_values:
         chain = list(iter_scheme_measures(n, m_max + 1, precision))
         for m in range(m_max + 1):
             cur, nxt = chain[m], chain[m + 1]
-            checks = [
-                ("p", cur.p, nxt.p, Verdict.CERTAINLY_LESS),
-                ("a", cur.a, nxt.a, Verdict.CERTAINLY_LESS),
-                ("P", cur.P, nxt.P, Verdict.CERTAINLY_GREATER),
-                ("A", cur.A, nxt.A, Verdict.CERTAINLY_GREATER),
-            ]
-            for name, lhs, rhs, expected in checks:
-                result.samples += 1
+            for name, lhs, rhs, expected in (
+                ("p", cur.p, nxt.p, LESS),
+                ("a", cur.a, nxt.a, LESS),
+                ("P", cur.P, nxt.P, GREATER),
+                ("A", cur.A, nxt.A, GREATER),
+            ):
                 row = {"suite": "monotone", "n": n, "m": m, "measure": name}
-                result.merge_row(row, expected, compare_certain(lhs, rhs))
+                result.check(row, (expected, compare_certain(lhs, rhs)))
     return result
 
 
 def run_bounds(
-    n_values=(3, 4, 6), m_max: int = 25, precision: int = 256, **_
+    n_values=(3, 4, 6), m_max: int = 25, precision: int = 256
 ) -> SuiteResult:
     """p < P and a < A at every refinement step."""
-    result = SuiteResult("bounds", 0, 0, 0)
+    result = SuiteResult("bounds")
     for n in n_values:
         for meas in iter_scheme_measures(n, m_max, precision):
             for name, lhs, rhs in (("p<P", meas.p, meas.P), ("a<A", meas.a, meas.A)):
-                result.samples += 1
-                row = {
-                    "suite": "bounds",
-                    "n": n,
-                    "m": meas.scheme.m,
-                    "check": name,
-                }
-                result.merge_row(
-                    row, Verdict.CERTAINLY_LESS, compare_certain(lhs, rhs)
-                )
+                row = {"suite": "bounds", "n": n, "m": meas.scheme.m, "check": name}
+                result.check(row, (LESS, compare_certain(lhs, rhs)))
     return result
 
 
 def run_h_ratio(
-    n_values=(3, 4, 6), m_max: int = 25, precision: int = 256, **_
+    n_values=(3, 4, 6), m_max: int = 25, precision: int = 256
 ) -> SuiteResult:
     """Vertex gap contraction h(m) > 3 h(m+1), with the observed ratio."""
-    result = SuiteResult("h-ratio", 0, 0, 0)
+    result = SuiteResult("h-ratio")
     for n in n_values:
         chain = list(iter_scheme_measures(n, m_max + 1, precision))
         for m in range(m_max + 1):
-            result.samples += 1
             h_cur, h_next = chain[m].h, chain[m + 1].h
-            ratio = h_cur / h_next
-            row = {
-                "suite": "h-ratio",
-                "n": n,
-                "m": m,
-                "ratio": _dec(ratio),
-            }
-            result.merge_row(
-                row,
-                Verdict.CERTAINLY_GREATER,
-                compare_certain(h_cur, h_next * 3),
-            )
+            row = {"suite": "h-ratio", "n": n, "m": m, "ratio": _dec(h_cur / h_next)}
+            result.check(row, (GREATER, compare_certain(h_cur, h_next * 3)))
     return result
 
 
@@ -154,18 +179,19 @@ def run_identities(
     m_max: int = 25,
     precision: int = 256,
     limit_m: int = 40,
-    **_,
 ) -> SuiteResult:
-    """Heron and half-perimeter identities, plus cross-scheme pi agreement."""
-    result = SuiteResult("identities", 0, 0, 0)
+    """Heron and half-perimeter identities, plus cross-scheme pi agreement.
+
+    An identity holds when its two enclosures overlap (they cannot be
+    separated) and are narrow relative to the working precision.
+    """
+    result = SuiteResult("identities")
     width_cap = Dyadic(1, 8 - precision)
     for n in n_values:
         for meas in iter_scheme_measures(n, m_max, precision):
             heron = (meas.p * (4 - meas.ell * meas.ell).sqrt()) / 4
             half_p = meas.P / 2
             for name, lhs, rhs in (("a", meas.a, heron), ("A", meas.A, half_p)):
-                result.samples += 1
-                ok = lhs.overlaps(rhs)
                 width_ok = max(lhs.width(), rhs.width()) <= width_cap * max(
                     lhs.mag(), Dyadic(1)
                 )
@@ -176,46 +202,37 @@ def run_identities(
                     "identity": name,
                     "width_ok": width_ok,
                 }
-                # overlap IS the expected outcome for an identity
-                row["verdict"] = "overlap" if ok else "separated"
-                row["status"] = "ok" if ok and width_ok else "violated"
-                if row["status"] == "violated":
-                    result.violations += 1
-                result.rows.append(row)
+                result.check(row, lhs.overlaps(rhs), width_ok)
     # cross-scheme agreement of the [p/2, P/2] brackets at high depth
     brackets = {n: pi_bounds(RegularScheme(n, limit_m), precision) for n in n_values}
     names = sorted(brackets)
     for i, na in enumerate(names):
         for nb in names[i + 1 :]:
-            result.samples += 1
             a, b = brackets[na], brackets[nb]
-            ok = a.overlaps(b)
             row = {
                 "suite": "identities",
                 "check": f"pi-limit {na} vs {nb} at m={limit_m}",
                 "width_a": a.width().decimal(30, up=True),
                 "width_b": b.width().decimal(30, up=True),
             }
-            row["verdict"] = "overlap" if ok else "separated"
-            row["status"] = "ok" if ok else "violated"
-            if not ok:
-                result.violations += 1
-            result.rows.append(row)
+            result.check(row, a.overlaps(b))
     return result
 
 
 # -- randomized arc suites ---------------------------------------------------
 
 
-def _chord_compare_sample(args) -> dict:
-    seed, precision = args
+def _compare_sample(args) -> Checked:
+    """One random arc split m of n ways: the chord or tangent comparison."""
+    seed, precision, suite = args
     rng = random.Random(seed)
     arc = _random_arc(rng, precision)
     n = rng.randint(2, 32)
     m = rng.randint(1, n - 1)
-    res = chord_compare(arc, m, n, precision)
-    return {
-        "suite": "chord-compare",
+    compare = chord_compare if suite == "chord-compare" else tangent_compare
+    res = compare(arc, m, n, precision)
+    row = {
+        "suite": suite,
         "sample_seed": seed,
         "arc_chord": _dec(arc.chord_total),
         "m": m,
@@ -223,238 +240,121 @@ def _chord_compare_sample(args) -> dict:
         "lhs": _dec(res.lhs),
         "rhs": _dec(res.rhs),
         "precision_used": res.precision_used,
-        "_verdict": res.verdict,
     }
+    return [(row, ((LESS, res.verdict),))]
 
 
-def _tangent_compare_sample(args) -> dict:
-    seed, precision = args
-    rng = random.Random(seed)
-    arc = _random_arc(rng, precision)
-    n = rng.randint(2, 32)
-    m = rng.randint(1, n - 1)
-    res = tangent_compare(arc, m, n, precision)
-    return {
-        "suite": "tangent-compare",
-        "sample_seed": seed,
-        "arc_chord": _dec(arc.chord_total),
-        "m": m,
-        "n": n,
-        "lhs": _dec(res.lhs),
-        "rhs": _dec(res.rhs),
-        "precision_used": res.precision_used,
-        "_verdict": res.verdict,
-    }
-
-
-def _map_samples(fn: Callable, args: List, jobs: int) -> List[dict]:
-    if jobs <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, args, chunksize=8))
-
-
-def _run_randomized(
-    name: str,
-    sample_fn: Callable,
-    samples: int,
-    seed: int,
-    precision: int,
-    jobs: int,
-) -> SuiteResult:
-    result = SuiteResult(name, samples, 0, 0)
-    args = [(_sample_seed(seed, i), precision) for i in range(samples)]
-    for row in _map_samples(sample_fn, args, jobs):
-        verdict = row.pop("_verdict")
-        result.merge_row(row, Verdict.CERTAINLY_LESS, verdict)
-    return result
-
-
-def run_chord_compare(
-    samples: int = 1000,
-    seed: int = 1,
-    precision: int = DEFAULT_PRECISION,
-    jobs: int = 1,
-    **_,
-) -> SuiteResult:
-    return _run_randomized(
-        "chord-compare", _chord_compare_sample, samples, seed, precision, jobs
-    )
-
-
-def run_tangent_compare(
-    samples: int = 1000,
-    seed: int = 1,
-    precision: int = DEFAULT_PRECISION,
-    jobs: int = 1,
-    **_,
-) -> SuiteResult:
-    return _run_randomized(
-        "tangent-compare", _tangent_compare_sample, samples, seed, precision, jobs
-    )
-
-
-def _profile_sample(args) -> List[dict]:
-    seed, precision, which = args
+def _random_profile(seed: int, precision: int):
     rng = random.Random(seed)
     arc = _random_arc(rng, precision)
     n = rng.randint(2, 16)
-    profile = partition_profile(arc, n, precision)
-    rows = []
-    if which == "projections":
-        gaps = profile.projections
-        half = (n + 1) // 2
-        for i in range(half - 1):
-            verdict = compare_certain(gaps[i], gaps[i + 1])
-            rows.append(
-                {
-                    "suite": "projections",
-                    "sample_seed": seed,
-                    "n": n,
-                    "index": i + 1,
-                    "check": "increasing",
-                    "_verdict": verdict,
-                }
-            )
-        mirrored = all(
-            gaps[i].lo == gaps[n - 1 - i].lo and gaps[i].hi == gaps[n - 1 - i].hi
-            for i in range(n)
+    return arc, n, partition_profile(arc, n, precision)
+
+
+def _tangent_profile_sample(args) -> Checked:
+    """One random arc split n ways: its tangent segments increase."""
+    seed, precision, suite = args
+    _, n, profile = _random_profile(seed, precision)
+    segs = profile.tangent_segments
+    return [
+        ({"suite": suite, "sample_seed": seed, "n": n, "index": i + 1,
+          "check": "increasing"},
+         ((LESS, compare_certain(segs[i], segs[i + 1])),))
+        for i in range(n - 1)
+    ]
+
+
+def _projections_sample(args) -> Checked:
+    """One random arc split n ways: its projection gaps onto the chord."""
+    seed, precision, suite = args
+    arc, n, profile = _random_profile(seed, precision)
+    base = {"suite": suite, "sample_seed": seed, "n": n}
+    gaps = profile.projections
+    checked: Checked = [
+        (dict(base, index=i + 1, check="increasing"),
+         ((LESS, compare_certain(gaps[i], gaps[i + 1])),))
+        for i in range((n + 1) // 2 - 1)
+    ]
+    # symmetry, from gaps recomputed out of the points rather than the
+    # mirrored profile.projections (which are symmetric by construction)
+    pts = profile.points
+    full = profile.cumulative_chords[-1]
+    dx = (pts[n].x - pts[0].x) / full
+    dy = (pts[n].y - pts[0].y) / full
+    recomputed = [(b.x - a.x) * dx + (b.y - a.y) * dy for a, b in zip(pts, pts[1:])]
+    checked.append(
+        (dict(base, check="symmetric"),
+         tuple(recomputed[i].overlaps(recomputed[n - 1 - i]) for i in range(n // 2)))
+    )
+    total = sum(gaps[1:], gaps[0])
+    checked.append(
+        (dict(base, check="sum-encloses-chord"), (total.overlaps(arc.chord_total),))
+    )
+    # corollary: leading partial sums stay under the uniform average
+    # (strict only below the midpoint; even n gives equality at n/2)
+    for s in range(2, (n + 1) // 2):
+        partial = sum(gaps[1:s], gaps[0])
+        bound = (full * s) / n
+        checked.append(
+            (dict(base, index=s, check="partial-below-average"),
+             ((LESS, compare_certain(partial, bound)),))
         )
-        rows.append(
-            {
-                "suite": "projections",
-                "sample_seed": seed,
-                "n": n,
-                "check": "symmetric",
-                "_verdict": Verdict.CERTAINLY_LESS
-                if mirrored
-                else Verdict.CERTAINLY_GREATER,
-            }
-        )
-        total = gaps[0]
-        for g in gaps[1:]:
-            total = total + g
-        contains = total.overlaps(arc.chord_total)
-        rows.append(
-            {
-                "suite": "projections",
-                "sample_seed": seed,
-                "n": n,
-                "check": "sum-encloses-chord",
-                "_verdict": Verdict.CERTAINLY_LESS
-                if contains
-                else Verdict.CERTAINLY_GREATER,
-            }
-        )
-        # corollary: leading partial sums stay under the uniform average
-        # (strict only below the midpoint; even n gives equality at n/2)
-        full = profile.cumulative_chords[-1]
-        for s in range(2, (n + 1) // 2):
-            partial = gaps[0]
-            for g in gaps[1:s]:
-                partial = partial + g
-            bound = (full * s) / n
-            rows.append(
-                {
-                    "suite": "projections",
-                    "sample_seed": seed,
-                    "n": n,
-                    "index": s,
-                    "check": "partial-below-average",
-                    "_verdict": compare_certain(partial, bound),
-                }
-            )
-    else:
-        segs = profile.tangent_segments
-        for i in range(n - 1):
-            rows.append(
-                {
-                    "suite": "tangent-profile",
-                    "sample_seed": seed,
-                    "n": n,
-                    "index": i + 1,
-                    "check": "increasing",
-                    "_verdict": compare_certain(segs[i], segs[i + 1]),
-                }
-            )
-    return rows
+    return checked
 
 
-def _run_profile_suite(
-    name: str, samples: int, seed: int, precision: int, jobs: int
-) -> SuiteResult:
-    result = SuiteResult(name, 0, 0, 0)
-    args = [(_sample_seed(seed, i), precision, name) for i in range(samples)]
-    for rows in _map_samples(_profile_sample, args, jobs):
-        for row in rows:
-            result.samples += 1
-            verdict = row.pop("_verdict")
-            result.merge_row(row, Verdict.CERTAINLY_LESS, verdict)
-    return result
+def _sampled_suite(suite: str, sampler: Callable, default_samples: int) -> Callable:
+    """A suite that runs ``sampler`` on ``samples`` seeded random arcs."""
+
+    def run(
+        samples: int = default_samples,
+        seed: int = DEFAULT_SEED,
+        precision: int = DEFAULT_PRECISION,
+        jobs: int = 1,
+    ) -> SuiteResult:
+        result = SuiteResult(suite)
+        args = [(_sample_seed(seed, i), precision, suite) for i in range(samples)]
+        for checked in _map_samples(sampler, args, jobs):
+            for row, checks in checked:
+                result.check(row, *checks)
+        return result
+
+    return run
 
 
-def run_projections(
-    samples: int = 100,
-    seed: int = 1,
-    precision: int = DEFAULT_PRECISION,
-    jobs: int = 1,
-    **_,
-) -> SuiteResult:
-    return _run_profile_suite("projections", samples, seed, precision, jobs)
-
-
-def run_tangent_profile(
-    samples: int = 100,
-    seed: int = 1,
-    precision: int = DEFAULT_PRECISION,
-    jobs: int = 1,
-    **_,
-) -> SuiteResult:
-    return _run_profile_suite("tangent-profile", samples, seed, precision, jobs)
+run_chord_compare = _sampled_suite("chord-compare", _compare_sample, 1000)
+run_tangent_compare = _sampled_suite("tangent-compare", _compare_sample, 1000)
+run_projections = _sampled_suite("projections", _projections_sample, 100)
+run_tangent_profile = _sampled_suite("tangent-profile", _tangent_profile_sample, 100)
 
 
 # -- rational sweep ----------------------------------------------------------
 
 
-def run_rational(
-    max_n: int = 24, precision: int = DEFAULT_PRECISION, **_
-) -> SuiteResult:
+def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> SuiteResult:
     """Prop 4.1 ordering over all coprime pairs, both modes, plus winding."""
-    result = SuiteResult("rational", 0, 0, 0)
+    result = SuiteResult("rational")
     realized = [realize_rational(k, N, precision) for k, N in coprime_pairs(max_n)]
     two_pi = two_pi_enclosure(precision)
     for r in realized:
-        result.samples += 1
+        inscribed = normalized_length(r)
         row = {
             "suite": "rational",
             "k": r.k,
             "N": r.N,
             "chord": _dec(r.chord),
-            "normalized": _dec(normalized_length(r)),
+            "normalized": _dec(inscribed),
             "winding_checked": winding_count(r) == r.k,
         }
-        inscribed_below = compare_certain(normalized_length(r), two_pi)
-        circ_above = compare_certain(
-            normalized_length(r, "circumscribed"), two_pi
+        result.check(
+            row,
+            (LESS, compare_certain(inscribed, two_pi)),
+            (GREATER, compare_certain(normalized_length(r, "circumscribed"), two_pi)),
+            row["winding_checked"],
         )
-        ok = (
-            row["winding_checked"]
-            and inscribed_below is Verdict.CERTAINLY_LESS
-            and circ_above is Verdict.CERTAINLY_GREATER
-        )
-        row["verdict"] = "ok" if ok else "violated"
-        row["status"] = row["verdict"]
-        if not ok:
-            result.violations += 1
-        result.rows.append(row)
     # adjacent ordering after sorting by chord, descending
     ordered = sorted(realized, key=lambda r: r.chord.lo.as_fraction(), reverse=True)
-    for mode, expected in (
-        ("inscribed", Verdict.CERTAINLY_LESS),
-        ("circumscribed", Verdict.CERTAINLY_GREATER),
-    ):
+    for mode, expected in (("inscribed", LESS), ("circumscribed", GREATER)):
         for a, b in zip(ordered, ordered[1:]):
-            result.samples += 1
             cmp = normalized_compare(a, b, mode)
             row = {
                 "suite": "rational",
@@ -463,131 +363,92 @@ def run_rational(
                 "lhs": _dec(cmp.lhs),
                 "rhs": _dec(cmp.rhs),
             }
-            result.merge_row(row, expected, cmp.verdict)
+            result.check(row, (expected, cmp.verdict))
     return result
 
 
 # -- circuit suites ----------------------------------------------------------
 
 
-def _circuit_sample(args) -> dict:
-    seed, cap_exp, precision, want_area = args
+def _circuit_sample(args) -> Tuple[dict, Tuple[Check, ...], Dyadic]:
+    """One random circuit: its sandwich row, checks and upper gap bound."""
+    seed, cap_exp, precision, suite = args
     cap = Interval.exact(Dyadic(1, -cap_exp), precision)
     circuit = random_circuit(3, cap, seed, precision)
     measures = circuit_measures(circuit)
-    pi = pi_enclosure(precision)
-    two_pi = pi * 2
-    if want_area:
-        low = compare_certain(measures.area_in, pi)
-        high = compare_certain(pi, measures.area_circ)
-        gap = pi.hi - measures.area_in.lo
+    target = pi_enclosure(precision)
+    if suite == "area-sandwich":
         inner, outer = measures.area_in, measures.area_circ
     else:
-        low = compare_certain(measures.perimeter_in, two_pi)
-        high = compare_certain(two_pi, measures.perimeter_circ)
-        gap = two_pi.hi - measures.perimeter_in.lo
+        target = target * 2
         inner, outer = measures.perimeter_in, measures.perimeter_circ
-    if low is Verdict.OVERLAP or high is Verdict.OVERLAP:
-        verdict = Verdict.OVERLAP
-    elif low is Verdict.CERTAINLY_LESS and high is Verdict.CERTAINLY_LESS:
-        verdict = Verdict.CERTAINLY_LESS
-    else:
-        verdict = Verdict.CERTAINLY_GREATER
-    return {
-        "suite": "area-sandwich" if want_area else "circuit-sandwich",
+    row = {
+        "suite": suite,
         "sample_seed": seed,
         "mesh_cap_exp": cap_exp,
         "points": len(circuit),
         "inner": _dec(inner),
         "outer": _dec(outer),
         "mesh": _dec(measures.mesh),
-        "_gap": gap,
-        "_verdict": verdict,
     }
-
-
-def _run_circuit_suite(
-    name: str,
-    want_area: bool,
-    circuits_per_cap: int,
-    cap_exps,
-    seed: int,
-    precision: int,
-    jobs: int,
-) -> SuiteResult:
-    result = SuiteResult(name, 0, 0, 0)
-    worst_gaps = []
-    for cap_exp in cap_exps:
-        args = [
-            (_sample_seed(seed, cap_exp * 100_000 + i), cap_exp, precision, want_area)
-            for i in range(circuits_per_cap)
-        ]
-        rows = _map_samples(_circuit_sample, args, jobs)
-        worst = None
-        for row in rows:
-            result.samples += 1
-            gap = row.pop("_gap")
-            worst = gap if worst is None or gap > worst else worst
-            verdict = row.pop("_verdict")
-            result.merge_row(row, Verdict.CERTAINLY_LESS, verdict)
-        worst_gaps.append(worst)
-    for prev, cur, cap_exp in zip(worst_gaps, worst_gaps[1:], cap_exps[1:]):
-        result.samples += 1
-        row = {
-            "suite": name,
-            "check": "worst-gap-nonincreasing",
-            "mesh_cap_exp": cap_exp,
-            "worst_gap": cur.decimal(20, up=True),
-        }
-        verdict = (
-            Verdict.CERTAINLY_LESS if cur <= prev else Verdict.CERTAINLY_GREATER
-        )
-        result.merge_row(row, Verdict.CERTAINLY_LESS, verdict)
-    return result
-
-
-def run_circuit_sandwich(
-    circuits_per_cap: int = 100,
-    cap_exps=tuple(range(1, 9)),
-    seed: int = 1,
-    precision: int = DEFAULT_PRECISION,
-    jobs: int = 1,
-    **_,
-) -> SuiteResult:
-    return _run_circuit_suite(
-        "circuit-sandwich", False, circuits_per_cap, cap_exps, seed, precision, jobs
+    checks = (
+        (LESS, compare_certain(inner, target)),
+        (LESS, compare_certain(target, outer)),
     )
+    return row, checks, target.hi - inner.lo
 
 
-def run_area_sandwich(
-    circuits_per_cap: int = 100,
-    cap_exps=tuple(range(1, 9)),
-    seed: int = 1,
-    precision: int = DEFAULT_PRECISION,
-    jobs: int = 1,
-    **_,
-) -> SuiteResult:
-    return _run_circuit_suite(
-        "area-sandwich", True, circuits_per_cap, cap_exps, seed, precision, jobs
-    )
+def _circuit_suite(suite: str) -> Callable:
+    """A suite of sandwich checks per mesh cap, then the worst gap must not grow."""
+
+    def run(
+        circuits_per_cap: int = 100,
+        cap_exps=tuple(range(1, 9)),
+        seed: int = DEFAULT_SEED,
+        precision: int = DEFAULT_PRECISION,
+        jobs: int = 1,
+    ) -> SuiteResult:
+        result = SuiteResult(suite)
+        worst_gaps = []
+        for cap_exp in cap_exps:
+            args = [
+                (_sample_seed(seed, cap_exp * 100_000 + i), cap_exp, precision, suite)
+                for i in range(circuits_per_cap)
+            ]
+            gaps = []
+            for row, checks, gap in _map_samples(_circuit_sample, args, jobs):
+                result.check(row, *checks)
+                gaps.append(gap)
+            worst_gaps.append(max(gaps))
+        for prev, cur, cap_exp in zip(worst_gaps, worst_gaps[1:], cap_exps[1:]):
+            row = {
+                "suite": suite,
+                "check": "worst-gap-nonincreasing",
+                "mesh_cap_exp": cap_exp,
+                "worst_gap": cur.decimal(20, up=True),
+            }
+            result.check(row, cur <= prev)
+        return result
+
+    return run
+
+
+run_circuit_sandwich = _circuit_suite("circuit-sandwich")
+run_area_sandwich = _circuit_suite("area-sandwich")
 
 
 # -- trig sandwich -----------------------------------------------------------
 
 
-def run_trig_sandwich(
-    k_max: int = 16, precision: int = 128, **_
-) -> SuiteResult:
-    """theta = 2^-k ladder: both verdicts plus the theta^2 gap bound."""
-    result = SuiteResult("trig-sandwich", 0, 0, 0)
+def run_trig_sandwich(k_max: int = 16, precision: int = 128) -> SuiteResult:
+    """theta = 2^-k ladder: both verdicts, the theta^2 gap bound, and a gap
+    certainly below the previous one."""
+    result = SuiteResult("trig-sandwich")
     prev_gap = None
     for k in range(1, k_max + 1):
-        result.samples += 1
         theta = Interval.exact(Dyadic(1, -k), precision)
         report = sandwich_report(theta, precision)
         gap = report.mid - 1
-        gap_bound = compare_certain(gap, theta * theta)
-        decreasing = prev_gap is None or gap.hi < prev_gap.lo or gap.hi <= prev_gap.hi
         row = {
             "suite": "trig-sandwich",
             "k": k,
@@ -596,26 +457,14 @@ def run_trig_sandwich(
             "upper": _dec(report.upper),
             "gap_hi": gap.hi.decimal(30, up=True),
         }
-        ok = (
-            report.lower_verdict is Verdict.CERTAINLY_LESS
-            and report.upper_verdict is Verdict.CERTAINLY_LESS
-            and gap_bound is Verdict.CERTAINLY_LESS
-            and decreasing
-        )
-        inconclusive = (
-            report.lower_verdict is Verdict.OVERLAP
-            or report.upper_verdict is Verdict.OVERLAP
-            or gap_bound is Verdict.OVERLAP
-        )
-        row["verdict"] = (
-            "inconclusive" if inconclusive else ("ok" if ok else "violated")
-        )
-        row["status"] = row["verdict"]
-        if inconclusive:
-            result.inconclusive += 1
-        elif not ok:
-            result.violations += 1
-        result.rows.append(row)
+        checks = [
+            (LESS, report.lower_verdict),
+            (LESS, report.upper_verdict),
+            (LESS, compare_certain(gap, theta * theta)),
+        ]
+        if prev_gap is not None:
+            checks.append((LESS, compare_certain(gap, prev_gap)))
+        result.check(row, *checks)
         prev_gap = gap
     return result
 
@@ -639,5 +488,7 @@ SUITES: Dict[str, Callable[..., SuiteResult]] = {
 def run_suite(name: str, **kwargs) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    clean = {k: v for k, v in kwargs.items() if v is not None}
-    return SUITES[name](**clean)
+    for key, value in kwargs.items():
+        if key in LEAST and value < LEAST[key]:
+            raise ValueError(f"{key} must be at least {LEAST[key]}, got {value}")
+    return SUITES[name](**kwargs)

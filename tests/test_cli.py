@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -63,6 +64,7 @@ def test_verify_unknown_suite_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "archpi.cli", "verify", "not-a-suite"],
         capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 2
 
@@ -129,3 +131,81 @@ def test_bad_arguments_exit_2(capsys):
         main(["bounds", "--n", "6"])  # missing --m
     assert exc.value.code == 2
     assert main(["bounds", "--n", "2", "--m", "1"]) == 2  # n too small
+
+
+def run_cli_err(args, capsys):
+    code = main(args)
+    return code, capsys.readouterr().err
+
+
+def test_verify_flag_the_suite_does_not_take_exits_2(capsys):
+    code, err = run_cli_err(["verify", "monotone", "--samples", "5"], capsys)
+    assert code == 2
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["chord-compare", "--samples", "-1"], "--samples"),
+        (["projections", "--samples", "0"], "--samples"),
+        (["circuit-sandwich", "--circuits-per-cap", "0"], "--circuits-per-cap"),
+        (["trig-sandwich", "--k-max", "0"], "--k-max"),
+        (["monotone", "--m-max", "-1"], "--m-max"),
+        (["rational", "--max-n", "2"], "--max-n"),
+    ],
+)
+def test_verify_sizes_without_checks_exit_2(args, flag, capsys):
+    code, err = run_cli_err(["verify"] + args, capsys)
+    assert code == 2
+    assert flag in err
+
+
+def test_trig_zero_denominator_exits_2(capsys):
+    code, err = run_cli_err(["trig", "--theta", "1/0"], capsys)
+    assert code == 2
+    assert "--theta" in err
+
+
+def test_digits_above_cap_exits_2(capsys):
+    code, err = run_cli_err(["digits", "--count", "20000"], capsys)
+    assert code == 2
+    assert "--count" in err
+
+
+def test_bounds_precision_floor_has_message(capsys):
+    code, err = run_cli_err(["bounds", "--n", "6", "--m", "2", "--precision", "8"], capsys)
+    assert code == 2
+    assert "--precision" in err
+
+
+@pytest.mark.parametrize("suite", ["monotone", "chord-compare"])
+def test_verify_precision_floor(suite, capsys):
+    code, err = run_cli_err(["verify", suite, "--precision", "4"], capsys)
+    assert code == 2
+    assert "--precision" in err
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("ARCHPI_PRECISION", ["bounds", "--n", "3", "--m", "2"]),
+        ("ARCHPI_JOBS", ["verify", "chord-compare", "--samples", "1"]),
+    ],
+)
+def test_env_not_an_integer_exits_2(name, args, monkeypatch, capsys):
+    monkeypatch.setenv(name, "abc")
+    code, err = run_cli_err(args, capsys)
+    assert code == 2
+    assert name in err
+
+
+def test_verify_rational_overlap_exits_3(monkeypatch, capsys):
+    import archpi.suites
+    from archpi.interval import Verdict
+
+    monkeypatch.setattr(archpi.suites, "compare_certain", lambda a, b: Verdict.OVERLAP)
+    code, out = run_cli(["verify", "rational", "--max-n", "5"], capsys)
+    report = json.loads(out)
+    assert code == 3
+    assert report["violations"] == 0 and report["inconclusive"] == 4
