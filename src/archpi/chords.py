@@ -2,10 +2,11 @@
 certified edge-length comparison checks.
 
 The per-step chord for an n-fold regular subdivision is found by certified
-bisection in chord space.  The accumulated position is tracked through the
-pair (sin(t/2), cos(t/2)) of the cumulative arc t, updated by pure
-field/sqrt expressions; cos(t/2) is strictly decreasing for t in [0, 2*pi),
-so an early-exit comparison against the target stays sound before any wrap.
+bisection in chord space.  A candidate step s is tested by walking the
+half-angle rotation (sin = s/2) from (1, 0): after k steps the point is
+(cos(t/2), sin(t/2)) of the cumulative arc t, built by pure field/sqrt
+expressions.  cos(t/2) is strictly decreasing for t in [0, 2*pi), so an
+early-exit comparison against the target stays sound before any wrap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .circuits import CirclePoint, distance, step_by_chord, tangent_intersection, unit_start
+from .circuits import (CirclePoint, Rotation, distance, tangent_intersection,
+                       unit_start, walk)
 from .dyadic import Dyadic
 from .errors import (
     BisectionStall,
@@ -77,14 +79,11 @@ def _classify(step: Dyadic, n: int, chord_total: Interval, prec: int) -> str:
     """
     v_target = (4 - chord_total * chord_total).sqrt() / 2
     sb = Interval.exact(step, prec) / 2
-    cb = (1 - sb * sb).sqrt()
-    u = Interval.exact(0, prec)
-    v = Interval.exact(1, prec)
-    for _ in range(n):
-        u, v = u * cb + v * sb, v * cb - u * sb
-        if compare_certain(v, v_target) is Verdict.CERTAINLY_LESS:
+    half_step = Rotation((1 - sb * sb).sqrt(), sb)
+    for point in walk(unit_start(prec), half_step, n):
+        if compare_certain(point.x, v_target) is Verdict.CERTAINLY_LESS:
             return _OVER
-    if compare_certain(v, v_target) is Verdict.CERTAINLY_GREATER:
+    if compare_certain(point.x, v_target) is Verdict.CERTAINLY_GREATER:
         return _UNDER
     return _AMBIG
 
@@ -136,10 +135,7 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
 
 
 def partition_points(arc: ArcSpec, n: int, step_chord: Interval) -> List[CirclePoint]:
-    points = [arc.start]
-    for _ in range(n):
-        points.append(step_by_chord(points[-1], step_chord))
-    return points
+    return list(walk(arc.start, Rotation.of_chord(step_chord), n))
 
 
 def partition_profile(arc: ArcSpec, n: int, prec: int) -> PartitionProfile:

@@ -2,6 +2,8 @@
 
 Points carry coordinate intervals, never angles; all construction is by
 algebraic chord-stepping so the pipeline stays independent of trigonometry.
+A ``Rotation`` is built once per chord, and ``walk`` applies it k times:
+every "step around the circle" in the package is a walk.
 """
 
 from __future__ import annotations
@@ -9,12 +11,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from itertools import islice
+from typing import Iterator, List, Sequence, Tuple
 
 from .dyadic import Dyadic
 from .errors import AntipodalTangents, InvalidChord, PreconditionViolation
 from .interval import Interval, compare_certain, Verdict
-from .polygons import halve_edge, seed_edge
+from .polygons import edge_chain
 
 
 @dataclass(frozen=True)
@@ -46,23 +50,46 @@ def distance(p: CirclePoint, q: CirclePoint) -> Interval:
     return (dx * dx + dy * dy).sqrt()
 
 
-def step_by_chord(p: CirclePoint, c: Interval) -> CirclePoint:
-    """Counterclockwise neighbor of p at chord distance c.
+@dataclass(frozen=True)
+class Rotation:
+    """Counterclockwise rotation about the origin, as its (cos, sin) pair."""
 
-    Rotates by the angle with cosine 1 - c^2/2 and sine c*sqrt(4-c^2)/2.
-    The rotation is an isometry, so coordinate widths grow only additively
-    (one rounding term per step); long chains stay tight without any
-    explicit renormalization, which would decorrelate the coordinates and
-    inflate the enclosure instead of shrinking it.
-    """
-    if c.lo.sign <= 0 or c.hi >= Dyadic(2):
-        raise InvalidChord(f"step chord must lie certifiably in (0, 2): {c}")
-    c_sq = c * c
-    cos_t = 1 - c_sq / 2
-    sin_t = (c * (4 - c_sq).sqrt()) / 2
-    x = p.x * cos_t - p.y * sin_t
-    y = p.x * sin_t + p.y * cos_t
-    return CirclePoint(x, y)
+    cos: Interval
+    sin: Interval
+
+    @staticmethod
+    def of_chord(c: Interval) -> "Rotation":
+        """Rotation carrying a circle point to its neighbor at chord distance c.
+
+        Its cosine is 1 - c^2/2 and its sine c*sqrt(4-c^2)/2.  The rotation
+        is an isometry, so coordinate widths grow only additively (one
+        rounding term per step); long chains stay tight without any explicit
+        renormalization, which would decorrelate the coordinates and inflate
+        the enclosure instead of shrinking it.
+        """
+        if c.lo.sign <= 0 or c.hi >= Dyadic(2):
+            raise InvalidChord(f"step chord must lie certifiably in (0, 2): {c}")
+        c_sq = c * c
+        return Rotation(1 - c_sq / 2, (c * (4 - c_sq).sqrt()) / 2)
+
+    def __call__(self, p: CirclePoint) -> CirclePoint:
+        return CirclePoint(
+            p.x * self.cos - p.y * self.sin, p.x * self.sin + p.y * self.cos
+        )
+
+
+def walk(start: CirclePoint, rotation: Rotation, k: int) -> Iterator[CirclePoint]:
+    """``start``, then its k successive images under ``rotation``."""
+    point = start
+    yield point
+    for _ in range(k):
+        point = rotation(point)
+        yield point
+
+
+def step_by_chord(p: CirclePoint, c: Interval) -> CirclePoint:
+    """Counterclockwise neighbor of p at chord distance c."""
+    return Rotation.of_chord(c)(p)
 
 
 def tangent_intersection(p: CirclePoint, q: CirclePoint) -> Tuple[Interval, Interval]:
@@ -198,25 +225,14 @@ def circuit_measures(circuit: Circuit) -> CircuitMeasures:
     )
 
 
-_RING_CACHE: Dict[Tuple[int, int], List[CirclePoint]] = {}
-
-
+@lru_cache(maxsize=64)
 def regular_ring(m: int, prec: int) -> List[CirclePoint]:
-    """All 3*2^m vertices of the regular triangle refinement, cached."""
-    key = (m, prec)
-    ring = _RING_CACHE.get(key)
-    if ring is not None:
-        return ring
-    ell = seed_edge(3, prec)
-    for _ in range(m):
-        ell = halve_edge(ell)
-    point = unit_start(prec)
-    ring = [point]
-    for _ in range((3 << m) - 1):
-        point = step_by_chord(point, ell)
-        ring.append(point)
-    _RING_CACHE[key] = ring
-    return ring
+    """All 3*2^m vertices of the regular triangle refinement, cached.
+
+    A cache hit returns the same list object; callers must not mutate it.
+    """
+    ell = next(islice(edge_chain(3, prec), m, None))
+    return list(walk(unit_start(prec), Rotation.of_chord(ell), (3 << m) - 1))
 
 
 def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int]:
@@ -229,8 +245,7 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
     if mesh_cap.lo.sign <= 0:
         raise PreconditionViolation("mesh cap must be certifiably positive")
     fallback = None
-    ell = seed_edge(3, prec)
-    for m in range(64):
+    for m, ell in enumerate(islice(edge_chain(3, prec), 64)):
         n = 3 << m
         if n >= 2 * k:
             gmax = 0
@@ -246,7 +261,6 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
                 fallback = (m, gmax)
             if fallback is not None and m - fallback[0] >= 4:
                 break
-        ell = halve_edge(ell)
     if fallback is not None:
         return fallback
     raise PreconditionViolation("mesh cap too small for supported refinement depth")

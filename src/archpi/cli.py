@@ -2,9 +2,11 @@
 and trig tabulation.
 
 Exit codes: 0 success, 1 a verification suite found a certain violation,
-2 argument error (including a ``verify`` flag the suite does not take),
-3 inconclusive (interval overlap persisting at the precision cap).  Reports
-are deterministic for identical argv and seed.
+2 argument error (including a ``verify`` flag the suite does not take, and a
+size that yields no rows), 3 inconclusive (interval overlap persisting at the
+precision cap, an ambiguous winding crossing, or chords that cannot be
+ordered at this precision).  ``main`` maps each error to its exit code by
+type.  Reports are deterministic for identical argv and seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Optional
 
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
-from .errors import ArchpiError, BisectionStall, IterationCapExceeded
+from .errors import (AmbiguousCrossing, ArchpiError, BisectionStall,
+                     HypothesisUnordered, IterationCapExceeded)
 from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
@@ -107,6 +110,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _require_least(key: str, value: int) -> None:
+    """Reject a size below ``suites.LEAST``, where it would yield no rows."""
+    if value < LEAST[key]:
+        raise ValueError(f"{_flag(key)} must be at least {LEAST[key]}, got {value}")
+
+
 def _cmd_bounds(args) -> int:
     prec = _precision(args)
     measures = scheme_measures(RegularScheme(args.n, args.m), prec)
@@ -144,6 +153,7 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_archimedes(args) -> int:
+    _require_least("m_max", args.m_max)
     prec = _precision(args)
     rows = [
         meas.report_row()
@@ -173,10 +183,10 @@ def _cmd_verify(args) -> int:
                 f"{_flag(key)} does not apply to suite {args.suite}, "
                 f"which takes {flags}"
             )
-        if key in LEAST and value < LEAST[key]:
-            raise ValueError(f"{_flag(key)} must be at least {LEAST[key]}, got {value}")
-    if "precision" in given:
-        _precision(args)
+        if key in LEAST:
+            _require_least(key, value)
+    if "precision" in given or ("precision" in takes and "ARCHPI_PRECISION" in os.environ):
+        given["precision"] = _precision(args)
     if "jobs" in takes:
         given.setdefault("jobs", _default_jobs())
     result = run_suite(args.suite, **given)
@@ -227,6 +237,7 @@ def _cmd_trig(args) -> int:
         thetas = [Interval.from_fraction(theta, prec)]
         labels = [args.theta]
     else:
+        _require_least("k_max", args.k_max)
         thetas = [Interval.exact(Dyadic(1, -k), prec) for k in
                   range(1, args.k_max + 1)]
         labels = [f"2^-{k}" for k in range(1, args.k_max + 1)]
@@ -244,6 +255,7 @@ def _cmd_trig(args) -> int:
 
 
 def _cmd_sweep_rational(args) -> int:
+    _require_least("max_n", args.max_n)
     prec = _precision(args)
     rows = []
     for k, N in coprime_pairs(args.max_n):
@@ -336,7 +348,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BisectionStall, IterationCapExceeded) as exc:
+    except (AmbiguousCrossing, BisectionStall, HypothesisUnordered,
+            IterationCapExceeded) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ArchpiError, ValueError) as exc:

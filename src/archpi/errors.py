@@ -67,3 +67,7 @@ class DomainViolation(ArchpiError):
 
 class PreconditionViolation(ArchpiError):
     """Operation called with arguments violating a stated precondition."""
+
+
+class AmbiguousCrossing(PreconditionViolation):
+    """A winding crossing test cannot be certified at this precision."""

@@ -8,7 +8,9 @@ tangent edge, and the vertex gap.  No trigonometry enters the certified path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 from .dyadic import Dyadic
 from .errors import InvalidChord, InvalidEdge, IterationCapExceeded, UnsupportedSeed
@@ -89,6 +91,14 @@ def halve_edge(ell: Interval) -> Interval:
     return ell / (2 + (4 - ell * ell).sqrt()).sqrt()
 
 
+def edge_chain(n: int, prec: int) -> Iterator[Interval]:
+    """The seed edge of the base n-gon, then each bisected edge in turn."""
+    ell = seed_edge(n, prec)
+    while True:
+        yield ell
+        ell = halve_edge(ell)
+
+
 def circumscribed_edge(ell: Interval) -> Interval:
     """Tangent edge with matching arc: 2*ell / sqrt(4 - ell^2)."""
     _require_chord(ell)
@@ -117,18 +127,14 @@ def iter_scheme_measures(
     n: int, m_max: int, prec: int
 ) -> Iterator[SchemeMeasures]:
     """Measures for m = 0..m_max sharing one bisected-edge chain."""
-    ell = seed_edge(n, prec)
-    for m in range(m_max + 1):
+    for m, ell in enumerate(islice(edge_chain(n, prec), m_max + 1)):
         yield _measures_from_edge(RegularScheme(n, m), ell)
-        ell = halve_edge(ell)
 
 
 def scheme_measures(scheme: RegularScheme, prec: int) -> SchemeMeasures:
     if prec < 16:
         raise ValueError("precision must be at least 16 bits")
-    ell = seed_edge(scheme.n, prec)
-    for _ in range(scheme.m):
-        ell = halve_edge(ell)
+    ell = next(islice(edge_chain(scheme.n, prec), scheme.m, None))
     return _measures_from_edge(scheme, ell)
 
 
@@ -138,21 +144,14 @@ def pi_bounds(scheme: RegularScheme, prec: int) -> Interval:
     return Interval((measures.p / 2).lo, (measures.P / 2).hi, prec)
 
 
-_PI_CACHE: Dict[Tuple[int, int], Interval] = {}
-
-
+@lru_cache(maxsize=64)
 def pi_enclosure(prec: int) -> Interval:
     """Cached pi enclosure from the triangle scheme, tight at ``prec`` bits.
 
     Depth prec//2 + 8 drives the bracket width below the rounding floor,
     so the result is limited by precision, not refinement depth.
     """
-    key = (3, prec)
-    cached = _PI_CACHE.get(key)
-    if cached is None:
-        cached = pi_bounds(RegularScheme(3, prec // 2 + 8), prec + 16).with_prec(prec)
-        _PI_CACHE[key] = cached
-    return cached
+    return pi_bounds(RegularScheme(3, prec // 2 + 8), prec + 16).with_prec(prec)
 
 
 def two_pi_enclosure(prec: int) -> Interval:

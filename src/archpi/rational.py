@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from .chords import ArcSpec, solve_regular_chord
-from .circuits import CirclePoint, distance, step_by_chord, unit_start
+from .circuits import CirclePoint, Rotation, distance, unit_start, walk
 from .dyadic import Dyadic
 from .errors import (
+    AmbiguousCrossing,
     ChordTooLong,
     ClosureFailure,
     HypothesisUnordered,
@@ -44,28 +46,16 @@ class RationalLength:
         return self.k
 
 
-_VERTEX_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _ngon_vertices(N: int, prec: int) -> List[CirclePoint]:
-    """Vertices of the regular N-gon from a third-circle subdivision.
+    """Vertices of the regular N-gon from a third-circle subdivision, cached.
 
     The third-circle arc (chord sqrt(3)) split into N parts steps through
     the 3N-gon; every third vertex is an N-gon vertex.
     """
-    cached = _VERTEX_CACHE.get((N, prec))
-    if cached is not None:
-        return cached
     arc = ArcSpec(unit_start(prec), seed_edge(3, prec))
     small = solve_regular_chord(arc, N, prec)
-    point = unit_start(prec)
-    fine = [point]
-    for _ in range(3 * N - 1):
-        point = step_by_chord(point, small)
-        fine.append(point)
-    vertices = [fine[3 * i] for i in range(N)]
-    _VERTEX_CACHE[(N, prec)] = vertices
-    return vertices
+    return list(walk(unit_start(prec), Rotation.of_chord(small), 3 * N - 3))[::3]
 
 
 def realize_rational(k: int, N: int, prec: int) -> RationalLength:
@@ -82,13 +72,8 @@ def realize_rational(k: int, N: int, prec: int) -> RationalLength:
 
 def gamma_path(r: RationalLength) -> List[CirclePoint]:
     """The N stepped vertices of the closed path; verifies closure."""
-    prec = r.chord.prec
-    point = unit_start(prec)
-    points = [point]
-    for _ in range(r.N - 1):
-        point = step_by_chord(point, r.chord)
-        points.append(point)
-    final = step_by_chord(points[-1], r.chord)
+    points = list(walk(unit_start(r.chord.prec), Rotation.of_chord(r.chord), r.N))
+    final = points.pop()
     start = points[0]
     if not (final.x.overlaps(start.x) and final.y.overlaps(start.y)):
         raise ClosureFailure(
@@ -145,7 +130,7 @@ def _crosses_start_radius(a: CirclePoint, b: CirclePoint) -> bool:
         return False
     if sa != 0 and sb != 0 and so != 0 and su != 0:
         return sa != sb and so != su
-    raise PreconditionViolation("ambiguous crossing test; raise precision")
+    raise AmbiguousCrossing("ambiguous crossing test; raise precision")
 
 
 @dataclass(frozen=True)

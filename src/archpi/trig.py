@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from itertools import islice
+from typing import Union
 
-from .circuits import CirclePoint, step_by_chord, unit_start
+from .circuits import CirclePoint, Rotation, step_by_chord, unit_start, walk
 from .dyadic import Dyadic
 from .errors import FractionOutOfRange, PreconditionViolation, ThetaOutOfRange
 from .interval import Interval, Verdict, compare_certain
-from .polygons import halve_edge, seed_edge, two_pi_enclosure
+from .polygons import edge_chain, two_pi_enclosure
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,6 @@ def arc_measure(fraction: Union[Fraction, Interval], prec: int) -> ArcMeasure:
     return ArcMeasure(fraction=fraction, theta=theta, sector_area=theta / 2)
 
 
-def _fraction_chords(prec: int, depth: int) -> List[Interval]:
-    """chords[j] spans the circle fraction 1/(3*2^j), j = 0..depth."""
-    chords = [seed_edge(3, prec)]
-    for _ in range(depth):
-        chords.append(halve_edge(chords[-1]))
-    return chords
-
-
 def geometric_point(theta: Interval, prec: int) -> CirclePoint:
     """Point whose counterclockwise arc from (1, 0) has length theta.
 
@@ -65,7 +58,8 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
         return unit_start(prec)
 
     depth = prec + 8
-    chords = _fraction_chords(prec, depth)
+    # chords[j] spans the circle fraction 1/(3*2^j), j = 0..depth
+    chords = list(islice(edge_chain(3, prec), depth + 1))
     tol = Dyadic(1, 8 - prec)
 
     # bracket state: point at fraction a/(3*2^level); invariant theta lies
@@ -117,9 +111,7 @@ def _theta_slack(theta: Interval, boundary: Interval) -> Dyadic:
 def _pinned_point(
     chords, idx: int, lvl: int, theta: Interval, boundary: Interval, prec: int
 ) -> CirclePoint:
-    point = unit_start(prec)
-    for _ in range(idx):
-        point = step_by_chord(point, chords[lvl])
+    *_, point = walk(unit_start(prec), Rotation.of_chord(chords[lvl]), idx)
     return _inflate(point, _theta_slack(theta, boundary))
 
 

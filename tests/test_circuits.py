@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archpi.circuits import (
     Circuit,
+    CirclePoint,
+    Rotation,
     circuit_measures,
     distance,
     random_circuit,
@@ -11,6 +15,7 @@ from archpi.circuits import (
     step_by_chord,
     tangent_intersection,
     unit_start,
+    walk,
 )
 from archpi.dyadic import Dyadic
 from archpi.errors import AntipodalTangents, InvalidChord, PreconditionViolation
@@ -165,3 +170,39 @@ def test_serialize_shape():
         "perimeter_in", "perimeter_circ", "area_in", "area_circ", "mesh", "min_edge",
     }
     assert out["perimeter_in"][0] <= out["perimeter_in"][1]
+
+
+def _reference_step(p, c):
+    """One chord step, recomputing cos and sin from the chord on every call."""
+    c_sq = c * c
+    cos_t = 1 - c_sq / 2
+    sin_t = (c * (4 - c_sq).sqrt()) / 2
+    return CirclePoint(p.x * cos_t - p.y * sin_t, p.x * sin_t + p.y * cos_t)
+
+
+def _bits(p):
+    return tuple((v.lo.man, v.lo.exp, v.hi.man, v.hi.exp, v.prec) for v in (p.x, p.y))
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1999, 1000)),
+    st.fractions(min_value=-1, max_value=1),
+    st.fractions(min_value=-1, max_value=1),
+    st.integers(min_value=24, max_value=128),
+    st.integers(min_value=0, max_value=24),
+)
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_stepwise_reference(chord, x, y, prec, k):
+    c = Interval.from_fraction(chord, prec)
+    start = CirclePoint(Interval.from_fraction(x, prec), Interval.from_fraction(y, prec))
+    expected = [start]
+    for _ in range(k):
+        expected.append(_reference_step(expected[-1], c))
+    walked = list(walk(start, Rotation.of_chord(c), k))
+    assert [_bits(p) for p in walked] == [_bits(p) for p in expected]
+    assert _bits(step_by_chord(start, c)) == _bits(_reference_step(start, c))
+
+
+def test_regular_ring_cache_returns_the_same_list():
+    assert regular_ring(3, PREC) is regular_ring(3, PREC)
+    assert len(regular_ring(3, PREC)) == 24

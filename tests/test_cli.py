@@ -209,3 +209,48 @@ def test_verify_rational_overlap_exits_3(monkeypatch, capsys):
     report = json.loads(out)
     assert code == 3
     assert report["violations"] == 0 and report["inconclusive"] == 4
+
+
+def test_ambiguous_crossing_exits_3(capsys):
+    code, err = run_cli_err(["verify", "rational", "--max-n", "12", "--precision", "20"], capsys)
+    assert code == 3
+    assert err.startswith("inconclusive:") and "crossing" in err
+
+
+def test_unordered_chords_exit_3(monkeypatch, capsys):
+    import archpi.cli
+    from archpi.rational import normalized_compare, realize_rational
+
+    def compare_close_chords(name, **kwargs):
+        # the chords of (1, 14) and (2, 29) overlap at 16 bits
+        return normalized_compare(realize_rational(1, 14, 16), realize_rational(2, 29, 16))
+
+    monkeypatch.setattr(archpi.cli, "run_suite", compare_close_chords)
+    code, err = run_cli_err(["verify", "rational"], capsys)
+    assert code == 3
+    assert err.startswith("inconclusive:") and "ordered" in err
+
+
+def test_verify_env_precision(monkeypatch, capsys):
+    monkeypatch.setenv("ARCHPI_PRECISION", "128")
+    code, out = run_cli(["verify", "chord-compare", "--samples", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"][0]["precision_used"] == 128
+    monkeypatch.setenv("ARCHPI_PRECISION", "8")
+    code, err = run_cli_err(["verify", "chord-compare", "--samples", "1"], capsys)
+    assert code == 2
+    assert "ARCHPI_PRECISION" in err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["trig", "--k-max", "0"], "--k-max"),
+        (["sweep-rational", "--max-n", "2"], "--max-n"),
+        (["archimedes", "--m-max", "-1"], "--m-max"),
+    ],
+)
+def test_sizes_without_rows_exit_2(args, flag, capsys):
+    code, err = run_cli_err(args, capsys)
+    assert code == 2
+    assert flag in err

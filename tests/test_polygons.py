@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -8,6 +9,7 @@ from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import (
     RegularScheme,
     circumscribed_edge,
+    edge_chain,
     halve_edge,
     iter_scheme_measures,
     pi_bounds,
@@ -130,3 +132,18 @@ def test_report_row_shape():
     assert row["n"] == 4 and row["m"] == 2 and row["precision"] == 64
     assert set(row) >= {"p_lo", "p_hi", "P_lo", "P_hi", "a_lo", "a_hi", "A_lo", "A_hi", "h_hi"}
     assert row["p_lo"] <= row["p_hi"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_edge_chain_matches_repeated_halving(n):
+    ell = seed_edge(n, PREC)
+    expected = [ell]
+    for _ in range(12):
+        ell = halve_edge(ell)
+        expected.append(ell)
+    chain = list(islice(edge_chain(n, PREC), 13))
+
+    def bits(e):
+        return e.lo.man, e.lo.exp, e.hi.man, e.hi.exp, e.prec
+
+    assert [bits(e) for e in chain] == [bits(e) for e in expected]
