@@ -2,15 +2,27 @@
 certified edge-length comparison checks.
 
 The per-step chord for an n-fold regular subdivision is found by certified
-bisection in chord space.  A candidate step s is tested by walking the
+bisection in chord space.  A candidate step s is classified by walking the
 half-angle rotation (sin = s/2) from (1, 0): after k steps the point is
 (cos(t/2), sin(t/2)) of the cumulative arc t, built by pure field/sqrt
 expressions.  cos(t/2) is strictly decreasing for t in [0, 2*pi), so an
 early-exit comparison against the target stays sound before any wrap.
+
+Walking every bisection mid would cost about prec - 8 walks, so the solver
+first places a certified root bracket a < b: a float seed
+2*sin(asin(c/2)/n), refined by Newton steps that each walk once, widened by
+tol/8 on each side, and accepted only when a classifies under and b over.
+"n steps of chord s pass the arc end" is monotone in s, so every mid at or
+below a is under and every mid at or above b is over without a walk; only
+the few mids inside (a, b) are walked.  The bisection itself is unchanged,
+and the outcomes the bracket implies are the ones a walk certifies, so its
+result is bit-identical to walking every mid.  A bracket that fails to
+certify is dropped, and then every mid walks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -19,6 +31,7 @@ from .circuits import (CirclePoint, Rotation, distance, tangent_intersection,
                        unit_start, walk)
 from .dyadic import Dyadic
 from .errors import (
+    ArchpiError,
     BisectionStall,
     DomainViolation,
     InvalidChord,
@@ -71,16 +84,25 @@ class CompareResult:
     precision_used: int
 
 
+def _half_step(step: Dyadic, prec: int) -> Rotation:
+    """Rotation through half the arc of chord ``step``: sin = step/2."""
+    sb = Interval.exact(step, prec) / 2
+    return Rotation((1 - sb * sb).sqrt(), sb)
+
+
+def _target(chord_total: Interval) -> Interval:
+    """cos(arc/2) = sqrt(4 - c^2)/2, the x a walk to the arc end reaches."""
+    return (4 - chord_total * chord_total).sqrt() / 2
+
+
 def _classify(step: Dyadic, n: int, chord_total: Interval, prec: int) -> str:
     """Do n steps of chord ``step`` fall short of or pass the arc endpoint?
 
     Compares cos(cumulative/2) with cos(arc/2) = sqrt(4 - c^2)/2.  Exits at
     the first certain pass, which keeps the cumulative arc below 2*pi.
     """
-    v_target = (4 - chord_total * chord_total).sqrt() / 2
-    sb = Interval.exact(step, prec) / 2
-    half_step = Rotation((1 - sb * sb).sqrt(), sb)
-    for point in walk(unit_start(prec), half_step, n):
+    v_target = _target(chord_total)
+    for point in walk(unit_start(prec), _half_step(step, prec), n):
         if compare_certain(point.x, v_target) is Verdict.CERTAINLY_LESS:
             return _OVER
     if compare_certain(point.x, v_target) is Verdict.CERTAINLY_GREATER:
@@ -100,6 +122,52 @@ def _classify_adaptive(
     return _AMBIG
 
 
+def _seed(chord_total: Interval, n: int) -> float:
+    """Float estimate of the step chord, 2*sin(asin(c/2)/n)."""
+    return 2 * math.sin(math.asin(float(chord_total.mid()) / 2) / n)
+
+
+def _newton_step(step: Dyadic, n: int, chord_total: Interval, prec: int) -> Dyadic:
+    """One Newton step on f(s) = x_n(s) - cos(arc/2), from one walk.
+
+    With sin(alpha) = s/2 the walk ends at (cos n*alpha, sin n*alpha), so
+    f'(s) = -n*y_n / (2 cos alpha).
+    """
+    half_step = _half_step(step, prec)
+    *_, end = walk(unit_start(prec), half_step, n)
+    delta = (end.x - _target(chord_total)) * half_step.cos * 2 / (end.y * n)
+    return (step + delta.mid()).round(prec, up=False)
+
+
+def _bracket(
+    chord_total: Interval, n: int, prec: int
+) -> Optional[Tuple[Dyadic, Dyadic]]:
+    """Certified a < root < b, tol/8 either side of a Newton estimate.
+
+    The float seed is taken as good to 48 bits, and each Newton step
+    doubles that until there are prec + 24.  None when a step fails, b is
+    not below the arc chord, or an endpoint does not certify.
+    """
+    try:
+        step = Dyadic.from_fraction(Fraction(_seed(chord_total, n)), 53, up=False)
+        bits = 48
+        while bits < prec + 24:
+            bits *= 2
+            work = bits + n.bit_length() + 16
+            step = _newton_step(step, n, chord_total.with_prec(work), work)
+    except (ArchpiError, ValueError):
+        return None
+    slack = Dyadic(1, 5 - prec)  # tol/8
+    a = (step - slack).round(prec + 16, up=False)
+    b = (step + slack).round(prec + 16, up=True)
+    # every mid is positive, so a <= 0 needs no test
+    if (b < chord_total.hi
+            and (a.sign <= 0 or _classify_adaptive(a, n, chord_total, prec) is _UNDER)
+            and _classify_adaptive(b, n, chord_total, prec) is _OVER):
+        return a, b
+    return None
+
+
 def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
     """Certified per-step chord of the n-fold regular subdivision of the arc."""
     if n < 1:
@@ -110,6 +178,16 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
     lo = Dyadic(0)
     hi = chord_total.hi
     tol = Dyadic(1, 8 - prec)
+    # without a bracket, (lo, hi) implies nothing: every mid lies strictly inside
+    under, over = _bracket(chord_total, n, prec) or (lo, hi)
+
+    def classify(step: Dyadic) -> str:
+        if step <= under:
+            return _UNDER
+        if step >= over:
+            return _OVER
+        return _classify_adaptive(step, n, chord_total, prec)
+
     guard = 0
     while (hi - lo) > tol:
         guard += 1
@@ -118,13 +196,13 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
         mid = (lo + hi).half().round(prec + 16, up=False)
         if not (lo < mid < hi):
             break
-        result = _classify_adaptive(mid, n, chord_total, prec)
+        result = classify(mid)
         if result is _AMBIG:
             # the step landed essentially on the root; probe off-center
             mid = (lo + mid).half().round(prec + 16, up=False)
             if not (lo < mid < hi):
                 break
-            result = _classify_adaptive(mid, n, chord_total, prec)
+            result = classify(mid)
             if result is _AMBIG:
                 raise BisectionStall("ambiguous verdicts at the precision cap")
         if result is _OVER:

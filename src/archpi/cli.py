@@ -4,9 +4,10 @@ and trig tabulation.
 Exit codes: 0 success, 1 a verification suite found a certain violation,
 2 argument error (including a ``verify`` flag the suite does not take, and a
 size that yields no rows), 3 inconclusive (interval overlap persisting at the
-precision cap, an ambiguous winding crossing, or chords that cannot be
-ordered at this precision).  ``main`` maps each error to its exit code by
-type.  Reports are deterministic for identical argv and seed.
+precision cap, an ambiguous winding crossing, chords that cannot be ordered
+at this precision, or an operand too wide for a square root, a division or a
+chord at this precision).  ``main`` maps each error to its exit code by type.
+Reports are deterministic for identical argv and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Optional
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
 from .errors import (AmbiguousCrossing, ArchpiError, BisectionStall,
-                     HypothesisUnordered, IterationCapExceeded)
+                     DivByZeroInterval, HypothesisUnordered, InvalidChord,
+                     IterationCapExceeded, NegativeSqrt)
 from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
@@ -348,8 +350,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AmbiguousCrossing, BisectionStall, HypothesisUnordered,
-            IterationCapExceeded) as exc:
+    except (AmbiguousCrossing, BisectionStall, DivByZeroInterval,
+            HypothesisUnordered, InvalidChord, IterationCapExceeded,
+            NegativeSqrt) as exc:
+        # every CLI input is checked before work starts, so these come only
+        # from operands too wide at this precision
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ArchpiError, ValueError) as exc:

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from archpi import chords
 from archpi.chords import (
     ArcSpec,
     angle_profile,
@@ -11,7 +14,8 @@ from archpi.chords import (
     tangent_compare,
 )
 from archpi.dyadic import Dyadic
-from archpi.errors import DomainViolation, InvalidChord, PreconditionViolation
+from archpi.errors import (BisectionStall, DomainViolation, InvalidChord,
+                           PreconditionViolation)
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import seed_edge
 
@@ -44,6 +48,98 @@ def test_solve_regular_chord_matches_oracle():
     # n=1 returns the arc chord itself
     whole = solve_regular_chord(quarter_arc(), 1, PREC)
     assert whole.lo == quarter_arc().chord_total.lo
+
+
+def reference_solve(arc, n, prec):
+    """The chord bisection with every mid classified by a walk."""
+    chord_total = arc.chord_total
+    lo = Dyadic(0)
+    hi = chord_total.hi
+    tol = Dyadic(1, 8 - prec)
+    guard = 0
+    while (hi - lo) > tol:
+        guard += 1
+        if guard > 4 * prec + 64:
+            raise BisectionStall("chord bisection exceeded its iteration budget")
+        mid = (lo + hi).half().round(prec + 16, up=False)
+        if not (lo < mid < hi):
+            break
+        result = chords._classify_adaptive(mid, n, chord_total, prec)
+        if result is chords._AMBIG:
+            mid = (lo + mid).half().round(prec + 16, up=False)
+            if not (lo < mid < hi):
+                break
+            result = chords._classify_adaptive(mid, n, chord_total, prec)
+            if result is chords._AMBIG:
+                raise BisectionStall("ambiguous verdicts at the precision cap")
+        if result is chords._OVER:
+            hi = mid
+        else:
+            lo = mid
+    return Interval(lo, hi, prec).with_prec(prec + 16)
+
+
+def _bits(v):
+    return (v.lo.man, v.lo.exp, v.hi.man, v.hi.exp, v.prec)
+
+
+def count_classifications(monkeypatch):
+    calls = []
+    classify = chords._classify_adaptive
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(chords, "_classify_adaptive", counted)
+    return calls
+
+
+@given(
+    st.sampled_from([16, 24, 64, 128, 256]),
+    st.integers(min_value=2, max_value=32),
+    st.integers(min_value=2, max_value=2**17 - 2),
+    st.booleans(),
+)
+@example(16, 32, 40, False)  # a step below tol/8: the bracket's lower end is <= 0
+@settings(max_examples=30, deadline=None)
+def test_solve_is_bit_identical_to_walking_every_mid(prec, n, k, widened):
+    chord = Interval.exact(Dyadic(k, -16), prec)
+    if widened:
+        # realize_rational's chords are distances about 2^-prec wide
+        chord = chord.widen(Dyadic(1, -prec))
+    arc = ArcSpec.from_chord(chord)
+    assert _bits(solve_regular_chord(arc, n, prec)) == _bits(reference_solve(arc, n, prec))
+
+
+@pytest.mark.parametrize("n", [2, 5, 17])
+@pytest.mark.parametrize("wrong", ["half", "arc-chord"])
+def test_wrong_seed_falls_back_to_walking_every_mid(n, wrong, monkeypatch):
+    arc = quarter_arc()
+    true_seed = chords._seed
+    if wrong == "half":
+        monkeypatch.setattr(chords, "_seed", lambda c, n: 0.5 * true_seed(c, n))
+    else:
+        monkeypatch.setattr(chords, "_seed", lambda c, n: float(c.mid()))
+    calls = count_classifications(monkeypatch)
+    expected = reference_solve(arc, n, PREC)
+    walked = len(calls)
+    assert _bits(solve_regular_chord(arc, n, PREC)) == _bits(expected)
+    assert walked <= len(calls) - walked <= walked + 2
+
+
+@pytest.mark.parametrize(
+    "chord",
+    [seed_edge(4, PREC), Interval.from_fraction(Fraction(1, 10), PREC),
+     Interval.from_fraction(Fraction(199, 100), PREC)],
+    ids=["quarter", "tenth", "near-half-circle"],
+)
+@pytest.mark.parametrize("n", [2, 5, 17, 32])
+def test_solve_walks_at_most_six_mids(chord, n, monkeypatch):
+    # walking every mid takes about prec - 8 classifications
+    calls = count_classifications(monkeypatch)
+    solve_regular_chord(ArcSpec.from_chord(chord), n, PREC)
+    assert len(calls) <= 6
 
 
 def test_solve_near_full_arc():

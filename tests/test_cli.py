@@ -164,7 +164,7 @@ def test_verify_sizes_without_checks_exit_2(args, flag, capsys):
 def test_trig_zero_denominator_exits_2(capsys):
     code, err = run_cli_err(["trig", "--theta", "1/0"], capsys)
     assert code == 2
-    assert "--theta" in err
+    assert err.startswith("error:") and "--theta" in err
 
 
 def test_digits_above_cap_exits_2(capsys):
@@ -229,6 +229,15 @@ def test_unordered_chords_exit_3(monkeypatch, capsys):
     code, err = run_cli_err(["verify", "rational"], capsys)
     assert code == 3
     assert err.startswith("inconclusive:") and "ordered" in err
+
+
+@pytest.mark.parametrize("suite", ["chord-compare", "tangent-profile", "projections"])
+def test_operands_too_wide_exit_3(suite, capsys):
+    # at 16 bits a coordinate difference straddles zero, so the square root
+    # of a squared distance fails: a precision shortfall, not a usage error
+    code, err = run_cli_err(["verify", suite, "--samples", "3", "--precision", "16"], capsys)
+    assert code == 3
+    assert err.startswith("inconclusive:") and "sqrt" in err
 
 
 def test_verify_env_precision(monkeypatch, capsys):
