@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .circuits import (CirclePoint, Rotation, distance, tangent_intersection,
                        unit_start, walk)
@@ -199,17 +199,49 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
         result = classify(mid)
         if result is _AMBIG:
             # the step landed essentially on the root; probe off-center
-            mid = (lo + mid).half().round(prec + 16, up=False)
-            if not (lo < mid < hi):
+            probe = (lo + mid).half().round(prec + 16, up=False)
+            if not (lo < probe < hi):
                 break
-            result = classify(mid)
+            result = classify(probe)
             if result is _AMBIG:
-                raise BisectionStall("ambiguous verdicts at the precision cap")
+                lo, hi = _close_on_zone(lo, probe, mid, hi, classify, tol, prec)
+                break
+            mid = probe
         if result is _OVER:
             hi = mid
         else:
             lo = mid
     return Interval(lo, hi, prec).with_prec(prec + 16)
+
+
+def _close_on_zone(
+    lo: Dyadic, za: Dyadic, zb: Dyadic, hi: Dyadic,
+    classify: Callable[[Dyadic], str], tol: Dyadic, prec: int,
+) -> Tuple[Dyadic, Dyadic]:
+    """Shrink lo < za <= zb < hi onto the steps that stay ambiguous.
+
+    lo classifies under, hi over, za and zb ambiguous.  The arc chord is an
+    interval, so every step whose walk ends inside cos(arc/2) is ambiguous
+    at any precision.  Bisect the wider of the gaps beside that zone until
+    hi - lo meets the tolerance; a zone that is itself that wide stalls.
+    """
+    while (hi - lo) > tol:
+        if zb - za >= tol:
+            raise BisectionStall("ambiguous steps span the whole tolerance")
+        a, b = (lo, za) if za - lo >= hi - zb else (zb, hi)
+        mid = (a + b).half().round(prec + 16, up=False)
+        if not (a < mid < b):
+            break
+        result = classify(mid)
+        if result is _AMBIG:
+            za, zb = min(za, mid), max(zb, mid)
+        elif result is _UNDER and mid < za:
+            lo = mid
+        elif result is _OVER and mid > zb:
+            hi = mid
+        else:
+            raise BisectionStall("verdicts out of order around the ambiguous steps")
+    return lo, hi
 
 
 def partition_points(arc: ArcSpec, n: int, step_chord: Interval) -> List[CirclePoint]:

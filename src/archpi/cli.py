@@ -24,9 +24,7 @@ from typing import Optional
 
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
-from .errors import (AmbiguousCrossing, ArchpiError, BisectionStall,
-                     DivByZeroInterval, HypothesisUnordered, InvalidChord,
-                     IterationCapExceeded, NegativeSqrt)
+from .errors import SHORTFALLS, ArchpiError
 from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
@@ -202,6 +200,10 @@ def _cmd_verify(args) -> int:
         "rows": result.rows,
     }
     _emit(report, args.format, args.output)
+    for row in result.rows:
+        if "error" in row:
+            print(f"inconclusive: sample {row['sample_seed']} at {row['precision']} "
+                  f"bits: {row['error']}: {row['message']}", file=sys.stderr)
     if result.violations:
         return EXIT_VIOLATED
     if result.inconclusive:
@@ -350,9 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AmbiguousCrossing, BisectionStall, DivByZeroInterval,
-            HypothesisUnordered, InvalidChord, IterationCapExceeded,
-            NegativeSqrt) as exc:
+    except SHORTFALLS as exc:
         # every CLI input is checked before work starts, so these come only
         # from operands too wide at this precision
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -133,9 +133,8 @@ class Dyadic:
         if (self.exp - shift) & 1:
             shift += 1
         scaled = self.man << shift
-        root = isqrt(scaled)
-        if up and root * root != scaled:
-            root += 1
+        # ceil(sqrt(s)) = isqrt(s - 1) + 1 for s >= 1, and scaled >= 1 here
+        root = isqrt(scaled - 1) + 1 if up else isqrt(scaled)
         return Dyadic(root, (self.exp - shift) // 2).round(prec, up)
 
     # -- conversion & rendering --------------------------------------------

@@ -71,3 +71,16 @@ class PreconditionViolation(ArchpiError):
 
 class AmbiguousCrossing(PreconditionViolation):
     """A winding crossing test cannot be certified at this precision."""
+
+
+#: errors that mean the working precision was too low for the operands, not
+#: that an input was bad: a run that meets one is inconclusive
+SHORTFALLS = (
+    AmbiguousCrossing,
+    BisectionStall,
+    DivByZeroInterval,
+    HypothesisUnordered,
+    InvalidChord,
+    IterationCapExceeded,
+    NegativeSqrt,
+)

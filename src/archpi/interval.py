@@ -102,17 +102,22 @@ class Interval:
             return Interval((lo * d).round(p, False), (hi * d).round(p, True), p)
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        products = [
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        ]
-        return Interval(
-            min(products).round(p, up=False),
-            max(products).round(p, up=True),
-            p,
-        )
+        a_neg = self.hi.sign <= 0
+        b_neg = o.hi.sign <= 0
+        if (a_neg or self.lo.sign >= 0) and (b_neg or o.lo.sign >= 0):
+            # neither operand straddles zero: the sign table names the two
+            # endpoint products that are the extremes
+            lo = (self.hi if b_neg else self.lo) * (o.hi if a_neg else o.lo)
+            hi = (self.lo if b_neg else self.hi) * (o.lo if a_neg else o.hi)
+        else:
+            products = [
+                self.lo * o.lo,
+                self.lo * o.hi,
+                self.hi * o.lo,
+                self.hi * o.hi,
+            ]
+            lo, hi = min(products), max(products)
+        return Interval(lo.round(p, up=False), hi.round(p, up=True), p)
 
     __rmul__ = __mul__
 
@@ -134,9 +139,16 @@ class Interval:
         if o.lo.sign <= 0 <= o.hi.sign:
             raise DivByZeroInterval(f"division by {o}")
         p = min(self.prec, o.prec)
-        pairs = [(self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi)]
-        lo = min(a.div(b, p, up=False) for a, b in pairs)
-        hi = max(a.div(b, p, up=True) for a, b in pairs)
+        # the divisor has one sign, so the sign of each dividend endpoint
+        # picks the divisor endpoint of the extreme quotient; directed
+        # rounding is monotone, so rounding that quotient is the min (max)
+        # of all four rounded quotients
+        if o.lo.sign > 0:
+            lo = self.lo.div(o.hi if self.lo.sign >= 0 else o.lo, p, up=False)
+            hi = self.hi.div(o.lo if self.hi.sign >= 0 else o.hi, p, up=True)
+        else:
+            lo = self.hi.div(o.hi if self.hi.sign >= 0 else o.lo, p, up=False)
+            hi = self.lo.div(o.lo if self.lo.sign >= 0 else o.hi, p, up=True)
         return Interval(lo, hi, p)
 
     def __rtruediv__(self, other: Scalar) -> "Interval":

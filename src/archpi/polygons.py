@@ -176,8 +176,10 @@ def pi_digits(count: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> str:
         raise ValueError("digit count must be positive")
     if count > digit_cap:
         raise IterationCapExceeded(f"digit count {count} above cap {digit_cap}")
-    prec = max(64, 4 * count)
     m = (17 * count + 9) // 10  # ~1.7 digits of depth per digit requested
+    # log2(10) < 10/3 bits per digit, log2(m) bits lost along the chain of
+    # m halvings, and guard bits
+    prec = max(64, 10 * count // 3 + m.bit_length() + 16)
     for _ in range(64):
         bracket = pi_bounds(RegularScheme(3, m), prec)
         lo_digits = _truncated_digits(bracket.lo, count)

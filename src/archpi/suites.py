@@ -13,11 +13,15 @@ violation and inconclusive counts.  Every row is recorded by
 - otherwise the row is ``ok``.
 
 ``verdict`` is the observed value of a row's single comparison, or
-``holds``/``fails`` for a row with several checks or a predicate.  ``samples``
-is the number of rows.  Every suite takes only the keyword arguments in its
-signature; ``run_suite`` rejects, up front, a size below its ``LEAST`` value,
-where the suite would make no check.  Randomized suites parallelize over
-samples; each sample owns its seed.
+``holds``/``fails`` for a row with several checks or a predicate.  A sample
+of a randomized suite that stops on a precision shortfall (an error in
+``errors.SHORTFALLS``) is one ``inconclusive`` row with verdict
+``shortfall``, naming its seed, the error and the precision; the other
+samples still run.  ``samples`` is the number of rows.  Every suite takes
+only the keyword arguments in its signature; ``run_suite`` rejects, up
+front, a size below its ``LEAST`` value, where the suite would make no
+check.  Randomized suites parallelize over samples; each sample owns its
+seed.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Callable, Dict, List, Tuple, Union
 from .chords import ArcSpec, chord_compare, partition_profile, tangent_compare
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
+from .errors import SHORTFALLS
 from .interval import Interval, Verdict, compare_certain
 from .polygons import (
     RegularScheme,
@@ -101,6 +106,13 @@ class SuiteResult:
             self.violations += 1
         else:
             row["status"] = "ok"
+        self.rows.append(row)
+
+    def shortfall(self, row: dict) -> None:
+        """Append ``row``, a sample whose checks a shortfall stopped, as
+        inconclusive."""
+        row.update(verdict="shortfall", status="inconclusive")
+        self.inconclusive += 1
         self.rows.append(row)
 
 
@@ -302,6 +314,17 @@ def _projections_sample(args) -> Checked:
     return checked
 
 
+def _guarded_sample(job) -> Union[Checked, dict]:
+    """The sampler's rows, or the row of the shortfall that stopped it."""
+    sampler, args = job
+    try:
+        return sampler(args)
+    except SHORTFALLS as exc:
+        seed, precision, suite = args
+        return {"suite": suite, "sample_seed": seed, "precision": precision,
+                "error": type(exc).__name__, "message": str(exc)}
+
+
 def _sampled_suite(suite: str, sampler: Callable, default_samples: int) -> Callable:
     """A suite that runs ``sampler`` on ``samples`` seeded random arcs."""
 
@@ -312,8 +335,12 @@ def _sampled_suite(suite: str, sampler: Callable, default_samples: int) -> Calla
         jobs: int = 1,
     ) -> SuiteResult:
         result = SuiteResult(suite)
-        args = [(_sample_seed(seed, i), precision, suite) for i in range(samples)]
-        for checked in _map_samples(sampler, args, jobs):
+        work = [(sampler, (_sample_seed(seed, i), precision, suite))
+                for i in range(samples)]
+        for checked in _map_samples(_guarded_sample, work, jobs):
+            if isinstance(checked, dict):
+                result.shortfall(checked)
+                continue
             for row, checks in checked:
                 result.check(row, *checks)
         return result

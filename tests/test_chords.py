@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,10 @@ def reference_solve(arc, n, prec):
     lo = Dyadic(0)
     hi = chord_total.hi
     tol = Dyadic(1, 8 - prec)
+
+    def walked(step):
+        return chords._classify_adaptive(step, n, chord_total, prec)
+
     guard = 0
     while (hi - lo) > tol:
         guard += 1
@@ -64,14 +69,16 @@ def reference_solve(arc, n, prec):
         mid = (lo + hi).half().round(prec + 16, up=False)
         if not (lo < mid < hi):
             break
-        result = chords._classify_adaptive(mid, n, chord_total, prec)
+        result = walked(mid)
         if result is chords._AMBIG:
-            mid = (lo + mid).half().round(prec + 16, up=False)
-            if not (lo < mid < hi):
+            probe = (lo + mid).half().round(prec + 16, up=False)
+            if not (lo < probe < hi):
                 break
-            result = chords._classify_adaptive(mid, n, chord_total, prec)
+            result = walked(probe)
             if result is chords._AMBIG:
-                raise BisectionStall("ambiguous verdicts at the precision cap")
+                lo, hi = chords._close_on_zone(lo, probe, mid, hi, walked, tol, prec)
+                break
+            mid = probe
         if result is chords._OVER:
             hi = mid
         else:
@@ -102,6 +109,7 @@ def count_classifications(monkeypatch):
     st.booleans(),
 )
 @example(16, 32, 40, False)  # a step below tol/8: the bracket's lower end is <= 0
+@example(16, 2, 2**17 - 2, True)  # two ambiguous mids: the chord is wide near 2
 @settings(max_examples=30, deadline=None)
 def test_solve_is_bit_identical_to_walking_every_mid(prec, n, k, widened):
     chord = Interval.exact(Dyadic(k, -16), prec)
@@ -140,6 +148,30 @@ def test_solve_walks_at_most_six_mids(chord, n, monkeypatch):
     calls = count_classifications(monkeypatch)
     solve_regular_chord(ArcSpec.from_chord(chord), n, PREC)
     assert len(calls) <= 6
+
+
+def _true_step(chord_end, n):
+    chord = mpmath.ldexp(chord_end.man, chord_end.exp)
+    return 2 * mpmath.sin(mpmath.asin(chord / 2) / n)
+
+
+@pytest.mark.parametrize("prec, n", [(16, 2), (16, 3), (16, 32), (24, 2)])
+def test_solve_closes_on_ambiguous_steps(prec, n):
+    # near chord 2 a chord 2^-15 wide leaves a zone of steps that no
+    # precision classifies; the result must still bracket every true step
+    chord = Interval.exact(Dyadic(2**17 - 2, -16), prec).widen(Dyadic(1, -prec))
+    step = solve_regular_chord(ArcSpec.from_chord(chord), n, prec)
+    assert step.hi - step.lo <= Dyadic(1, 8 - prec)
+    with mpmath.workdps(50):
+        for end in (chord.lo, chord.hi):
+            assert contains(step, mpmath.nstr(_true_step(end, n), 45))
+
+
+def test_solve_stalls_when_ambiguous_steps_exceed_tolerance():
+    # a chord [1.994, 1.998]: its steps differ by more than 2^-8
+    chord = Interval.exact(Dyadic(2**17 - 256, -16), 16).widen(Dyadic(1, -9))
+    with pytest.raises(BisectionStall, match="whole tolerance"):
+        solve_regular_chord(ArcSpec.from_chord(chord), 2, 16)
 
 
 def test_solve_near_full_arc():

@@ -240,6 +240,23 @@ def test_operands_too_wide_exit_3(suite, capsys):
     assert err.startswith("inconclusive:") and "sqrt" in err
 
 
+def test_shortfall_keeps_the_other_rows(capsys):
+    code = main(["verify", "tangent-profile", "--samples", "3", "--precision", "16"])
+    captured = capsys.readouterr()
+    assert code == 3
+    report = json.loads(captured.out)
+    assert (report["samples"], report["violations"], report["inconclusive"]) == (5, 0, 1)
+    shortfall = [row for row in report["rows"] if row["status"] == "inconclusive"]
+    assert [(row["verdict"], row["error"], row["precision"]) for row in shortfall] == [
+        ("shortfall", "NegativeSqrt", 16)
+    ]
+    assert {row["sample_seed"] for row in report["rows"]} == {1000003, 1000004, 1000005}
+    assert captured.err == (
+        f"inconclusive: sample {shortfall[0]['sample_seed']} at 16 bits: "
+        f"NegativeSqrt: {shortfall[0]['message']}\n"
+    )
+
+
 def test_verify_env_precision(monkeypatch, capsys):
     monkeypatch.setenv("ARCHPI_PRECISION", "128")
     code, out = run_cli(["verify", "chord-compare", "--samples", "1"], capsys)

@@ -135,3 +135,31 @@ def test_sqrt_contains_root(a, prec):
 def test_float_conversion():
     assert float(Dyadic(3, -1)) == 1.5
     assert math.isclose(float(Dyadic(1).div(Dyadic(3), 64, False)), 1 / 3)
+
+
+def _sqrt_by_squaring_back(d, prec, up):
+    """Dyadic.sqrt with the rounded-up root found by squaring the floor root."""
+    shift = max(0, 2 * (prec + 2) - d.man.bit_length())
+    if (d.exp - shift) & 1:
+        shift += 1
+    scaled = d.man << shift
+    root = math.isqrt(scaled)
+    if up and root * root != scaled:
+        root += 1
+    return Dyadic(root, (d.exp - shift) // 2).round(prec, up)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=2**4200),
+        st.integers(min_value=1, max_value=2**2100).map(lambda r: r * r),
+    ),
+    st.integers(min_value=-4300, max_value=64),
+    st.integers(min_value=8, max_value=2048),
+    st.booleans(),
+)
+@settings(max_examples=200)
+def test_sqrt_matches_squaring_back(man, exp, prec, up):
+    d = Dyadic(man, exp)
+    ours, ref = d.sqrt(prec, up), _sqrt_by_squaring_back(d, prec, up)
+    assert (ours.man, ours.exp) == (ref.man, ref.exp)

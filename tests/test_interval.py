@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archpi.dyadic import Dyadic
+from archpi.dyadic import Dyadic, ZERO
 from archpi.errors import DivByZeroInterval, NegativeSqrt
 from archpi.interval import Interval, Verdict, compare_certain
 
@@ -144,3 +144,68 @@ def test_with_prec_only_widens(ai, prec):
     a, alo, ahi = ai
     c = a.with_prec(prec)
     assert c.lo <= a.lo and a.hi <= c.hi
+
+
+# -- sign-table kernels against the four-endpoint reference -------------------
+
+
+def _four_product_mul(a, b):
+    p = min(a.prec, b.prec)
+    products = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
+    return Interval(min(products).round(p, up=False), max(products).round(p, up=True), p)
+
+
+def _four_quotient_div(a, b):
+    p = min(a.prec, b.prec)
+    pairs = [(a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)]
+    lo = min(x.div(y, p, up=False) for x, y in pairs)
+    hi = max(x.div(y, p, up=True) for x, y in pairs)
+    return Interval(lo, hi, p)
+
+
+def _bits(x):
+    return x.lo.man, x.lo.exp, x.hi.man, x.hi.exp, x.prec
+
+
+SIGN_CLASSES = ("positive", "negative", "straddling", "zero-lo", "zero-hi", "point", "zero")
+
+
+@st.composite
+def signed_intervals(draw, classes=SIGN_CLASSES):
+    """An interval of the given sign class, endpoints of up to prec + 8 bits."""
+    prec = draw(st.integers(min_value=16, max_value=1024))
+
+    def magnitude():
+        bits = draw(st.integers(min_value=1, max_value=prec + 8))
+        man = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+        return Dyadic(man, draw(st.integers(min_value=-prec - 16, max_value=16)))
+
+    kind = draw(st.sampled_from(classes))
+    if kind == "zero":
+        lo = hi = ZERO
+    elif kind == "point":
+        lo = hi = magnitude() if draw(st.booleans()) else -magnitude()
+    elif kind == "straddling":
+        lo, hi = -magnitude(), magnitude()
+    elif kind == "zero-lo":
+        lo, hi = ZERO, magnitude()
+    elif kind == "zero-hi":
+        lo, hi = -magnitude(), ZERO
+    else:
+        lo, hi = sorted((magnitude(), magnitude()))
+        if kind == "negative":
+            lo, hi = -hi, -lo
+    return Interval(lo, hi, prec)
+
+
+@given(signed_intervals(), signed_intervals())
+@settings(max_examples=300)
+def test_mul_matches_four_products(a, b):
+    assert _bits(a * b) == _bits(_four_product_mul(a, b))
+    assert _bits(b * a) == _bits(_four_product_mul(b, a))
+
+
+@given(signed_intervals(), signed_intervals(("positive", "negative", "point")))
+@settings(max_examples=300)
+def test_div_matches_four_quotients(a, b):
+    assert _bits(a / b) == _bits(_four_quotient_div(a, b))

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import islice
 
@@ -6,6 +7,7 @@ import pytest
 from archpi.dyadic import Dyadic
 from archpi.errors import InvalidChord, InvalidEdge, IterationCapExceeded, UnsupportedSeed
 from archpi.interval import Interval, Verdict, compare_certain
+from archpi import polygons
 from archpi.polygons import (
     RegularScheme,
     circumscribed_edge,
@@ -115,6 +117,20 @@ def test_pi_digits_against_machin():
         assert pi_digits(count) == machin_pi_digits(count)
 
 
+@pytest.mark.parametrize("count", [12, 44, 63, 128, 257, 391, 500])
+def test_pi_digits_high_counts_against_machin(count, monkeypatch):
+    precisions = []
+
+    def recording(scheme, prec):
+        precisions.append(prec)
+        return pi_bounds(scheme, prec)
+
+    monkeypatch.setattr(polygons, "pi_bounds", recording)
+    assert pi_digits(count) == machin_pi_digits(count)
+    # the starting precision suffices; 12 and 44 miss because depth is short
+    assert len(precisions) == (2 if count in (12, 44) else 1)
+
+
 def test_pi_digits_validation():
     with pytest.raises(ValueError):
         pi_digits(0)
@@ -147,3 +163,17 @@ def test_edge_chain_matches_repeated_halving(n):
         return e.lo.man, e.lo.exp, e.hi.man, e.hi.exp, e.prec
 
     assert [bits(e) for e in chain] == [bits(e) for e in expected]
+
+
+def test_high_precision_endpoints_are_pinned():
+    # every mantissa and exponent of three pi brackets at 256-2048 bits and
+    # of a 1024-bit hexagon edge chain, as the four-endpoint interval mul
+    # and div gave them; the sign-table kernels must not move a single bit
+    def bits(e):
+        return e.lo.man, e.lo.exp, e.hi.man, e.hi.exp, e.prec
+
+    parts = [bits(pi_bounds(RegularScheme(n, m), p))
+             for n, m, p in [(3, 40, 256), (4, 200, 1024), (6, 700, 2048)]]
+    parts += [bits(e) for e in islice(edge_chain(6, 1024), 60)]
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == "d1ec9a1b58479d7332857e91fca8515204f686504c309cc8b5615f5d23ffc28e"

@@ -122,6 +122,26 @@ def test_check_single_comparison_reports_its_verdict():
     ]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shortfall_is_one_inconclusive_row(jobs):
+    # at 16 bits the first sample's squared distance straddles zero; the
+    # other two samples still run and pass
+    res = run_suite("chord-compare", samples=3, precision=16, jobs=jobs)
+    first, *rest = res.rows
+    assert first == {
+        "suite": "chord-compare",
+        "sample_seed": suites._sample_seed(suites.DEFAULT_SEED, 0),
+        "precision": 16,
+        "error": "NegativeSqrt",
+        "message": first["message"],
+        "verdict": "shortfall",
+        "status": "inconclusive",
+    }
+    assert first["message"].startswith("sqrt of Interval(")
+    assert [row["status"] for row in rest] == ["ok", "ok"]
+    assert (res.samples, res.violations, res.inconclusive) == (3, 0, 1)
+
+
 def test_samples_is_row_count():
     res = SuiteResult("t")
     assert res.samples == 0
@@ -217,6 +237,12 @@ PINNED_REPORTS = [
      "59aa3f2ba5462fc52241189f334a4b4ea247085a106154eac680ceace0377aab"),
     (["verify", "circuit-sandwich", "--circuits-per-cap", "1"],
      "76c822fe48a0552480825c3121d2181676ba8a52d20176e6f70e76adaf6662ce"),
+    (["digits", "--count", "300"],
+     "495b5898ff7f52a5528b53a19df2c648cbe634dd2386de78e878002c252d4f4f"),
+    (["bounds", "--n", "6", "--m", "30", "--precision", "1024"],
+     "064962b79f0e7153c78c074e83260e7f398c9fe1f6f6ca6afde281f353b226dc"),
+    (["archimedes", "--precision", "1024"],
+     "3b61cd9ae47a4602fe38e542bad0d12a71bac49e425473a48fbd98a7ed9e1396"),
 ]
 
 
