@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
 from .dyadic import Dyadic
 from .errors import AntipodalTangents, InvalidChord, PreconditionViolation
-from .interval import Interval, compare_certain, Verdict
+from .interval import Interval
 from .polygons import edge_chain
+
+#: deepest ring a circuit may sit on: 3*2^18 = 786,432 vertices
+MAX_RING_DEPTH = 18
 
 
 @dataclass(frozen=True)
@@ -100,30 +103,43 @@ def tangent_intersection(p: CirclePoint, q: CirclePoint) -> Tuple[Interval, Inte
     return ((p.x + q.x) / denom, (p.y + q.y) / denom)
 
 
+@dataclass(frozen=True)
 class Circuit:
     """Closed counterclockwise point sequence; adjacent arcs < half circle.
 
-    ``vertices`` is the open vertex list; ``points`` closes it by repeating
-    the first point.  The arc condition is structural: circuits are built
-    from regular-polygon vertex indices with integer gap bookkeeping.
+    A circuit is either explicit, from its ``given`` vertices, or ring-based:
+    ``from_regular_indices`` keeps the depth ``ring_m`` of the 3*2^m-gon
+    ring, the sorted vertex ``indices`` and the per-edge step counts
+    ``gaps``, and builds no ring.  ``vertices`` is the open vertex list, read
+    from ``regular_ring`` for a ring-based circuit; ``points`` closes it by
+    repeating the first point.  The arc condition is structural: ring-based
+    circuits are checked with integer gap bookkeeping.
     """
 
-    def __init__(self, vertices: Sequence[CirclePoint], prec: int):
-        if len(vertices) < 3:
+    given: Sequence[CirclePoint]
+    prec: int
+    ring_m: int = -1
+    indices: Sequence[int] = ()
+    gaps: List[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        if len(self) < 3:
             raise PreconditionViolation("a circuit needs at least 3 points")
-        self.vertices: List[CirclePoint] = list(vertices)
-        self.prec = prec
-        # set by from_regular_indices: ring depth and per-edge step counts,
-        # which let circuit_measures use one exact chord per distinct gap
-        self.ring_m: int = -1
-        self.gaps: List[int] = []
+
+    @property
+    def vertices(self) -> List[CirclePoint]:
+        if not self.gaps:
+            return list(self.given)
+        ring = regular_ring(self.ring_m, self.prec)
+        return [ring[i] for i in self.indices]
 
     @property
     def points(self) -> List[CirclePoint]:
-        return self.vertices + [self.vertices[0]]
+        vertices = self.vertices
+        return vertices + [vertices[0]]
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.indices) if self.gaps else len(self.given)
 
     def edges(self):
         pts = self.vertices
@@ -133,8 +149,10 @@ class Circuit:
     @staticmethod
     def from_regular_indices(m: int, indices: Sequence[int], prec: int) -> "Circuit":
         """Circuit through the given vertices of the 3*2^m-gon ring."""
-        ring = regular_ring(m, prec)
-        n = len(ring)
+        if not 0 <= m <= MAX_RING_DEPTH:
+            raise PreconditionViolation(
+                f"ring depth must lie in 0..{MAX_RING_DEPTH}, got {m}")
+        n = 3 << m
         idx = sorted(set(i % n for i in indices))
         if len(idx) < 3:
             raise PreconditionViolation("a circuit needs at least 3 points")
@@ -142,10 +160,7 @@ class Circuit:
         gaps.append(n - idx[-1] + idx[0])
         if max(gaps) * 2 >= n:
             raise PreconditionViolation("adjacent arc spans at least half the circle")
-        circuit = Circuit([ring[i] for i in idx], prec)
-        circuit.ring_m = m
-        circuit.gaps = gaps
-        return circuit
+        return Circuit((), prec, ring_m=m, indices=tuple(idx), gaps=gaps)
 
 
 @dataclass(frozen=True)
@@ -185,10 +200,12 @@ def _edge_terms(chord: Interval) -> Tuple[Interval, Interval]:
 def circuit_measures(circuit: Circuit) -> CircuitMeasures:
     prec = circuit.prec
     if circuit.gaps:
-        # ring-based circuit: one exact chord per distinct step count
+        # ring-based circuit: one exact chord per distinct step count, from
+        # the same walk regular_ring takes, so prefix[g] is ring[g] bit for bit
         counts = Counter(circuit.gaps)
-        ring = regular_ring(circuit.ring_m, prec)
-        chord_of = {g: distance(ring[0], ring[g]) for g in counts}
+        rotation = lattice_ladder(prec)[1][circuit.ring_m]
+        prefix = list(walk(unit_start(prec), rotation, max(counts)))
+        chord_of = {g: distance(prefix[0], prefix[g]) for g in counts}
         zero = Interval.exact(0, prec)
         perim_in = perim_circ = area_in = zero
         for g, count in counts.items():
@@ -235,22 +252,41 @@ def regular_ring(m: int, prec: int) -> List[CirclePoint]:
     return list(walk(unit_start(prec), Rotation.of_chord(ell), (3 << m) - 1))
 
 
+@lru_cache(maxsize=64)
+def lattice_ladder(prec: int) -> Tuple[Tuple[Interval, ...], Tuple[Rotation, ...]]:
+    """Chords of 1/(3*2^j) of a turn and their rotations, j = 0..depth, cached.
+
+    The depth, max(prec, MAX_RING_DEPTH) + 8, covers every ring depth and
+    every level of the arclength bisection in ``trig.geometric_point``.
+    """
+    chords = tuple(islice(edge_chain(3, prec), max(prec, MAX_RING_DEPTH) + 9))
+    return chords, tuple(Rotation.of_chord(c) for c in chords)
+
+
 def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int]:
     """Smallest depth m whose ring supports varied gaps under the cap.
 
     Returns (m, gmax): gmax steps of the ring edge are certainly shorter
     than the cap, gmax*k fits in the ring, and arcs stay under half circle.
     Prefers a depth where gmax >= 4 so generated circuits actually vary.
+    Rejects a cap whose search would pass ``MAX_RING_DEPTH``.
     """
     if mesh_cap.lo.sign <= 0:
         raise PreconditionViolation("mesh cap must be certifiably positive")
+    # only the cap's lower end decides "certainly shorter"; the key is its
+    # value, since Interval has no value equality
+    return _refinement(k, mesh_cap.lo, prec)
+
+
+@lru_cache(maxsize=64)
+def _refinement(k: int, cap_lo: Dyadic, prec: int) -> Tuple[int, int]:
     fallback = None
-    for m, ell in enumerate(islice(edge_chain(3, prec), 64)):
+    for m, ell in enumerate(lattice_ladder(prec)[0][: MAX_RING_DEPTH + 1]):
         n = 3 << m
         if n >= 2 * k:
             gmax = 0
             while (
-                compare_certain(ell * (gmax + 1), mesh_cap) is Verdict.CERTAINLY_LESS
+                (ell * (gmax + 1)).hi < cap_lo
                 and (gmax + 1) * 2 < n
                 and (gmax + 1) * k <= n
             ):
@@ -260,10 +296,11 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
             if gmax >= 1 and fallback is None:
                 fallback = (m, gmax)
             if fallback is not None and m - fallback[0] >= 4:
-                break
-    if fallback is not None:
-        return fallback
-    raise PreconditionViolation("mesh cap too small for supported refinement depth")
+                return fallback
+    raise PreconditionViolation(
+        f"mesh cap too small for ring depth at most {MAX_RING_DEPTH} "
+        f"({3 << MAX_RING_DEPTH} vertices): lower --mesh-cap-exp or --points"
+    )
 
 
 def random_circuit(

@@ -6,7 +6,10 @@ Exit codes: 0 success, 1 a verification suite found a certain violation,
 size that yields no rows), 3 inconclusive (interval overlap persisting at the
 precision cap, an ambiguous winding crossing, chords that cannot be ordered
 at this precision, or an operand too wide for a square root, a division or a
-chord at this precision).  ``main`` maps each error to its exit code by type.
+chord at this precision).  The sampled suites, ``rational``,
+``trig-sandwich``, ``trig`` and ``sweep-rational`` turn such a shortfall into
+one row, print the report and exit 3; ``main`` maps every other error to its
+exit code by type.
 Reports are deterministic for identical argv and seed.
 """
 
@@ -29,7 +32,7 @@ from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
 from .rational import coprime_pairs, realize_rational, normalized_length, winding_count
-from .suites import DEFAULT_SEED, LEAST, SUITES, run_suite
+from .suites import DEFAULT_SEED, LEAST, SUITES, run_suite, shortfall_row
 from .trig import sandwich_report
 
 EXIT_OK = 0
@@ -39,6 +42,8 @@ EXIT_INCONCLUSIVE = 3
 
 #: parsed ``verify`` arguments that are not suite parameters
 _NOT_SUITE_ARGS = {"command", "func", "suite", "format", "output"}
+#: shortfall row keys that do not name the row
+_NOT_SUBJECT = {"suite", "precision", "error", "message", "verdict", "status"}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -114,6 +119,19 @@ def _require_least(key: str, value: int) -> None:
     """Reject a size below ``suites.LEAST``, where it would yield no rows."""
     if value < LEAST[key]:
         raise ValueError(f"{_flag(key)} must be at least {LEAST[key]}, got {value}")
+
+
+def _report_shortfalls(rows) -> int:
+    """One ``inconclusive:`` stderr line per shortfall row; their count."""
+    short = [row for row in rows if "error" in row]
+    for row in short:
+        subject = ", ".join(
+            f"{'sample' if key == 'sample_seed' else key} {value}"
+            for key, value in row.items() if key not in _NOT_SUBJECT
+        )
+        print(f"inconclusive: {subject} at {row['precision']} bits: "
+              f"{row['error']}: {row['message']}", file=sys.stderr)
+    return len(short)
 
 
 def _cmd_bounds(args) -> int:
@@ -200,10 +218,7 @@ def _cmd_verify(args) -> int:
         "rows": result.rows,
     }
     _emit(report, args.format, args.output)
-    for row in result.rows:
-        if "error" in row:
-            print(f"inconclusive: sample {row['sample_seed']} at {row['precision']} "
-                  f"bits: {row['error']}: {row['message']}", file=sys.stderr)
+    _report_shortfalls(result.rows)
     if result.violations:
         return EXIT_VIOLATED
     if result.inconclusive:
@@ -232,30 +247,29 @@ def _cmd_circuit(args) -> int:
 
 def _cmd_trig(args) -> int:
     prec = _precision(args, floor=32)
-    rows = []
     if args.theta is not None:
         try:
             theta = Fraction(args.theta)
         except ZeroDivisionError:
             raise ValueError(f"--theta {args.theta} has a zero denominator") from None
         thetas = [Interval.from_fraction(theta, prec)]
-        labels = [args.theta]
     else:
         _require_least("k_max", args.k_max)
         thetas = [Interval.exact(Dyadic(1, -k), prec) for k in
                   range(1, args.k_max + 1)]
-        labels = [f"2^-{k}" for k in range(1, args.k_max + 1)]
-    for label, theta in zip(labels, thetas):
-        row = {"theta": label}
-        row.update(sandwich_report(theta, prec).serialize())
-        rows.append(row)
+    rows = []
+    for theta in thetas:
+        try:
+            rows.append(sandwich_report(theta, prec).serialize())
+        except SHORTFALLS as exc:
+            rows.append(shortfall_row({"theta": list(theta.decimal_pair(17))}, prec, exc))
     report = {
         "command": "trig",
         "precision": prec,
         "rows": rows,
     }
     _emit(report, args.format, args.output)
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if _report_shortfalls(rows) else EXIT_OK
 
 
 def _cmd_sweep_rational(args) -> int:
@@ -263,9 +277,9 @@ def _cmd_sweep_rational(args) -> int:
     prec = _precision(args)
     rows = []
     for k, N in coprime_pairs(args.max_n):
-        r = realize_rational(k, N, prec)
-        rows.append(
-            {
+        try:
+            r = realize_rational(k, N, prec)
+            row = {
                 "k": k,
                 "N": N,
                 "chord": list(r.chord.decimal_pair(17)),
@@ -275,7 +289,9 @@ def _cmd_sweep_rational(args) -> int:
                 ),
                 "winding": winding_count(r),
             }
-        )
+        except SHORTFALLS as exc:
+            row = shortfall_row({"k": k, "N": N}, prec, exc)
+        rows.append(row)
     report = {
         "command": "sweep-rational",
         "max_n": args.max_n,
@@ -283,7 +299,7 @@ def _cmd_sweep_rational(args) -> int:
         "rows": rows,
     }
     _emit(report, args.format, args.output)
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if _report_shortfalls(rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

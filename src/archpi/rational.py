@@ -114,9 +114,12 @@ def _crosses_start_radius(a: CirclePoint, b: CirclePoint) -> bool:
     only accepted when the other certifies non-crossing (the antipodal
     vertex sits on the line but never on the segment).
     """
-    # straddle of the x-axis line by the edge endpoints
+    # straddle of the x-axis line by the edge endpoints, tested first: an
+    # edge certainly on one side of it needs no cross products
     sa = _sign_certain(a.y)
     sb = _sign_certain(b.y)
+    if sa != 0 and sa == sb:
+        return False
     # straddle of the edge line by origin and (1, 0)
     ex = b.x - a.x
     ey = b.y - a.y
@@ -124,12 +127,10 @@ def _crosses_start_radius(a: CirclePoint, b: CirclePoint) -> bool:
     cross_unit = ex * a.y - ey * (a.x - 1)
     so = _sign_certain(cross_origin)
     su = _sign_certain(cross_unit)
-    if so != 0 and su != 0 and so == su:
-        return False
-    if sa != 0 and sb != 0 and sa == sb:
+    if so != 0 and so == su:
         return False
     if sa != 0 and sb != 0 and so != 0 and su != 0:
-        return sa != sb and so != su
+        return True  # here sa != sb and so != su: both straddles certain
     raise AmbiguousCrossing("ambiguous crossing test; raise precision")
 
 

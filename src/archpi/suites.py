@@ -14,12 +14,13 @@ violation and inconclusive counts.  Every row is recorded by
 
 ``verdict`` is the observed value of a row's single comparison, or
 ``holds``/``fails`` for a row with several checks or a predicate.  A sample
-of a randomized suite that stops on a precision shortfall (an error in
+of a randomized suite, a coprime pair of ``rational`` or a k of
+``trig-sandwich`` that stops on a precision shortfall (an error in
 ``errors.SHORTFALLS``) is one ``inconclusive`` row with verdict
-``shortfall``, naming its seed, the error and the precision; the other
-samples still run.  ``samples`` is the number of rows.  Every suite takes
-only the keyword arguments in its signature; ``run_suite`` rejects, up
-front, a size below its ``LEAST`` value, where the suite would make no
+``shortfall``, naming its seed, pair or k, the error and the precision;
+the other rows still run.  ``samples`` is the number of rows.  Every suite
+takes only the keyword arguments in its signature; ``run_suite`` rejects,
+up front, a size below its ``LEAST`` value, where the suite would make no
 check.  Randomized suites parallelize over samples; each sample owns its
 seed.
 """
@@ -314,6 +315,12 @@ def _projections_sample(args) -> Checked:
     return checked
 
 
+def shortfall_row(row: dict, precision: int, exc: Exception) -> dict:
+    """``row``, the keys naming a row, plus the shortfall that stopped it."""
+    return dict(row, precision=precision, error=type(exc).__name__,
+                message=str(exc))
+
+
 def _guarded_sample(job) -> Union[Checked, dict]:
     """The sampler's rows, or the row of the shortfall that stopped it."""
     sampler, args = job
@@ -321,8 +328,7 @@ def _guarded_sample(job) -> Union[Checked, dict]:
         return sampler(args)
     except SHORTFALLS as exc:
         seed, precision, suite = args
-        return {"suite": suite, "sample_seed": seed, "precision": precision,
-                "error": type(exc).__name__, "message": str(exc)}
+        return shortfall_row({"suite": suite, "sample_seed": seed}, precision, exc)
 
 
 def _sampled_suite(suite: str, sampler: Callable, default_samples: int) -> Callable:
@@ -358,38 +364,45 @@ run_tangent_profile = _sampled_suite("tangent-profile", _tangent_profile_sample,
 
 
 def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> SuiteResult:
-    """Prop 4.1 ordering over all coprime pairs, both modes, plus winding."""
+    """Prop 4.1 ordering over all coprime pairs, both modes, plus winding.
+
+    A pair, or an adjacent comparison, that a shortfall stops is one
+    inconclusive row; a pair whose chord was realized still takes part in
+    the ordering.
+    """
     result = SuiteResult("rational")
-    realized = [realize_rational(k, N, precision) for k, N in coprime_pairs(max_n)]
     two_pi = two_pi_enclosure(precision)
-    for r in realized:
-        inscribed = normalized_length(r)
-        row = {
-            "suite": "rational",
-            "k": r.k,
-            "N": r.N,
-            "chord": _dec(r.chord),
-            "normalized": _dec(inscribed),
-            "winding_checked": winding_count(r) == r.k,
-        }
+    realized = []
+    for k, N in coprime_pairs(max_n):
+        row = {"suite": "rational", "k": k, "N": N}
+        try:
+            r = realize_rational(k, N, precision)
+            realized.append(r)
+            inscribed = normalized_length(r)
+            circumscribed = normalized_length(r, "circumscribed")
+            winding_checked = winding_count(r) == r.k
+        except SHORTFALLS as exc:
+            result.shortfall(shortfall_row(row, precision, exc))
+            continue
+        row.update(chord=_dec(r.chord), normalized=_dec(inscribed),
+                   winding_checked=winding_checked)
         result.check(
             row,
             (LESS, compare_certain(inscribed, two_pi)),
-            (GREATER, compare_certain(normalized_length(r, "circumscribed"), two_pi)),
-            row["winding_checked"],
+            (GREATER, compare_certain(circumscribed, two_pi)),
+            winding_checked,
         )
     # adjacent ordering after sorting by chord, descending
     ordered = sorted(realized, key=lambda r: r.chord.lo.as_fraction(), reverse=True)
     for mode, expected in (("inscribed", LESS), ("circumscribed", GREATER)):
         for a, b in zip(ordered, ordered[1:]):
-            cmp = normalized_compare(a, b, mode)
-            row = {
-                "suite": "rational",
-                "mode": mode,
-                "pair": [[a.k, a.N], [b.k, b.N]],
-                "lhs": _dec(cmp.lhs),
-                "rhs": _dec(cmp.rhs),
-            }
+            row = {"suite": "rational", "mode": mode, "pair": [[a.k, a.N], [b.k, b.N]]}
+            try:
+                cmp = normalized_compare(a, b, mode)
+            except SHORTFALLS as exc:
+                result.shortfall(shortfall_row(row, precision, exc))
+                continue
+            row.update(lhs=_dec(cmp.lhs), rhs=_dec(cmp.rhs))
             result.check(row, (expected, cmp.verdict))
     return result
 
@@ -469,21 +482,30 @@ run_area_sandwich = _circuit_suite("area-sandwich")
 
 def run_trig_sandwich(k_max: int = 16, precision: int = 128) -> SuiteResult:
     """theta = 2^-k ladder: both verdicts, the theta^2 gap bound, and a gap
-    certainly below the previous one."""
+    certainly below the previous one.
+
+    A k that a shortfall stops is one inconclusive row; the next k skips
+    the decrease check and says so in its row.
+    """
     result = SuiteResult("trig-sandwich")
     prev_gap = None
+    prev_short = False
     for k in range(1, k_max + 1):
         theta = Interval.exact(Dyadic(1, -k), precision)
-        report = sandwich_report(theta, precision)
+        row = {"suite": "trig-sandwich", "k": k}
+        try:
+            report = sandwich_report(theta, precision)
+        except SHORTFALLS as exc:
+            result.shortfall(shortfall_row(row, precision, exc))
+            prev_gap, prev_short = None, True
+            continue
         gap = report.mid - 1
-        row = {
-            "suite": "trig-sandwich",
-            "k": k,
-            "theta": _dec(theta),
-            "mid": _dec(report.mid),
-            "upper": _dec(report.upper),
-            "gap_hi": gap.hi.decimal(30, up=True),
-        }
+        row.update(
+            theta=_dec(theta),
+            mid=_dec(report.mid),
+            upper=_dec(report.upper),
+            gap_hi=gap.hi.decimal(30, up=True),
+        )
         checks = [
             (LESS, report.lower_verdict),
             (LESS, report.upper_verdict),
@@ -491,8 +513,10 @@ def run_trig_sandwich(k_max: int = 16, precision: int = 128) -> SuiteResult:
         ]
         if prev_gap is not None:
             checks.append((LESS, compare_certain(gap, prev_gap)))
+        elif prev_short:
+            row["decrease"] = f"skipped: k {k - 1} fell short"
         result.check(row, *checks)
-        prev_gap = gap
+        prev_gap, prev_short = gap, False
     return result
 
 

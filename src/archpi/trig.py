@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Union
 
-from .circuits import CirclePoint, Rotation, step_by_chord, unit_start, walk
+from .circuits import CirclePoint, Rotation, lattice_ladder, unit_start, walk
 from .dyadic import Dyadic
 from .errors import FractionOutOfRange, PreconditionViolation, ThetaOutOfRange
 from .interval import Interval, Verdict, compare_certain
-from .polygons import edge_chain, two_pi_enclosure
+from .polygons import two_pi_enclosure
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,8 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
     """Point whose counterclockwise arc from (1, 0) has length theta.
 
     Bisects the circle fraction on the lattice a/(3*2^j), advancing the
-    candidate point by one precomputed half-level chord per refinement.
+    candidate point by one rotation of the cached lattice ladder per
+    refinement.
     """
     if theta.lo.sign < 0:
         if theta.hi.sign > 0:
@@ -58,8 +58,8 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
         return unit_start(prec)
 
     depth = prec + 8
-    # chords[j] spans the circle fraction 1/(3*2^j), j = 0..depth
-    chords = list(islice(edge_chain(3, prec), depth + 1))
+    # chords[j] spans the circle fraction 1/(3*2^j), rotations[j] steps by it
+    chords, rotations = lattice_ladder(prec)
     tol = Dyadic(1, 8 - prec)
 
     # bracket state: point at fraction a/(3*2^level); invariant theta lies
@@ -79,13 +79,13 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
             break
         if verdict is Verdict.OVERLAP:
             # theta sits on a lattice boundary: pin to it directly
-            return _pinned_point(chords, third + 1, 0, theta, boundary, prec)
+            return _pinned_point(rotations[0], third + 1, theta, boundary, prec)
         index = third + 1
-        point = step_by_chord(point, chords[0])
+        point = rotations[0](point)
 
     while level < depth:
         mid_index = 2 * index + 1
-        mid_point = step_by_chord(point, chords[level + 1])
+        mid_point = rotations[level + 1](point)
         boundary = arc_at(mid_index, level + 1)
         verdict = compare_certain(theta, boundary)
         if verdict is Verdict.OVERLAP:
@@ -109,9 +109,9 @@ def _theta_slack(theta: Interval, boundary: Interval) -> Dyadic:
 
 
 def _pinned_point(
-    chords, idx: int, lvl: int, theta: Interval, boundary: Interval, prec: int
+    rotation: Rotation, idx: int, theta: Interval, boundary: Interval, prec: int
 ) -> CirclePoint:
-    *_, point = walk(unit_start(prec), Rotation.of_chord(chords[lvl]), idx)
+    *_, point = walk(unit_start(prec), rotation, idx)
     return _inflate(point, _theta_slack(theta, boundary))
 
 

@@ -1,26 +1,38 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from archpi import circuits
 from archpi.circuits import (
+    MAX_RING_DEPTH,
     Circuit,
     CirclePoint,
     Rotation,
+    _edge_terms,
+    _refinement_for_cap,
     circuit_measures,
     distance,
     random_circuit,
     regular_ring,
     step_by_chord,
     tangent_intersection,
+    lattice_ladder,
     unit_start,
     walk,
 )
 from archpi.dyadic import Dyadic
-from archpi.errors import AntipodalTangents, InvalidChord, PreconditionViolation
+from archpi.errors import (
+    SHORTFALLS,
+    AntipodalTangents,
+    InvalidChord,
+    PreconditionViolation,
+)
 from archpi.interval import Interval, Verdict, compare_certain
-from archpi.polygons import pi_enclosure, seed_edge
+from archpi.polygons import edge_chain, pi_enclosure, seed_edge
 
 from oracles import contains
 
@@ -206,3 +218,114 @@ def test_walk_matches_stepwise_reference(chord, x, y, prec, k):
 def test_regular_ring_cache_returns_the_same_list():
     assert regular_ring(3, PREC) is regular_ring(3, PREC)
     assert len(regular_ring(3, PREC)) == 24
+
+
+MEASURES = ("perimeter_in", "perimeter_circ", "area_in", "area_circ", "mesh", "min_edge")
+
+
+def _ibits(x):
+    return (x.lo.man, x.lo.exp, x.hi.man, x.hi.exp, x.prec)
+
+
+def _reference_gap_measures(m, gaps, prec):
+    """The gap path read off a whole materialized ring, as built before
+    circuits kept only their gaps."""
+    counts = Counter(gaps)
+    ring = regular_ring(m, prec)
+    chord_of = {g: distance(ring[0], ring[g]) for g in counts}
+    perim_in = perim_circ = area_in = Interval.exact(0, prec)
+    for g, count in counts.items():
+        chord = chord_of[g]
+        detour, tri_area = _edge_terms(chord)
+        perim_in = perim_in + chord * count
+        perim_circ = perim_circ + detour * count
+        area_in = area_in + tri_area * count
+    chords = [chord_of[min(counts)], chord_of[max(counts)]]
+    mesh = Interval(max(c.lo for c in chords), max(c.hi for c in chords), prec)
+    min_edge = Interval(min(c.lo for c in chords), min(c.hi for c in chords), prec)
+    return perim_in, perim_circ, area_in, perim_circ / 2, mesh, min_edge
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SHORTFALLS as exc:
+        return type(exc)
+
+
+@st.composite
+def ring_circuits(draw):
+    m = draw(st.integers(min_value=0, max_value=8))
+    n = 3 << m
+    idx = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=3, max_size=48))
+    prec = draw(st.sampled_from([16, 24, 64, 128]))
+    return m, sorted(idx), prec
+
+
+@given(ring_circuits())
+@settings(max_examples=60, deadline=None)
+def test_gap_measures_match_the_materialized_ring(case):
+    m, idx, prec = case
+    try:
+        circuit = Circuit.from_regular_indices(m, idx, prec)
+    except PreconditionViolation:
+        assume(False)
+    assert (circuit.ring_m, tuple(circuit.indices), len(circuit)) == (m, tuple(idx), len(idx))
+    ring = regular_ring(m, prec)
+    assert [_bits(p) for p in circuit.vertices] == [_bits(ring[i]) for i in idx]
+    fast = _outcome(circuit_measures, circuit)
+    reference = _outcome(_reference_gap_measures, m, circuit.gaps, prec)
+    if isinstance(reference, type):
+        assert fast is reference
+        return
+    assert [_ibits(getattr(fast, name)) for name in MEASURES] == [
+        _ibits(x) for x in reference
+    ]
+    # the explicit-vertex path measures the same circuit edge by edge
+    explicit = _outcome(circuit_measures, Circuit([ring[i] for i in idx], prec))
+    if not isinstance(explicit, type):
+        for name in MEASURES:
+            assert getattr(explicit, name).overlaps(getattr(fast, name)), name
+
+
+def test_ring_circuits_build_no_ring(monkeypatch):
+    def no_ring(m, prec):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(circuits, "regular_ring", no_ring)
+    cap = Interval.exact(Dyadic(1, -6), PREC)
+    circuit = random_circuit(3, cap, seed=4, prec=PREC)
+    assert len(circuit) == len(circuit.indices) > 3
+    assert compare_certain(circuit_measures(circuit).mesh, cap) is Verdict.CERTAINLY_LESS
+
+
+@pytest.mark.parametrize("prec", [16, 64, 128])
+def test_ladder_matches_the_edge_chain(prec):
+    chords, rotations = lattice_ladder(prec)
+    assert len(chords) == len(rotations) == max(prec, MAX_RING_DEPTH) + 9
+    fresh = list(islice(edge_chain(3, prec), len(chords)))
+    assert [_ibits(c) for c in chords] == [_ibits(c) for c in fresh]
+    for rotation, chord in zip(rotations, fresh):
+        expected = Rotation.of_chord(chord)
+        assert (_ibits(rotation.cos), _ibits(rotation.sin)) == (
+            _ibits(expected.cos), _ibits(expected.sin))
+    assert lattice_ladder(prec) is lattice_ladder(prec)
+
+
+def test_ring_depth_ceiling():
+    with pytest.raises(PreconditionViolation, match="ring depth"):
+        Circuit.from_regular_indices(MAX_RING_DEPTH + 1, [0, 1, 2], PREC)
+    with pytest.raises(PreconditionViolation, match="--mesh-cap-exp"):
+        _refinement_for_cap(3, Interval.exact(Dyadic(1, -40), PREC), PREC)
+    with pytest.raises(PreconditionViolation, match="--points"):
+        _refinement_for_cap(10**6, Interval.exact(Dyadic(1, -3), PREC), PREC)
+    # the deepest cap the bench and the fixtures use stays well inside it
+    m, gmax = _refinement_for_cap(3, Interval.exact(Dyadic(1, -9), PREC), PREC)
+    assert (m, gmax) == (13, 7)
+
+
+def test_refinement_is_cached_by_value():
+    _refinement_for_cap(3, Interval.exact(Dyadic(1, -7), 80), 80)
+    hits = circuits._refinement.cache_info().hits
+    _refinement_for_cap(3, Interval.exact(Dyadic(1, -7), 80), 80)
+    assert circuits._refinement.cache_info().hits == hits + 1

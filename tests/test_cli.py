@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from archpi.cli import main
+from archpi.dyadic import Dyadic
+from archpi.interval import Interval
+from archpi.rational import coprime_pairs
 
 from oracles import machin_pi_digits
 
@@ -255,6 +259,75 @@ def test_shortfall_keeps_the_other_rows(capsys):
         f"inconclusive: sample {shortfall[0]['sample_seed']} at 16 bits: "
         f"NegativeSqrt: {shortfall[0]['message']}\n"
     )
+
+
+def test_circuit_too_deep_exits_2_before_drawing(capsys):
+    # a 2^-40 cap would need a ring of about 3*2^44 vertices
+    start = time.perf_counter()
+    code, err = run_cli_err(["circuit", "--mesh-cap-exp", "40"], capsys)
+    assert code == 2
+    assert err.startswith("error: mesh cap too small") and "--mesh-cap-exp" in err
+    code, err = run_cli_err(["circuit", "--points", "1000000"], capsys)
+    assert code == 2 and "--points" in err
+    assert time.perf_counter() - start < 5
+
+
+def _shortfall_lines(err, rows, label):
+    short = [row for row in rows if "error" in row]
+    assert short and err.splitlines() == [
+        f"inconclusive: {label(row)} at {row['precision']} bits: "
+        f"{row['error']}: {row['message']}"
+        for row in short
+    ]
+    return short
+
+
+def test_rational_shortfall_keeps_the_other_rows(capsys):
+    code = main(["verify", "rational", "--max-n", "12", "--precision", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    report = json.loads(captured.out)
+    short = _shortfall_lines(captured.err, report["rows"],
+                             lambda row: f"k {row['k']}, N {row['N']}")
+    assert {row["error"] for row in short} == {"AmbiguousCrossing"}
+    # one more row is inconclusive by an overlap, not a shortfall
+    assert len(short) < report["inconclusive"] < report["samples"]
+    assert report["violations"] == 0
+
+
+def test_trig_sandwich_shortfall_keeps_the_other_rows(capsys):
+    code = main(["verify", "trig-sandwich", "--k-max", "20", "--precision", "16"])
+    captured = capsys.readouterr()
+    assert code == 3
+    rows = json.loads(captured.out)["rows"]
+    assert [row["k"] for row in rows] == list(range(1, 21))
+    short = _shortfall_lines(captured.err, rows, lambda row: f"k {row['k']}")
+    assert {row["error"] for row in short} == {"DivByZeroInterval"}
+    assert rows[0]["status"] == "ok"
+
+
+def test_trig_shortfall_keeps_the_other_rows(capsys):
+    code = main(["trig", "--k-max", "40", "--precision", "32"])
+    captured = capsys.readouterr()
+    assert code == 3
+    rows = json.loads(captured.out)["rows"]
+    assert [row["theta"] for row in rows] == [
+        list(Interval.exact(Dyadic(1, -k), 32).decimal_pair(17)) for k in range(1, 41)]
+    short = _shortfall_lines(captured.err, rows, lambda row: f"theta {row['theta']}")
+    assert {row["error"] for row in short} == {"DivByZeroInterval"}
+    assert rows[0]["lower_verdict"] == rows[0]["upper_verdict"] == "certainly_less"
+
+
+def test_sweep_rational_shortfall_keeps_the_other_rows(capsys):
+    code = main(["sweep-rational", "--max-n", "24", "--precision", "24"])
+    captured = capsys.readouterr()
+    assert code == 3
+    rows = json.loads(captured.out)["rows"]
+    assert len(rows) == len(coprime_pairs(24))
+    short = _shortfall_lines(captured.err, rows,
+                             lambda row: f"k {row['k']}, N {row['N']}")
+    assert {row["error"] for row in short} == {"AmbiguousCrossing"}
+    assert all(row["winding"] == row["k"] for row in rows if "error" not in row)
 
 
 def test_verify_env_precision(monkeypatch, capsys):

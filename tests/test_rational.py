@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from archpi.errors import (
+    SHORTFALLS,
+    AmbiguousCrossing,
     ChordTooLong,
     HypothesisUnordered,
     NonCoprime,
@@ -11,6 +13,8 @@ from archpi.errors import (
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import seed_edge, two_pi_enclosure
 from archpi.rational import (
+    _crosses_start_radius,
+    _sign_certain,
     coprime_pairs,
     gamma_path,
     normalized_compare,
@@ -107,3 +111,46 @@ def test_coprime_pairs():
     assert (2, 6) not in pairs and (4, 8) not in pairs
     assert all(2 * k < n for k, n in pairs)
     assert pairs == sorted(pairs, key=lambda p: (p[1], p[0]))
+
+
+def _reference_crosses(a, b):
+    """The crossing test as written before the same-side shortcut: both
+    cross products first, then the x-axis straddle."""
+    sa = _sign_certain(a.y)
+    sb = _sign_certain(b.y)
+    ex = b.x - a.x
+    ey = b.y - a.y
+    so = _sign_certain(ex * a.y - ey * a.x)
+    su = _sign_certain(ex * a.y - ey * (a.x - 1))
+    if so != 0 and su != 0 and so == su:
+        return False
+    if sa != 0 and sb != 0 and sa == sb:
+        return False
+    if sa != 0 and sb != 0 and so != 0 and su != 0:
+        return sa != sb and so != su
+    raise AmbiguousCrossing("ambiguous crossing test; raise precision")
+
+
+def _crossing_outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except AmbiguousCrossing:
+        return AmbiguousCrossing
+
+
+@pytest.mark.parametrize("prec", [20, 24, 64])
+def test_crossing_shortcut_matches_the_full_test(prec):
+    edges = outcomes = 0
+    for k, N in coprime_pairs(24):
+        try:
+            points = gamma_path(realize_rational(k, N, prec))
+        except SHORTFALLS:
+            continue
+        for a, b in zip(points[1:-1], points[2:]):
+            expected = _crossing_outcome(_reference_crosses, a, b)
+            assert _crossing_outcome(_crosses_start_radius, a, b) is expected, (k, N)
+            edges += 1
+            outcomes += expected is AmbiguousCrossing
+    assert edges > 1000
+    if prec == 20:
+        assert outcomes > 0  # the ambiguous branch is exercised too

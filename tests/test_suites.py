@@ -5,6 +5,8 @@ import pytest
 
 from archpi import suites
 from archpi.cli import main
+from archpi.dyadic import Dyadic
+from archpi.errors import AmbiguousCrossing, DivByZeroInterval, HypothesisUnordered
 from archpi.interval import Verdict
 from archpi.suites import SUITES, SuiteResult, run_suite
 
@@ -140,6 +142,59 @@ def test_shortfall_is_one_inconclusive_row(jobs):
     assert first["message"].startswith("sqrt of Interval(")
     assert [row["status"] for row in rest] == ["ok", "ok"]
     assert (res.samples, res.violations, res.inconclusive) == (3, 0, 1)
+
+
+def test_trig_sandwich_skips_the_decrease_after_a_shortfall(monkeypatch):
+    real = suites.sandwich_report
+
+    def short_at_k3(theta, prec):
+        if theta.lo == Dyadic(1, -3):
+            raise DivByZeroInterval("division by an interval around zero")
+        return real(theta, prec)
+
+    monkeypatch.setattr(suites, "sandwich_report", short_at_k3)
+    res = run_suite("trig-sandwich", k_max=5)
+    assert [row["status"] for row in res.rows] == [
+        "ok", "ok", "inconclusive", "ok", "ok"]
+    assert res.rows[2] == {
+        "suite": "trig-sandwich", "k": 3, "precision": 128,
+        "error": "DivByZeroInterval", "message": "division by an interval around zero",
+        "verdict": "shortfall", "status": "inconclusive",
+    }
+    assert res.rows[3]["decrease"] == "skipped: k 3 fell short"
+    assert [("decrease" in row) for row in res.rows] == [False, False, False, True, False]
+    # without the decrease check k = 4 has three checks, k = 5 four: both hold
+    assert res.rows[3]["verdict"] == res.rows[4]["verdict"] == "holds"
+
+
+def test_rational_shortfall_is_one_row_per_pair(monkeypatch):
+    real = suites.winding_count
+
+    def short_at_2_7(r):
+        if (r.k, r.N) == (2, 7):
+            raise AmbiguousCrossing("ambiguous crossing test; raise precision")
+        return real(r)
+
+    def unordered(a, b, mode):
+        raise HypothesisUnordered("chords cannot be certifiably ordered")
+
+    monkeypatch.setattr(suites, "winding_count", short_at_2_7)
+    res = run_suite("rational", max_n=7)
+    short = [row for row in res.rows if row["status"] == "inconclusive"]
+    assert short == [{
+        "suite": "rational", "k": 2, "N": 7, "precision": 64,
+        "error": "AmbiguousCrossing",
+        "message": "ambiguous crossing test; raise precision",
+        "verdict": "shortfall", "status": "inconclusive",
+    }]
+    # (2, 7) was realized, so it still takes part in the ordering
+    ordered = [row for row in res.rows if "mode" in row]
+    assert len(ordered) == 2 * (8 - 1)
+    assert sum([2, 7] in row["pair"] for row in ordered) == 4
+    monkeypatch.setattr(suites, "normalized_compare", unordered)
+    res = run_suite("rational", max_n=5)
+    assert [row["error"] for row in res.rows if "mode" in row] == ["HypothesisUnordered"] * 6
+    assert res.inconclusive == 6
 
 
 def test_samples_is_row_count():

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from archpi.circuits import step_by_chord, unit_start
 from archpi.dyadic import Dyadic
 from archpi.errors import FractionOutOfRange, ThetaOutOfRange
-from archpi.interval import Interval, Verdict
-from archpi.polygons import pi_enclosure, two_pi_enclosure
+from archpi.interval import Interval, Verdict, compare_certain
+from archpi.polygons import edge_chain, pi_enclosure, two_pi_enclosure
 from archpi.trig import (
+    _inflate,
+    _theta_slack,
     arc_measure,
     geometric_cos,
     geometric_point,
@@ -143,3 +147,61 @@ def test_approximation_sequence_independence():
     pt = geometric_point(tight, PREC)
     assert pw.x.overlaps(pt.x) and pw.y.overlaps(pt.y)
     assert contains(pw.x, trig_value("cos", "0.7"))
+
+
+def _reference_point(theta, prec):
+    """geometric_point as written before the lattice ladder: a fresh edge
+    chain per call and a chord step, cosine and sine recomputed, per level."""
+    if theta.lo.sign < 0:
+        return _reference_point(-theta, prec).reflect()
+    two_pi = two_pi_enclosure(prec)
+    if theta.hi.sign == 0:
+        return unit_start(prec)
+    depth = prec + 8
+    chords = list(islice(edge_chain(3, prec), depth + 1))
+    tol = Dyadic(1, 8 - prec)
+    level = index = 0
+    point = unit_start(prec)
+    for third in range(3):
+        boundary = (two_pi * (third + 1)) / 3
+        verdict = compare_certain(theta, boundary)
+        if verdict is Verdict.CERTAINLY_LESS:
+            break
+        if verdict is Verdict.OVERLAP:
+            pinned = unit_start(prec)
+            for _ in range(third + 1):
+                pinned = step_by_chord(pinned, chords[0])
+            return _inflate(pinned, _theta_slack(theta, boundary))
+        index = third + 1
+        point = step_by_chord(point, chords[0])
+    while level < depth:
+        mid_index = 2 * index + 1
+        mid_point = step_by_chord(point, chords[level + 1])
+        boundary = (two_pi * mid_index) / (3 << (level + 1))
+        verdict = compare_certain(theta, boundary)
+        if verdict is Verdict.OVERLAP:
+            return _inflate(mid_point, _theta_slack(theta, boundary))
+        level += 1
+        index = mid_index - 1 if verdict is Verdict.CERTAINLY_LESS else mid_index
+        if verdict is Verdict.CERTAINLY_GREATER:
+            point = mid_point
+        if chords[level].hi < tol:
+            break
+    return _inflate(point, chords[level].hi)
+
+
+def _point_bits(p):
+    return tuple((v.lo.man, v.lo.exp, v.hi.man, v.hi.exp, v.prec) for v in (p.x, p.y))
+
+
+@pytest.mark.parametrize("prec", [32, 64, 128])
+def test_geometric_point_matches_the_stepwise_reference(prec):
+    thetas = [exact(s, prec) for s in ("0.001", "0.5", "1", "-1", "-2.5", "3", "4.75",
+                                       "6.2", "-0.125")]
+    thetas += [arc_measure(Fraction(a, b), prec).theta
+               for a, b in ((1, 4), (1, 3), (2, 3), (1, 12), (5, 24))]
+    thetas.append(-arc_measure(Fraction(1, 6), prec).theta)
+    thetas.append(Interval.from_endpoints(Fraction(7, 10), Fraction(7001, 10000), prec))
+    for theta in thetas:
+        assert _point_bits(geometric_point(theta, prec)) == _point_bits(
+            _reference_point(theta, prec)), theta
