@@ -110,10 +110,10 @@ class Circuit:
     A circuit is either explicit, from its ``given`` vertices, or ring-based:
     ``from_regular_indices`` keeps the depth ``ring_m`` of the 3*2^m-gon
     ring, the sorted vertex ``indices`` and the per-edge step counts
-    ``gaps``, and builds no ring.  ``vertices`` is the open vertex list, read
-    from ``regular_ring`` for a ring-based circuit; ``points`` closes it by
-    repeating the first point.  The arc condition is structural: ring-based
-    circuits are checked with integer gap bookkeeping.
+    ``gaps``, and builds no ring.  ``vertices`` is the open vertex list; for
+    a ring-based circuit it keeps the indexed points of one ``ring_walk``.
+    The arc condition is structural: ring-based circuits are checked with
+    integer gap bookkeeping.
     """
 
     given: Sequence[CirclePoint]
@@ -130,13 +130,9 @@ class Circuit:
     def vertices(self) -> List[CirclePoint]:
         if not self.gaps:
             return list(self.given)
-        ring = regular_ring(self.ring_m, self.prec)
-        return [ring[i] for i in self.indices]
-
-    @property
-    def points(self) -> List[CirclePoint]:
-        vertices = self.vertices
-        return vertices + [vertices[0]]
+        wanted = set(self.indices)
+        ring = ring_walk(self.ring_m, self.prec, self.indices[-1])
+        return [p for i, p in enumerate(ring) if i in wanted]
 
     def __len__(self) -> int:
         return len(self.indices) if self.gaps else len(self.given)
@@ -200,32 +196,21 @@ def _edge_terms(chord: Interval) -> Tuple[Interval, Interval]:
 def circuit_measures(circuit: Circuit) -> CircuitMeasures:
     prec = circuit.prec
     if circuit.gaps:
-        # ring-based circuit: one exact chord per distinct step count, from
-        # the same walk regular_ring takes, so prefix[g] is ring[g] bit for bit
+        # ring-based circuit: one chord per distinct step count, each with
+        # its multiplicity, read off one walk prefix
         counts = Counter(circuit.gaps)
-        rotation = lattice_ladder(prec)[1][circuit.ring_m]
-        prefix = list(walk(unit_start(prec), rotation, max(counts)))
-        chord_of = {g: distance(prefix[0], prefix[g]) for g in counts}
-        zero = Interval.exact(0, prec)
-        perim_in = perim_circ = area_in = zero
-        for g, count in counts.items():
-            chord = chord_of[g]
-            detour, tri_area = _edge_terms(chord)
-            perim_in = perim_in + chord * count
-            perim_circ = perim_circ + detour * count
-            area_in = area_in + tri_area * count
-        chords = [chord_of[min(counts)], chord_of[max(counts)]]
+        prefix = list(ring_walk(circuit.ring_m, prec, max(counts)))
+        terms = [(distance(prefix[0], prefix[g]), n) for g, n in counts.items()]
     else:
-        zero = Interval.exact(0, prec)
-        perim_in = perim_circ = area_in = zero
-        chords = []
-        for p, q in circuit.edges():
-            chord = distance(p, q)
-            chords.append(chord)
-            detour, tri_area = _edge_terms(chord)
-            perim_in = perim_in + chord
-            perim_circ = perim_circ + detour
-            area_in = area_in + tri_area
+        terms = [(distance(p, q), 1) for p, q in circuit.edges()]
+    perim_in = perim_circ = area_in = Interval.exact(0, prec)
+    for chord, count in terms:
+        # each term has at most prec bits, so a multiplicity of 1 is exact
+        detour, tri_area = _edge_terms(chord)
+        perim_in = perim_in + chord * count
+        perim_circ = perim_circ + detour * count
+        area_in = area_in + tri_area * count
+    chords = [chord for chord, _ in terms]
     mesh = Interval(
         max(c.lo for c in chords), max(c.hi for c in chords), prec
     )
@@ -242,14 +227,14 @@ def circuit_measures(circuit: Circuit) -> CircuitMeasures:
     )
 
 
-@lru_cache(maxsize=64)
 def regular_ring(m: int, prec: int) -> List[CirclePoint]:
-    """All 3*2^m vertices of the regular triangle refinement, cached.
+    """All 3*2^m vertices of the regular triangle refinement."""
+    return list(ring_walk(m, prec, (3 << m) - 1))
 
-    A cache hit returns the same list object; callers must not mutate it.
-    """
-    ell = next(islice(edge_chain(3, prec), m, None))
-    return list(walk(unit_start(prec), Rotation.of_chord(ell), (3 << m) - 1))
+
+def ring_walk(m: int, prec: int, k: int) -> Iterator[CirclePoint]:
+    """The first k + 1 vertices of the 3*2^m-gon ring, from (1, 0)."""
+    return walk(unit_start(prec), lattice_ladder(prec)[1][m], k)
 
 
 @lru_cache(maxsize=64)

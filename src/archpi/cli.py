@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 a verification suite found a certain violation,
 size that yields no rows), 3 inconclusive (interval overlap persisting at the
 precision cap, an ambiguous winding crossing, chords that cannot be ordered
 at this precision, or an operand too wide for a square root, a division or a
-chord at this precision).  The sampled suites, ``rational``,
+chord at this precision).  The sampled suites, ``rational``, ``h-ratio``,
 ``trig-sandwich``, ``trig`` and ``sweep-rational`` turn such a shortfall into
 one row, print the report and exit 3; ``main`` maps every other error to its
 exit code by type.
@@ -68,9 +68,7 @@ def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, default=str) + "\n"
     elif fmt == "csv":
-        rows = report.get("rows") or [report.get("result", report)]
-        if rows and not isinstance(rows, list):
-            rows = [rows]
+        rows = report.get("rows", [report])
         buf = io.StringIO()
         fieldnames = sorted({key for row in rows for key in row})
         writer = csv.DictWriter(buf, fieldnames=fieldnames)
@@ -88,6 +86,10 @@ def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
         for row in report.get("rows", []):
             lines.append(json.dumps(row, default=str))
         text = "\n".join(lines) + "\n"
+    _write(text, output)
+
+
+def _write(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w") as handle:
             handle.write(text)
@@ -157,15 +159,10 @@ def _cmd_digits(args) -> int:
     if args.count > DEFAULT_DIGIT_CAP:
         raise ValueError(f"--count must be at most {DEFAULT_DIGIT_CAP}, got {args.count}")
     digits = pi_digits(args.count)
-    report = {"command": "digits", "count": args.count, "digits": digits}
     if args.format == "text":
-        text = digits + "\n"
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(digits + "\n", args.output)
     else:
+        report = {"command": "digits", "count": args.count, "digits": digits}
         _emit(report, args.format, args.output)
     return EXIT_OK
 

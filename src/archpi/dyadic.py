@@ -169,4 +169,3 @@ class Dyadic:
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
-TWO = Dyadic(2)

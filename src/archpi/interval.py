@@ -180,17 +180,8 @@ class Interval:
         f = Fraction(value)
         return self.lo.as_fraction() <= f <= self.hi.as_fraction()
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(
-            min(self.lo, other.lo), max(self.hi, other.hi),
-            min(self.prec, other.prec),
-        )
 
     def widen(self, slack: Dyadic) -> "Interval":
         return Interval(self.lo - slack, self.hi + slack, self.prec)

@@ -166,7 +166,7 @@ def _truncated_digits(value: Dyadic, count: int) -> int:
     return scaled >> -value.exp
 
 
-def pi_digits(count: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> str:
+def pi_digits(count: int) -> str:
     """First ``count`` decimal digits of pi, certified by interval agreement.
 
     Refines depth and precision until both endpoints of the pi bracket
@@ -174,8 +174,8 @@ def pi_digits(count: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> str:
     """
     if count < 1:
         raise ValueError("digit count must be positive")
-    if count > digit_cap:
-        raise IterationCapExceeded(f"digit count {count} above cap {digit_cap}")
+    if count > DEFAULT_DIGIT_CAP:
+        raise IterationCapExceeded(f"digit count {count} above cap {DEFAULT_DIGIT_CAP}")
     m = (17 * count + 9) // 10  # ~1.7 digits of depth per digit requested
     # log2(10) < 10/3 bits per digit, log2(m) bits lost along the chain of
     # m halvings, and guard bits

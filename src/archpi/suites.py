@@ -14,10 +14,10 @@ violation and inconclusive counts.  Every row is recorded by
 
 ``verdict`` is the observed value of a row's single comparison, or
 ``holds``/``fails`` for a row with several checks or a predicate.  A sample
-of a randomized suite, a coprime pair of ``rational`` or a k of
-``trig-sandwich`` that stops on a precision shortfall (an error in
-``errors.SHORTFALLS``) is one ``inconclusive`` row with verdict
-``shortfall``, naming its seed, pair or k, the error and the precision;
+of a randomized suite, a coprime pair of ``rational``, an (n, m) step of
+``h-ratio`` or a k of ``trig-sandwich`` that stops on a precision shortfall
+(an error in ``errors.SHORTFALLS``) is one ``inconclusive`` row with verdict
+``shortfall``, naming its seed, pair, step or k, the error and the precision;
 the other rows still run.  ``samples`` is the number of rows.  Every suite
 takes only the keyword arguments in its signature; ``run_suite`` rejects,
 up front, a size below its ``LEAST`` value, where the suite would make no
@@ -176,13 +176,21 @@ def run_bounds(
 def run_h_ratio(
     n_values=(3, 4, 6), m_max: int = 25, precision: int = 256
 ) -> SuiteResult:
-    """Vertex gap contraction h(m) > 3 h(m+1), with the observed ratio."""
+    """Vertex gap contraction h(m) > 3 h(m+1), with the observed ratio.
+
+    A step whose ratio a shortfall stops is one inconclusive row.
+    """
     result = SuiteResult("h-ratio")
     for n in n_values:
         chain = list(iter_scheme_measures(n, m_max + 1, precision))
         for m in range(m_max + 1):
             h_cur, h_next = chain[m].h, chain[m + 1].h
-            row = {"suite": "h-ratio", "n": n, "m": m, "ratio": _dec(h_cur / h_next)}
+            row = {"suite": "h-ratio", "n": n, "m": m}
+            try:
+                row["ratio"] = _dec(h_cur / h_next)
+            except SHORTFALLS as exc:
+                result.shortfall(shortfall_row(row, precision, exc))
+                continue
             result.check(row, (GREATER, compare_certain(h_cur, h_next * 3)))
     return result
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .circuits import CirclePoint, Rotation, lattice_ladder, unit_start, walk
+from .circuits import CirclePoint, lattice_ladder, unit_start
 from .dyadic import Dyadic
-from .errors import FractionOutOfRange, PreconditionViolation, ThetaOutOfRange
+from .errors import FractionOutOfRange, ThetaOutOfRange
 from .interval import Interval, Verdict, compare_certain
 from .polygons import two_pi_enclosure
 
@@ -77,11 +77,11 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
         verdict = compare_certain(theta, boundary)
         if verdict is Verdict.CERTAINLY_LESS:
             break
+        point = rotations[0](point)
         if verdict is Verdict.OVERLAP:
             # theta sits on a lattice boundary: pin to it directly
-            return _pinned_point(rotations[0], third + 1, theta, boundary, prec)
+            return _inflate(point, _theta_slack(theta, boundary))
         index = third + 1
-        point = rotations[0](point)
 
     while level < depth:
         mid_index = 2 * index + 1
@@ -106,13 +106,6 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
 def _theta_slack(theta: Interval, boundary: Interval) -> Dyadic:
     # |theta - boundary| is below the hull width; arc distance bounds chord
     return max(theta.hi - boundary.lo, boundary.hi - theta.lo)
-
-
-def _pinned_point(
-    rotation: Rotation, idx: int, theta: Interval, boundary: Interval, prec: int
-) -> CirclePoint:
-    *_, point = walk(unit_start(prec), rotation, idx)
-    return _inflate(point, _theta_slack(theta, boundary))
 
 
 def _inflate(point: CirclePoint, slack: Dyadic) -> CirclePoint:

@@ -215,8 +215,7 @@ def test_walk_matches_stepwise_reference(chord, x, y, prec, k):
     assert _bits(step_by_chord(start, c)) == _bits(_reference_step(start, c))
 
 
-def test_regular_ring_cache_returns_the_same_list():
-    assert regular_ring(3, PREC) is regular_ring(3, PREC)
+def test_regular_ring_has_every_vertex():
     assert len(regular_ring(3, PREC)) == 24
 
 
@@ -297,6 +296,7 @@ def test_ring_circuits_build_no_ring(monkeypatch):
     circuit = random_circuit(3, cap, seed=4, prec=PREC)
     assert len(circuit) == len(circuit.indices) > 3
     assert compare_certain(circuit_measures(circuit).mesh, cap) is Verdict.CERTAINLY_LESS
+    assert len(circuit.vertices) == len(circuit)
 
 
 @pytest.mark.parametrize("prec", [16, 64, 128])

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -82,6 +84,23 @@ def test_circuit_report(capsys):
     measures = report["measures"]
     assert float(measures["perimeter_in"][1]) < float(measures["perimeter_circ"][0])
     assert float(measures["mesh"][1]) < 0.125
+
+
+def test_circuit_csv(capsys):
+    # a report without rows is written as its one row
+    code, out = run_cli(
+        ["circuit", "--points", "4", "--mesh-cap-exp", "3", "--seed", "11",
+         "--format", "csv"], capsys
+    )
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    _, report = run_cli(
+        ["circuit", "--points", "4", "--mesh-cap-exp", "3", "--seed", "11"], capsys
+    )
+    assert {key: json.loads(value) if key == "measures" else value
+            for key, value in row.items()} == {
+        key: value if key == "measures" else str(value)
+        for key, value in json.loads(report).items()}
 
 
 def test_trig_single_theta(capsys):
@@ -328,6 +347,19 @@ def test_sweep_rational_shortfall_keeps_the_other_rows(capsys):
                              lambda row: f"k {row['k']}, N {row['N']}")
     assert {row["error"] for row in short} == {"AmbiguousCrossing"}
     assert all(row["winding"] == row["k"] for row in rows if "error" not in row)
+
+
+def test_h_ratio_shortfall_keeps_the_other_rows(capsys):
+    code = main(["verify", "h-ratio", "--precision", "32"])
+    captured = capsys.readouterr()
+    assert code == 3
+    rows = json.loads(captured.out)["rows"]
+    assert [(row["n"], row["m"]) for row in rows] == [
+        (n, m) for n in (3, 4, 6) for m in range(26)]
+    short = _shortfall_lines(captured.err, rows,
+                             lambda row: f"n {row['n']}, m {row['m']}")
+    assert {row["error"] for row in short} == {"DivByZeroInterval"}
+    assert rows[0]["status"] == "ok"
 
 
 def test_verify_env_precision(monkeypatch, capsys):
