@@ -13,6 +13,7 @@ from .polygons import (
     SchemeMeasures,
     circumscribed_edge,
     halve_edge,
+    huygens_bounds,
     iter_scheme_measures,
     pi_bounds,
     pi_digits,
@@ -82,6 +83,7 @@ __all__ = [
     "scheme_measures",
     "iter_scheme_measures",
     "pi_bounds",
+    "huygens_bounds",
     "pi_enclosure",
     "two_pi_enclosure",
     "pi_digits",

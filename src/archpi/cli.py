@@ -5,11 +5,11 @@ Exit codes: 0 success, 1 a verification suite found a certain violation,
 2 argument error (including a ``verify`` flag the suite does not take, and a
 size that yields no rows), 3 inconclusive (interval overlap persisting at the
 precision cap, an ambiguous winding crossing, chords that cannot be ordered
-at this precision, or an operand too wide for a square root, a division or a
-chord at this precision).  The sampled suites, ``rational``, ``h-ratio``,
-``trig-sandwich``, ``trig`` and ``sweep-rational`` turn such a shortfall into
-one row, print the report and exit 3; ``main`` maps every other error to its
-exit code by type.
+at this precision, tangents that cannot be certified to meet, or an operand
+too wide for a square root, a division or a chord at this precision).  The
+sampled suites, ``rational``, ``h-ratio``, ``trig-sandwich``, ``trig`` and
+``sweep-rational`` turn such a shortfall into one row, print the report and
+exit 3; ``main`` maps every other error to its exit code by type.
 Reports are deterministic for identical argv and seed.
 """
 

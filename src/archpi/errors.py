@@ -77,6 +77,7 @@ class AmbiguousCrossing(PreconditionViolation):
 #: that an input was bad: a run that meets one is inconclusive
 SHORTFALLS = (
     AmbiguousCrossing,
+    AntipodalTangents,
     BisectionStall,
     DivByZeroInterval,
     HypothesisUnordered,

@@ -3,6 +3,11 @@
 Everything is built from field operations and square roots on intervals: the
 inscribed edge of the seed polygon, the bisected-chord recurrence, the
 tangent edge, and the vertex gap.  No trigonometry enters the certified path.
+
+Two brackets of pi come from the same bisected-edge chain: Archimedes' half
+perimeters p/2 < pi < P/2 (``pi_bounds``), whose width falls as N^-2 in the
+edge count N, and Huygens' refinement of them (``huygens_bounds``), whose
+width falls as N^-4; ``pi_digits`` certifies digits with the latter.
 """
 
 from __future__ import annotations
@@ -131,17 +136,40 @@ def iter_scheme_measures(
         yield _measures_from_edge(RegularScheme(n, m), ell)
 
 
-def scheme_measures(scheme: RegularScheme, prec: int) -> SchemeMeasures:
+def _scheme_edge(scheme: RegularScheme, prec: int) -> Interval:
+    """The inscribed edge of ``scheme``: ``edge_chain`` at depth m."""
     if prec < 16:
         raise ValueError("precision must be at least 16 bits")
-    ell = next(islice(edge_chain(scheme.n, prec), scheme.m, None))
-    return _measures_from_edge(scheme, ell)
+    return next(islice(edge_chain(scheme.n, prec), scheme.m, None))
+
+
+def scheme_measures(scheme: RegularScheme, prec: int) -> SchemeMeasures:
+    return _measures_from_edge(scheme, _scheme_edge(scheme, prec))
 
 
 def pi_bounds(scheme: RegularScheme, prec: int) -> Interval:
     """[p/2 lower, P/2 upper]: a certified enclosure of pi."""
     measures = scheme_measures(scheme, prec)
     return Interval((measures.p / 2).lo, (measures.P / 2).hi, prec)
+
+
+def huygens_bounds(scheme: RegularScheme, prec: int) -> Interval:
+    """[3N sin/(2 + cos) lower, N(2 sin + tan)/3 upper]: a certified
+    enclosure of pi, at theta = pi/N for the N-gon of ``scheme``.
+
+    Huygens' bounds 3 sin t/(2 + cos t) < t < (2 sin t + tan t)/3 hold for
+    0 < t < pi/2.  With the inscribed edge ell = 2 sin t and
+    c = sqrt(4 - ell^2) = 2 cos t they read 3N ell/(c + 4) < pi and
+    pi < N ell (c + 1)/(3c), so the bracket comes from the same edge as
+    ``pi_bounds``; its width falls as N^-4, not N^-2.
+    """
+    ell = _scheme_edge(scheme, prec)
+    _require_chord(ell)
+    c = (4 - ell * ell).sqrt()
+    perimeter = ell * scheme.edge_count
+    lower = perimeter * 3 / (c + 4)
+    upper = perimeter * (c + 1) / (c * 3)
+    return Interval(lower.lo, upper.hi, prec)
 
 
 @lru_cache(maxsize=64)
@@ -169,19 +197,21 @@ def _truncated_digits(value: Dyadic, count: int) -> int:
 def pi_digits(count: int) -> str:
     """First ``count`` decimal digits of pi, certified by interval agreement.
 
-    Refines depth and precision until both endpoints of the pi bracket
-    truncate to the same digit string.
+    Refines depth and precision until both endpoints of Huygens' pi
+    bracket truncate to the same digit string.
     """
     if count < 1:
         raise ValueError("digit count must be positive")
     if count > DEFAULT_DIGIT_CAP:
         raise IterationCapExceeded(f"digit count {count} above cap {DEFAULT_DIGIT_CAP}")
-    m = (17 * count + 9) // 10  # ~1.7 digits of depth per digit requested
+    # the bracket is ~pi^5/(18*81*16^m) wide, so 16^-m per bisection buys
+    # log10(16) > 1.2 digits: ceil(0.84*count) plus 4 spare bisections
+    m = (21 * count + 24) // 25 + 4
     # log2(10) < 10/3 bits per digit, log2(m) bits lost along the chain of
     # m halvings, and guard bits
     prec = max(64, 10 * count // 3 + m.bit_length() + 16)
     for _ in range(64):
-        bracket = pi_bounds(RegularScheme(3, m), prec)
+        bracket = huygens_bounds(RegularScheme(3, m), prec)
         lo_digits = _truncated_digits(bracket.lo, count)
         hi_digits = _truncated_digits(bracket.hi, count)
         if lo_digits == hi_digits:

@@ -362,6 +362,42 @@ def test_h_ratio_shortfall_keeps_the_other_rows(capsys):
     assert rows[0]["status"] == "ok"
 
 
+@pytest.mark.parametrize("suite", ["projections", "tangent-profile"])
+def test_antipodal_tangents_are_a_shortfall(suite, capsys):
+    # at 16 bits 1 + p.q straddles zero for one sample's tangent points;
+    # profile arcs are under half a circle, so that is a precision shortfall
+    code = main(["verify", suite, "--precision", "16"])
+    captured = capsys.readouterr()
+    assert code == 3
+    report = json.loads(captured.out)
+    assert report["violations"] == 0 and report["samples"] > 200
+    short = [row for row in report["rows"] if "error" in row]
+    assert "AntipodalTangents" in {row["error"] for row in short}
+    lines = captured.err.splitlines()
+    assert len(lines) == len(short)
+    assert all(line.startswith("inconclusive: sample ") for line in lines)
+
+
+def test_circuit_sandwich_low_precision_is_inconclusive_not_violated(capsys):
+    # at 16 bits whole caps of samples cannot separate 2 pi from their
+    # perimeters; their loose gap bounds once made the worst-gap row of cap 7
+    # a certified violation
+    code, out = run_cli(["verify", "circuit-sandwich", "--precision", "16"], capsys)
+    report = json.loads(out)
+    assert code == 3
+    assert report["violations"] == 0
+    unsure = {row["mesh_cap_exp"] for row in report["rows"]
+              if "sample_seed" in row and row["status"] == "inconclusive"}
+    assert 1 not in unsure and {6, 7} <= unsure
+    gaps = [row for row in report["rows"]
+            if row.get("check") == "worst-gap-nonincreasing"]
+    assert [row["mesh_cap_exp"] for row in gaps] == list(range(2, 9))
+    for row in gaps:
+        compared = {row["mesh_cap_exp"] - 1, row["mesh_cap_exp"]}
+        assert (row["status"] == "inconclusive") == bool(compared & unsure)
+    assert gaps[0]["status"] == "ok"
+
+
 def test_verify_env_precision(monkeypatch, capsys):
     monkeypatch.setenv("ARCHPI_PRECISION", "128")
     code, out = run_cli(["verify", "chord-compare", "--samples", "1"], capsys)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -13,6 +14,7 @@ from archpi.polygons import (
     circumscribed_edge,
     edge_chain,
     halve_edge,
+    huygens_bounds,
     iter_scheme_measures,
     pi_bounds,
     pi_digits,
@@ -117,18 +119,46 @@ def test_pi_digits_against_machin():
         assert pi_digits(count) == machin_pi_digits(count)
 
 
-@pytest.mark.parametrize("count", [12, 44, 63, 128, 257, 391, 500])
+@pytest.mark.parametrize("count", [12, 44, 63, 128, 257, 391, 500, 767])
 def test_pi_digits_high_counts_against_machin(count, monkeypatch):
     precisions = []
 
     def recording(scheme, prec):
         precisions.append(prec)
-        return pi_bounds(scheme, prec)
+        return huygens_bounds(scheme, prec)
 
-    monkeypatch.setattr(polygons, "pi_bounds", recording)
+    monkeypatch.setattr(polygons, "huygens_bounds", recording)
     assert pi_digits(count) == machin_pi_digits(count)
-    # the starting precision suffices; 12 and 44 miss because depth is short
-    assert len(precisions) == (2 if count in (12, 44) else 1)
+    # the starting depth and precision suffice, even at 767, the end of the
+    # six 9s of the Feynman point
+    assert len(precisions) == 1
+
+
+def _machin_pi_bracket(count):
+    """[t, t + 10^(1-count)] around pi, t its first ``count`` digits."""
+    text = machin_pi_digits(count).replace(".", "")
+    t = Fraction(int(text), 10 ** (count - 1))
+    return t, t + Fraction(1, 10 ** (count - 1))
+
+
+def _huygens_samples():
+    rng = random.Random(1654)
+    corners = [(0, 64), (0, 1024), (60, 64), (60, 1024)]
+    return corners + [(rng.randint(0, 60), rng.randint(64, 1024)) for _ in range(24)]
+
+
+@pytest.mark.parametrize("m,prec", _huygens_samples())
+def test_huygens_bounds_contain_pi_and_beat_archimedes(m, prec):
+    scheme = RegularScheme(3, m)
+    bracket = huygens_bounds(scheme, prec)
+    # 40 digits more than a prec-bit bracket can resolve
+    below, above = _machin_pi_bracket(prec * 3 // 10 + 40)
+    assert bracket.lo.as_fraction() <= below and above <= bracket.hi.as_fraction()
+    archimedes = pi_bounds(scheme, prec)
+    # while Archimedes' bracket is well above the rounding floor (about
+    # 2^(9 - prec) here), Huygens' is strictly narrower
+    if archimedes.width() > Dyadic(1, 16 - prec):
+        assert bracket.width() < archimedes.width()
 
 
 def test_pi_digits_validation():
