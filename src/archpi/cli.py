@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .circuits import circuit_measures, random_circuit
@@ -360,9 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: it reads no environment and keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SHORTFALLS as exc:

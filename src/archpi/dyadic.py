@@ -15,13 +15,13 @@ class Dyadic:
     __slots__ = ("man", "exp")
 
     def __init__(self, man: int, exp: int = 0):
-        if man == 0:
-            exp = 0
-        else:
-            shift = (man & -man).bit_length() - 1
-            if shift:
+        if not man & 1:
+            if man:
+                shift = (man & -man).bit_length() - 1
                 man >>= shift
                 exp += shift
+            else:
+                exp = 0
         self.man = man
         self.exp = exp
 
@@ -31,28 +31,23 @@ class Dyadic:
     def from_fraction(value: Fraction, prec: int, up: bool) -> "Dyadic":
         """Nearest representable value toward -inf (up=False) or +inf."""
         num, den = value.numerator, value.denominator
-        if den == 1:
-            return Dyadic(num)
         if den & (den - 1) == 0:
             return Dyadic(num, 1 - den.bit_length())
-        shift = den.bit_length() + prec + 2
-        scaled = num << shift
-        q = -((-scaled) // den) if up else scaled // den
-        return Dyadic(q, -shift).round(prec, up)
+        return Dyadic(num).div(Dyadic(den), prec, up)
 
     # -- exact arithmetic --------------------------------------------------
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = min(self.exp, other.exp)
-        return Dyadic(
-            (self.man << (self.exp - e)) + (other.man << (other.exp - e)), e
-        )
+        d = self.exp - other.exp
+        if d > 0:
+            return Dyadic((self.man << d) + other.man, other.exp)
+        return Dyadic(self.man + (other.man << -d), self.exp)
 
     def __sub__(self, other: "Dyadic") -> "Dyadic":
-        e = min(self.exp, other.exp)
-        return Dyadic(
-            (self.man << (self.exp - e)) - (other.man << (other.exp - e)), e
-        )
+        d = self.exp - other.exp
+        if d > 0:
+            return Dyadic((self.man << d) - other.man, other.exp)
+        return Dyadic(self.man - (other.man << -d), self.exp)
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic(self.man * other.man, self.exp + other.exp)
@@ -73,15 +68,19 @@ class Dyadic:
     # -- comparison --------------------------------------------------------
 
     def _cmp(self, other: "Dyadic") -> int:
-        if self.man == other.man and self.exp == other.exp:
-            return 0
-        sa = (self.man > 0) - (self.man < 0)
-        sb = (other.man > 0) - (other.man < 0)
-        if sa != sb:
-            return sa - sb
-        e = min(self.exp, other.exp)
-        d = (self.man << (self.exp - e)) - (other.man << (other.exp - e))
-        return (d > 0) - (d < 0)
+        a, b = self.man, other.man
+        d = self.exp - other.exp
+        # equal exponents, opposite signs or a zero: the mantissas compare
+        # as the values do; else the leading bits decide unless they line up
+        if d and a and b and (a < 0) == (b < 0):
+            lead = a.bit_length() - b.bit_length() + d
+            if lead:
+                return 1 if (lead > 0) == (a > 0) else -1
+            if d > 0:
+                a <<= d
+            else:
+                b <<= -d
+        return (a > b) - (a < b)
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,23 +105,23 @@ class Dyadic:
 
     def round(self, prec: int, up: bool) -> "Dyadic":
         """Round to at most ``prec`` mantissa bits, toward +inf or -inf."""
-        drop = self.man.bit_length() - prec
-        if drop <= 0:
+        if self.man.bit_length() <= prec:
             return self
-        if up:
-            q = -((-self.man) >> drop)
-        else:
-            q = self.man >> drop
-        return Dyadic(q, self.exp + drop)
+        return _rounded(self.man, self.exp, prec, up)
 
     def div(self, other: "Dyadic", prec: int, up: bool) -> "Dyadic":
         num, den = self.man, other.man
         if den < 0:
             num, den = -num, -den
-        shift = den.bit_length() + prec + 2
-        scaled = num << shift
-        q = -((-scaled) // den) if up else scaled // den
-        return Dyadic(q, self.exp - other.exp - shift).round(prec, up)
+        # a quotient of prec + 2 or prec + 3 bits; two roundings in one
+        # direction, to an integer and then to prec bits, compose into one
+        shift = den.bit_length() - num.bit_length() + prec + 2
+        if shift >= 0:
+            num <<= shift
+        else:
+            den <<= -shift
+        q = -(-num // den) if up else num // den
+        return _rounded(q, self.exp - other.exp - shift, prec, up)
 
     def sqrt(self, prec: int, up: bool) -> "Dyadic":
         if self.man < 0:
@@ -135,7 +134,7 @@ class Dyadic:
         scaled = self.man << shift
         # ceil(sqrt(s)) = isqrt(s - 1) + 1 for s >= 1, and scaled >= 1 here
         root = isqrt(scaled - 1) + 1 if up else isqrt(scaled)
-        return Dyadic(root, (self.exp - shift) // 2).round(prec, up)
+        return _rounded(root, (self.exp - shift) // 2, prec, up)
 
     # -- conversion & rendering --------------------------------------------
 
@@ -165,6 +164,28 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.man}, {self.exp})"
+
+
+_new = object.__new__
+
+
+def _rounded(man: int, exp: int, prec: int, up: bool) -> Dyadic:
+    """The canonical Dyadic of ``man * 2**exp`` (``man`` may be even or
+    zero) rounded to ``prec`` bits toward +inf (up) or -inf."""
+    drop = man.bit_length() - prec
+    if drop > 0:
+        man = -(-man >> drop) if up else man >> drop
+        exp += drop
+    if not man & 1:
+        if not man:
+            return ZERO
+        shift = (man & -man).bit_length() - 1
+        man >>= shift
+        exp += shift
+    d = _new(Dyadic)   # canonical already: skip __init__
+    d.man = man
+    d.exp = exp
+    return d
 
 
 ZERO = Dyadic(0)

@@ -13,7 +13,7 @@ import enum
 from fractions import Fraction
 from typing import Union
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic, _rounded
 from .errors import DivByZeroInterval, NegativeSqrt
 
 Scalar = Union[int, Dyadic, "Interval"]
@@ -29,7 +29,7 @@ class Interval:
     __slots__ = ("lo", "hi", "prec")
 
     def __init__(self, lo: Dyadic, hi: Dyadic, prec: int):
-        if lo > hi:
+        if lo._cmp(hi) > 0:
             raise ValueError(f"inverted interval endpoints: {lo!r} > {hi!r}")
         self.lo = lo
         self.hi = hi
@@ -63,30 +63,44 @@ class Interval:
             return other
         return Interval.exact(other, self.prec)
 
+    def _terms(self, other: Scalar) -> tuple:
+        """(lo man, lo exp, hi man, hi exp, precision) of an operand."""
+        if isinstance(other, Interval):
+            lo, hi = other.lo, other.hi
+            return lo.man, lo.exp, hi.man, hi.exp, min(self.prec, other.prec)
+        if isinstance(other, int):
+            return other, 0, other, 0, self.prec
+        return other.man, other.exp, other.man, other.exp, self.prec
+
     # -- arithmetic ---------------------------------------------------------
+    # Each endpoint is the exact result, formed on the mantissas and
+    # rounded outward once; directed rounding depends only on the value.
 
     def __add__(self, other: Scalar) -> "Interval":
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
+        lm, le, hm, he, p = self._terms(other)
         return Interval(
-            (self.lo + o.lo).round(p, up=False),
-            (self.hi + o.hi).round(p, up=True),
+            _sum(self.lo.man, self.lo.exp, lm, le, p, False),
+            _sum(self.hi.man, self.hi.exp, hm, he, p, True),
             p,
         )
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "Interval":
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
+        lm, le, hm, he, p = self._terms(other)
         return Interval(
-            (self.lo - o.hi).round(p, up=False),
-            (self.hi - o.lo).round(p, up=True),
+            _sum(self.lo.man, self.lo.exp, -hm, he, p, False),
+            _sum(self.hi.man, self.hi.exp, -lm, le, p, True),
             p,
         )
 
     def __rsub__(self, other: Scalar) -> "Interval":
-        return self._coerce(other) - self
+        lm, le, hm, he, p = self._terms(other)
+        return Interval(
+            _sum(lm, le, -self.hi.man, self.hi.exp, p, False),
+            _sum(hm, he, -self.lo.man, self.lo.exp, p, True),
+            p,
+        )
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo, self.prec)
@@ -94,30 +108,28 @@ class Interval:
     def __mul__(self, other: Scalar) -> "Interval":
         if isinstance(other, int):
             p = self.prec
-            if other >= 0:
-                lo, hi = self.lo, self.hi
-            else:
-                lo, hi = self.hi, self.lo
-            d = Dyadic(other)
-            return Interval((lo * d).round(p, False), (hi * d).round(p, True), p)
+            lo, hi = (self.lo, self.hi) if other >= 0 else (self.hi, self.lo)
+            return Interval(
+                _rounded(lo.man * other, lo.exp, p, False),
+                _rounded(hi.man * other, hi.exp, p, True),
+                p,
+            )
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        a_neg = self.hi.sign <= 0
-        b_neg = o.hi.sign <= 0
-        if (a_neg or self.lo.sign >= 0) and (b_neg or o.lo.sign >= 0):
+        a_neg = self.hi.man <= 0
+        b_neg = o.hi.man <= 0
+        if (a_neg or self.lo.man >= 0) and (b_neg or o.lo.man >= 0):
             # neither operand straddles zero: the sign table names the two
             # endpoint products that are the extremes
-            lo = (self.hi if b_neg else self.lo) * (o.hi if a_neg else o.lo)
-            hi = (self.lo if b_neg else self.hi) * (o.lo if a_neg else o.hi)
-        else:
-            products = [
-                self.lo * o.lo,
-                self.lo * o.hi,
-                self.hi * o.lo,
-                self.hi * o.hi,
-            ]
-            lo, hi = min(products), max(products)
-        return Interval(lo.round(p, up=False), hi.round(p, up=True), p)
+            x, y = (self.hi if b_neg else self.lo), (o.hi if a_neg else o.lo)
+            lo = _rounded(x.man * y.man, x.exp + y.exp, p, False)
+            x, y = (self.lo if b_neg else self.hi), (o.lo if a_neg else o.hi)
+            hi = _rounded(x.man * y.man, x.exp + y.exp, p, True)
+            return Interval(lo, hi, p)
+        products = [x * y for x in (self.lo, self.hi) for y in (o.lo, o.hi)]
+        return Interval(
+            min(products).round(p, up=False), max(products).round(p, up=True), p
+        )
 
     __rmul__ = __mul__
 
@@ -136,26 +148,26 @@ class Interval:
                 self.hi.div(d, p, up=False), self.lo.div(d, p, up=True), p
             )
         o = self._coerce(other)
-        if o.lo.sign <= 0 <= o.hi.sign:
+        if o.lo.man <= 0 <= o.hi.man:
             raise DivByZeroInterval(f"division by {o}")
         p = min(self.prec, o.prec)
         # the divisor has one sign, so the sign of each dividend endpoint
         # picks the divisor endpoint of the extreme quotient; directed
         # rounding is monotone, so rounding that quotient is the min (max)
         # of all four rounded quotients
-        if o.lo.sign > 0:
-            lo = self.lo.div(o.hi if self.lo.sign >= 0 else o.lo, p, up=False)
-            hi = self.hi.div(o.lo if self.hi.sign >= 0 else o.hi, p, up=True)
+        if o.lo.man > 0:
+            lo = self.lo.div(o.hi if self.lo.man >= 0 else o.lo, p, up=False)
+            hi = self.hi.div(o.lo if self.hi.man >= 0 else o.hi, p, up=True)
         else:
-            lo = self.hi.div(o.hi if self.hi.sign >= 0 else o.lo, p, up=False)
-            hi = self.lo.div(o.lo if self.lo.sign >= 0 else o.hi, p, up=True)
+            lo = self.hi.div(o.hi if self.hi.man >= 0 else o.lo, p, up=False)
+            hi = self.lo.div(o.lo if self.lo.man >= 0 else o.hi, p, up=True)
         return Interval(lo, hi, p)
 
     def __rtruediv__(self, other: Scalar) -> "Interval":
         return self._coerce(other) / self
 
     def sqrt(self) -> "Interval":
-        if self.lo.sign < 0:
+        if self.lo.man < 0:
             raise NegativeSqrt(f"sqrt of {self}")
         return Interval(
             self.lo.sqrt(self.prec, up=False),
@@ -191,13 +203,6 @@ class Interval:
             self.lo.round(prec, up=False), self.hi.round(prec, up=True), prec
         )
 
-    def abs(self) -> "Interval":
-        if self.lo.sign >= 0:
-            return self
-        if self.hi.sign <= 0:
-            return -self
-        return Interval(ZERO, max(-self.lo, self.hi), self.prec)
-
     # -- rendering -----------------------------------------------------------
 
     def decimal_pair(self, frac_digits: int = 17) -> tuple:
@@ -214,6 +219,13 @@ class Interval:
     def __repr__(self) -> str:
         lo, hi = self.decimal_pair(12)
         return f"Interval({lo}, {hi}, prec={self.prec})"
+
+
+def _sum(am: int, ae: int, bm: int, be: int, prec: int, up: bool) -> Dyadic:
+    """``am * 2**ae + bm * 2**be`` rounded to ``prec`` bits, toward +inf (up)."""
+    if ae > be:
+        return _rounded((am << (ae - be)) + bm, be, prec, up)
+    return _rounded(am + (bm << (be - ae)), ae, prec, up)
 
 
 def compare_certain(a: Interval, b: Interval) -> Verdict:

@@ -2,8 +2,10 @@
 
 The Machin arctangent formula gives pi digits through pure integer
 arithmetic, sharing no code or method with the polygon pipeline under test.
-mpmath supplies high-precision trig reference values.  Nothing here is
-imported by the library.
+mpmath supplies high-precision trig reference values.  ``directed`` rounds
+an exact rational with ``Fraction`` and ``int`` alone, as the reference for
+the dyadic kernel.  Nothing here is imported by the library, and nothing
+here imports archpi.
 """
 
 from fractions import Fraction
@@ -36,6 +38,30 @@ def machin_pi_digits(count: int) -> str:
     pi_scaled = 4 * (4 * atan_inv(5) - atan_inv(239))
     digits = str(pi_scaled)[:count]
     return digits[0] + "." + digits[1:] if count > 1 else digits
+
+
+def directed(value: Fraction, prec: int, up: bool) -> tuple:
+    """(man, exp) of ``value`` rounded to ``prec`` significant bits toward
+    +inf (up) or -inf, with an odd ``man``, or (0, 0) for zero.
+
+    The grid is set by the value's own leading bit: 2**exp with
+    2**(prec-1) <= |value| / 2**exp < 2**prec.
+    """
+    value = Fraction(value)
+    if value == 0:
+        return 0, 0
+    exp = abs(value.numerator).bit_length() - value.denominator.bit_length() - prec
+    while abs(value) / Fraction(2) ** exp >= 2**prec:
+        exp += 1
+    while abs(value) / Fraction(2) ** exp < 2 ** (prec - 1):
+        exp -= 1
+    scaled = value / Fraction(2) ** exp
+    if up:
+        man = -(-scaled.numerator // scaled.denominator)
+    else:
+        man = scaled.numerator // scaled.denominator
+    zeros = len(bin(man)) - len(bin(man).rstrip("0"))
+    return man // 2**zeros, exp + zeros
 
 
 def trig_chord(fraction: Fraction, dps: int = 50) -> str:

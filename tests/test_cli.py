@@ -421,3 +421,35 @@ def test_sizes_without_rows_exit_2(args, flag, capsys):
     code, err = run_cli_err(args, capsys)
     assert code == 2
     assert flag in err
+
+
+def test_parser_reused_across_calls_matches_a_fresh_one(monkeypatch, capsys):
+    import archpi.cli
+
+    calls = [
+        (None, ["bounds", "--n", "6", "--m", "3"]),
+        ("96", ["bounds", "--n", "6", "--m", "3"]),
+        ("80", ["trig", "--theta", "1/7"]),
+        (None, ["digits", "--count", "30"]),
+        ("8", ["verify", "chord-compare", "--samples", "1"]),
+        ("72", ["verify", "chord-compare", "--samples", "1", "--seed", "5"]),
+        (None, ["sweep-rational", "--max-n", "6", "--format", "csv"]),
+        ("96", ["circuit", "--mesh-cap-exp", "3", "--seed", "4"]),
+    ]
+
+    def outputs(fresh):
+        seen = []
+        for precision, argv in calls:
+            if precision is None:
+                monkeypatch.delenv("ARCHPI_PRECISION", raising=False)
+            else:
+                monkeypatch.setenv("ARCHPI_PRECISION", precision)
+            if fresh:
+                archpi.cli._parser.cache_clear()
+            seen.append((main(argv), *capsys.readouterr()))
+        return seen
+
+    parser = archpi.cli._parser()
+    reused = outputs(fresh=False)
+    assert archpi.cli._parser() is parser
+    assert reused == outputs(fresh=True)

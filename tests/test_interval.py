@@ -76,8 +76,6 @@ def test_queries():
     assert x.mag() == Dyadic(3)
     assert ival(-4, 1).mag() == Dyadic(4)
     assert x.overlaps(ival(3, 5)) and not x.overlaps(ival(4, 5))
-    assert ival(-3, 2).abs().lo == Dyadic(0)
-    assert ival(-3, -2).abs().contains(2)
 
 
 def test_widen_and_with_prec():
