@@ -298,11 +298,35 @@ PINNED_REPORTS = [
      "064962b79f0e7153c78c074e83260e7f398c9fe1f6f6ca6afde281f353b226dc"),
     (["archimedes", "--precision", "1024"],
      "3b61cd9ae47a4602fe38e542bad0d12a71bac49e425473a48fbd98a7ed9e1396"),
+    (["verify", "identities", "--m-max", "3"],
+     "b60502b3a20a4677d2233b41d8de9ff422698f939f24445ffbdf1aabdca5ed81"),
+    (["verify", "area-sandwich", "--circuits-per-cap", "1"],
+     "10b85de4e3e3dab43cae515d1dd6e606ec240580136ec1437c1d9dbd9990569c"),
+]
+
+#: sha256 of reports whose shortfall rows make ``verify`` exit 3, pinned
+#: before the suites became row generators
+PINNED_SHORTFALL_REPORTS = [
+    (["verify", "h-ratio", "--m-max", "12", "--precision", "16"],
+     "a0ae65ac9ab1160b08f6a0b15c566f1faaa2829df088357ee9865e70dc13186a"),
+    (["verify", "rational", "--max-n", "12", "--precision", "20"],
+     "de5ff2b596eb523b3c7cc2b4ab0fb00990a04574ac3894aaba9b67319a272371"),
+    (["verify", "trig-sandwich", "--k-max", "20", "--precision", "16"],
+     "ebfa8dc0cbaa3edbb94b18fef651eedb975cc211210d650e57d22b6174899eb7"),
+    (["verify", "chord-compare", "--samples", "3", "--precision", "16"],
+     "277deaec8d5e5e73e4031ad10d42654b54d2fb4ea208418ad60ad8cd6210c96c"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", PINNED_REPORTS)
 def test_pinned_reports(args, digest, capsys):
     assert main(args + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", PINNED_SHORTFALL_REPORTS)
+def test_pinned_shortfall_reports(args, digest, capsys):
+    assert main(args + ["--format", "json"]) == 3
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
