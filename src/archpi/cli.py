@@ -41,8 +41,8 @@ EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-#: parsed ``verify`` arguments that are not suite parameters
-_NOT_SUITE_ARGS = {"command", "func", "suite", "format", "output"}
+#: the ``verify`` flags besides ``--precision``, each a suite keyword argument
+_VERIFY_KEYS = (*LEAST, "seed", "jobs")
 #: shortfall row keys that do not name the row
 _NOT_SUBJECT = {"suite", "precision", "error", "message", "verdict", "status"}
 
@@ -190,8 +190,8 @@ def _cmd_verify(args) -> int:
     # the flags the user set become the suite's keyword arguments; a suite
     # picks its own default for every flag left unset
     takes = inspect.signature(SUITES[args.suite]).parameters
-    given = {key: value for key, value in vars(args).items()
-             if key not in _NOT_SUITE_ARGS and value is not None}
+    given = {key: getattr(args, key) for key in _VERIFY_KEYS
+             if getattr(args, key) is not None}
     for key, value in given.items():
         if key not in takes:
             flags = ", ".join(_flag(k) for k in takes if k in vars(args))
@@ -201,7 +201,7 @@ def _cmd_verify(args) -> int:
             )
         if key in LEAST:
             _require_least(key, value)
-    if "precision" in given or ("precision" in takes and "ARCHPI_PRECISION" in os.environ):
+    if args.precision is not None or "ARCHPI_PRECISION" in os.environ:
         given["precision"] = _precision(args)
     if "jobs" in takes:
         given.setdefault("jobs", _default_jobs())
@@ -326,13 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--circuits-per-cap", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
+    for key in _VERIFY_KEYS:
+        p.add_argument(_flag(key), type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -32,25 +32,36 @@ class Dyadic:
         """Nearest representable value toward -inf (up=False) or +inf."""
         num, den = value.numerator, value.denominator
         if den & (den - 1) == 0:
-            return Dyadic(num, 1 - den.bit_length())
+            return _rounded(num, 1 - den.bit_length(), prec, up)
         return Dyadic(num).div(Dyadic(den), prec, up)
 
     # -- exact arithmetic --------------------------------------------------
+    # A non-Dyadic operand has no ``exp``: the operator returns
+    # NotImplemented, so Python tries the other operand's reflected method.
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        d = self.exp - other.exp
+        try:
+            d = self.exp - other.exp
+        except AttributeError:
+            return NotImplemented
         if d > 0:
             return Dyadic((self.man << d) + other.man, other.exp)
         return Dyadic(self.man + (other.man << -d), self.exp)
 
     def __sub__(self, other: "Dyadic") -> "Dyadic":
-        d = self.exp - other.exp
+        try:
+            d = self.exp - other.exp
+        except AttributeError:
+            return NotImplemented
         if d > 0:
             return Dyadic((self.man << d) - other.man, other.exp)
         return Dyadic(self.man - (other.man << -d), self.exp)
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.man * other.man, self.exp + other.exp)
+        try:
+            return Dyadic(self.man * other.man, self.exp + other.exp)
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.man, self.exp)

@@ -149,25 +149,23 @@ def normalized_compare(
     Inscribed: the larger chord has the certainly smaller normalized length.
     Circumscribed: the tangent counterparts reverse the inequality.
     """
-    if mode not in ("inscribed", "circumscribed"):
-        raise PreconditionViolation(f"unknown mode {mode!r}")
     order = compare_certain(a.chord, b.chord)
     if order is Verdict.OVERLAP:
         raise HypothesisUnordered("chords cannot be certifiably ordered")
     larger, smaller = (a, b) if order is Verdict.CERTAINLY_GREATER else (b, a)
-    if mode == "inscribed":
-        lhs = (larger.chord * larger.N) / larger.k
-        rhs = (smaller.chord * smaller.N) / smaller.k
-    else:
-        lhs = (circumscribed_edge(larger.chord) * larger.N) / larger.k
-        rhs = (circumscribed_edge(smaller.chord) * smaller.N) / smaller.k
+    lhs, rhs = normalized_length(larger, mode), normalized_length(smaller, mode)
     return NormalizedCompare(compare_certain(lhs, rhs), lhs, rhs)
 
 
 def normalized_length(r: RationalLength, mode: str = "inscribed") -> Interval:
+    """(N/k) times the chord (inscribed) or its tangent edge (circumscribed)."""
     if mode == "inscribed":
-        return (r.chord * r.N) / r.k
-    return (circumscribed_edge(r.chord) * r.N) / r.k
+        edge = r.chord
+    elif mode == "circumscribed":
+        edge = circumscribed_edge(r.chord)
+    else:
+        raise PreconditionViolation(f"unknown mode {mode!r}")
+    return (edge * r.N) / r.k
 
 
 def coprime_pairs(max_n: int) -> List[Tuple[int, int]]:

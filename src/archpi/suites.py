@@ -1,10 +1,10 @@
 """Verification suites: every inequality family gets a machine-checked run.
 
-Each suite returns a ``SuiteResult``: deterministic, ordered report rows plus
-violation and inconclusive counts.  Every row is recorded by
-``SuiteResult.check``, the one place where a row gets its ``status`` and
-``verdict``.  A check is either a certified comparison, given as
-``(expected, observed)`` Verdicts, or an exact predicate, given as a bool:
+A suite is a generator of report rows, and each row is a plain ``dict``
+finished where it is made, by one of two functions.  ``checked`` gives a
+row its ``status`` and ``verdict`` from its checks.  A check is either a
+certified comparison, given as ``(expected, observed)`` Verdicts, or an
+exact predicate, given as a bool:
 
 - an observed ``overlap`` makes the row ``inconclusive`` (the intervals still
   overlap at this precision);
@@ -13,24 +13,28 @@ violation and inconclusive counts.  Every row is recorded by
 - otherwise the row is ``ok``.
 
 ``verdict`` is the observed value of a row's single comparison, or
-``holds``/``fails`` for a row with several checks or a predicate.  A sample
-of a randomized suite, a coprime pair of ``rational``, an (n, m) step of
-``h-ratio`` or a k of ``trig-sandwich`` that stops on a precision shortfall
-(an error in ``errors.SHORTFALLS``) is one ``inconclusive`` row with verdict
-``shortfall``, naming its seed, pair, step or k, the error and the precision;
-the other rows still run.  ``samples`` is the number of rows.  Every suite
-takes only the keyword arguments in its signature; ``run_suite`` rejects,
-up front, a size below its ``LEAST`` value, where the suite would make no
-check.  Randomized suites parallelize over samples; each sample owns its
-seed.
+``holds``/``fails`` for a row with several checks or a predicate.
+``fell_short`` finishes a row whose checks a precision shortfall (an error
+in ``errors.SHORTFALLS``) stopped: it is ``inconclusive`` with verdict
+``shortfall`` and names the error and the precision.  A sample of a
+randomized suite, a coprime pair of ``rational``, an (n, m) step of
+``h-ratio`` or a k of ``trig-sandwich`` that falls short is one such row,
+naming its seed, pair, step or k; the other rows still run.
+
+``run_suite`` collects a suite's rows into a ``SuiteResult``, the only place
+one is built; its ``samples``, ``violations`` and ``inconclusive`` counts
+are read off the rows.  Every suite takes only the keyword arguments in its
+signature; ``run_suite`` rejects, up front, a size below its ``LEAST``
+value, where the suite would make no check.  Randomized suites parallelize
+over samples; each sample owns its seed and returns its finished rows.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from .chords import ArcSpec, chord_compare, partition_profile, tangent_compare
 from .circuits import circuit_measures, random_circuit
@@ -68,53 +72,59 @@ GREATER = Verdict.CERTAINLY_GREATER
 
 #: a certified comparison (expected, observed) or an exact predicate
 Check = Union[Tuple[Verdict, Verdict], bool]
-#: what a sampler returns for one sample: its rows, each with its checks
-Checked = List[Tuple[dict, Tuple[Check, ...]]]
+
+
+def checked(row: dict, *checks: Check) -> dict:
+    """``row`` with the ``verdict`` and ``status`` its checks give.
+
+    An observed overlap makes the row inconclusive; otherwise any failed
+    check makes it violated.
+    """
+    observed = [c[1] for c in checks if isinstance(c, tuple)]
+    holds = all(c[0] is c[1] if isinstance(c, tuple) else c for c in checks)
+    if len(checks) == 1 and observed:
+        verdict = observed[0].value
+    else:
+        verdict = "holds" if holds else "fails"
+    if Verdict.OVERLAP in observed:
+        status = "inconclusive"
+    else:
+        status = "ok" if holds else "violated"
+    return dict(row, verdict=verdict, status=status)
+
+
+def shortfall_row(row: dict, precision: int, exc: Exception) -> dict:
+    """``row``, the keys naming a row, plus the shortfall that stopped it."""
+    return dict(row, precision=precision, error=type(exc).__name__,
+                message=str(exc))
+
+
+def fell_short(row: dict, precision: int, exc: Exception) -> dict:
+    """``row``, whose checks the shortfall ``exc`` stopped, as inconclusive."""
+    return dict(shortfall_row(row, precision, exc), verdict="shortfall",
+                status="inconclusive")
 
 
 @dataclass
 class SuiteResult:
     suite: str
-    rows: List[dict] = field(default_factory=list)
-    violations: int = 0
-    inconclusive: int = 0
+    rows: List[dict]
 
     @property
     def samples(self) -> int:
         return len(self.rows)
 
     @property
+    def violations(self) -> int:
+        return sum(row["status"] == "violated" for row in self.rows)
+
+    @property
+    def inconclusive(self) -> int:
+        return sum(row["status"] == "inconclusive" for row in self.rows)
+
+    @property
     def passed(self) -> bool:
-        return self.violations == 0 and self.inconclusive == 0
-
-    def check(self, row: dict, *checks: Check) -> None:
-        """Append ``row`` with the ``verdict`` and ``status`` its checks give.
-
-        An observed overlap makes the row inconclusive; otherwise any failed
-        check makes it violated.
-        """
-        observed = [c[1] for c in checks if isinstance(c, tuple)]
-        holds = all(c[0] is c[1] if isinstance(c, tuple) else c for c in checks)
-        if len(checks) == 1 and observed:
-            row["verdict"] = observed[0].value
-        else:
-            row["verdict"] = "holds" if holds else "fails"
-        if Verdict.OVERLAP in observed:
-            row["status"] = "inconclusive"
-            self.inconclusive += 1
-        elif not holds:
-            row["status"] = "violated"
-            self.violations += 1
-        else:
-            row["status"] = "ok"
-        self.rows.append(row)
-
-    def shortfall(self, row: dict) -> None:
-        """Append ``row``, a sample whose checks a shortfall stopped, as
-        inconclusive."""
-        row.update(verdict="shortfall", status="inconclusive")
-        self.inconclusive += 1
-        self.rows.append(row)
+        return all(row["status"] == "ok" for row in self.rows)
 
 
 def _sample_seed(seed: int, index: int) -> int:
@@ -142,9 +152,8 @@ def _map_samples(fn: Callable, args: List, jobs: int) -> List:
 
 def run_monotone(
     n_values=(3, 4, 6), m_max: int = 25, precision: int = 256
-) -> SuiteResult:
+) -> Iterator[dict]:
     """Prop-style monotonicity: p, a increase in m; P, A decrease."""
-    result = SuiteResult("monotone")
     for n in n_values:
         chain = list(iter_scheme_measures(n, m_max + 1, precision))
         for m in range(m_max + 1):
@@ -156,31 +165,27 @@ def run_monotone(
                 ("A", cur.A, nxt.A, GREATER),
             ):
                 row = {"suite": "monotone", "n": n, "m": m, "measure": name}
-                result.check(row, (expected, compare_certain(lhs, rhs)))
-    return result
+                yield checked(row, (expected, compare_certain(lhs, rhs)))
 
 
 def run_bounds(
     n_values=(3, 4, 6), m_max: int = 25, precision: int = 256
-) -> SuiteResult:
+) -> Iterator[dict]:
     """p < P and a < A at every refinement step."""
-    result = SuiteResult("bounds")
     for n in n_values:
         for meas in iter_scheme_measures(n, m_max, precision):
             for name, lhs, rhs in (("p<P", meas.p, meas.P), ("a<A", meas.a, meas.A)):
                 row = {"suite": "bounds", "n": n, "m": meas.scheme.m, "check": name}
-                result.check(row, (LESS, compare_certain(lhs, rhs)))
-    return result
+                yield checked(row, (LESS, compare_certain(lhs, rhs)))
 
 
 def run_h_ratio(
     n_values=(3, 4, 6), m_max: int = 25, precision: int = 256
-) -> SuiteResult:
+) -> Iterator[dict]:
     """Vertex gap contraction h(m) > 3 h(m+1), with the observed ratio.
 
     A step whose ratio a shortfall stops is one inconclusive row.
     """
-    result = SuiteResult("h-ratio")
     for n in n_values:
         chain = list(iter_scheme_measures(n, m_max + 1, precision))
         for m in range(m_max + 1):
@@ -189,10 +194,9 @@ def run_h_ratio(
             try:
                 row["ratio"] = _dec(h_cur / h_next)
             except SHORTFALLS as exc:
-                result.shortfall(shortfall_row(row, precision, exc))
+                yield fell_short(row, precision, exc)
                 continue
-            result.check(row, (GREATER, compare_certain(h_cur, h_next * 3)))
-    return result
+            yield checked(row, (GREATER, compare_certain(h_cur, h_next * 3)))
 
 
 def run_identities(
@@ -200,13 +204,12 @@ def run_identities(
     m_max: int = 25,
     precision: int = 256,
     limit_m: int = 40,
-) -> SuiteResult:
+) -> Iterator[dict]:
     """Heron and half-perimeter identities, plus cross-scheme pi agreement.
 
     An identity holds when its two enclosures overlap (they cannot be
     separated) and are narrow relative to the working precision.
     """
-    result = SuiteResult("identities")
     width_cap = Dyadic(1, 8 - precision)
     for n in n_values:
         for meas in iter_scheme_measures(n, m_max, precision):
@@ -223,7 +226,7 @@ def run_identities(
                     "identity": name,
                     "width_ok": width_ok,
                 }
-                result.check(row, lhs.overlaps(rhs), width_ok)
+                yield checked(row, lhs.overlaps(rhs), width_ok)
     # cross-scheme agreement of the [p/2, P/2] brackets at high depth
     brackets = {n: pi_bounds(RegularScheme(n, limit_m), precision) for n in n_values}
     names = sorted(brackets)
@@ -236,16 +239,14 @@ def run_identities(
                 "width_a": a.width().decimal(30, up=True),
                 "width_b": b.width().decimal(30, up=True),
             }
-            result.check(row, a.overlaps(b))
-    return result
+            yield checked(row, a.overlaps(b))
 
 
 # -- randomized arc suites ---------------------------------------------------
 
 
-def _compare_sample(args) -> Checked:
+def _compare_sample(seed: int, precision: int, suite: str) -> List[dict]:
     """One random arc split m of n ways: the chord or tangent comparison."""
-    seed, precision, suite = args
     rng = random.Random(seed)
     arc = _random_arc(rng, precision)
     n = rng.randint(2, 32)
@@ -262,7 +263,7 @@ def _compare_sample(args) -> Checked:
         "rhs": _dec(res.rhs),
         "precision_used": res.precision_used,
     }
-    return [(row, ((LESS, res.verdict),))]
+    return [checked(row, (LESS, res.verdict))]
 
 
 def _random_profile(seed: int, precision: int):
@@ -272,28 +273,26 @@ def _random_profile(seed: int, precision: int):
     return arc, n, partition_profile(arc, n, precision)
 
 
-def _tangent_profile_sample(args) -> Checked:
+def _tangent_profile_sample(seed: int, precision: int, suite: str) -> List[dict]:
     """One random arc split n ways: its tangent segments increase."""
-    seed, precision, suite = args
     _, n, profile = _random_profile(seed, precision)
     segs = profile.tangent_segments
     return [
-        ({"suite": suite, "sample_seed": seed, "n": n, "index": i + 1,
-          "check": "increasing"},
-         ((LESS, compare_certain(segs[i], segs[i + 1])),))
+        checked({"suite": suite, "sample_seed": seed, "n": n, "index": i + 1,
+                 "check": "increasing"},
+                (LESS, compare_certain(segs[i], segs[i + 1])))
         for i in range(n - 1)
     ]
 
 
-def _projections_sample(args) -> Checked:
+def _projections_sample(seed: int, precision: int, suite: str) -> List[dict]:
     """One random arc split n ways: its projection gaps onto the chord."""
-    seed, precision, suite = args
     arc, n, profile = _random_profile(seed, precision)
     base = {"suite": suite, "sample_seed": seed, "n": n}
     gaps = profile.projections
-    checked: Checked = [
-        (dict(base, index=i + 1, check="increasing"),
-         ((LESS, compare_certain(gaps[i], gaps[i + 1])),))
+    rows = [
+        checked(dict(base, index=i + 1, check="increasing"),
+                (LESS, compare_certain(gaps[i], gaps[i + 1])))
         for i in range((n + 1) // 2 - 1)
     ]
     # symmetry, from gaps recomputed out of the points rather than the
@@ -303,40 +302,33 @@ def _projections_sample(args) -> Checked:
     dx = (pts[n].x - pts[0].x) / full
     dy = (pts[n].y - pts[0].y) / full
     recomputed = [(b.x - a.x) * dx + (b.y - a.y) * dy for a, b in zip(pts, pts[1:])]
-    checked.append(
-        (dict(base, check="symmetric"),
-         tuple(recomputed[i].overlaps(recomputed[n - 1 - i]) for i in range(n // 2)))
+    rows.append(
+        checked(dict(base, check="symmetric"),
+                *(recomputed[i].overlaps(recomputed[n - 1 - i]) for i in range(n // 2)))
     )
     total = sum(gaps[1:], gaps[0])
-    checked.append(
-        (dict(base, check="sum-encloses-chord"), (total.overlaps(arc.chord_total),))
+    rows.append(
+        checked(dict(base, check="sum-encloses-chord"), total.overlaps(arc.chord_total))
     )
     # corollary: leading partial sums stay under the uniform average
     # (strict only below the midpoint; even n gives equality at n/2)
     for s in range(2, (n + 1) // 2):
         partial = sum(gaps[1:s], gaps[0])
         bound = (full * s) / n
-        checked.append(
-            (dict(base, index=s, check="partial-below-average"),
-             ((LESS, compare_certain(partial, bound)),))
+        rows.append(
+            checked(dict(base, index=s, check="partial-below-average"),
+                    (LESS, compare_certain(partial, bound)))
         )
-    return checked
+    return rows
 
 
-def shortfall_row(row: dict, precision: int, exc: Exception) -> dict:
-    """``row``, the keys naming a row, plus the shortfall that stopped it."""
-    return dict(row, precision=precision, error=type(exc).__name__,
-                message=str(exc))
-
-
-def _guarded_sample(job) -> Union[Checked, dict]:
-    """The sampler's rows, or the row of the shortfall that stopped it."""
-    sampler, args = job
+def _guarded_sample(job) -> List[dict]:
+    """The sampler's rows, or the one row of the shortfall that stopped it."""
+    sampler, seed, precision, suite = job
     try:
-        return sampler(args)
+        return sampler(seed, precision, suite)
     except SHORTFALLS as exc:
-        seed, precision, suite = args
-        return shortfall_row({"suite": suite, "sample_seed": seed}, precision, exc)
+        return [fell_short({"suite": suite, "sample_seed": seed}, precision, exc)]
 
 
 def _sampled_suite(suite: str, sampler: Callable, default_samples: int) -> Callable:
@@ -347,17 +339,11 @@ def _sampled_suite(suite: str, sampler: Callable, default_samples: int) -> Calla
         seed: int = DEFAULT_SEED,
         precision: int = DEFAULT_PRECISION,
         jobs: int = 1,
-    ) -> SuiteResult:
-        result = SuiteResult(suite)
-        work = [(sampler, (_sample_seed(seed, i), precision, suite))
+    ) -> Iterator[dict]:
+        work = [(sampler, _sample_seed(seed, i), precision, suite)
                 for i in range(samples)]
-        for checked in _map_samples(_guarded_sample, work, jobs):
-            if isinstance(checked, dict):
-                result.shortfall(checked)
-                continue
-            for row, checks in checked:
-                result.check(row, *checks)
-        return result
+        for rows in _map_samples(_guarded_sample, work, jobs):
+            yield from rows
 
     return run
 
@@ -371,14 +357,13 @@ run_tangent_profile = _sampled_suite("tangent-profile", _tangent_profile_sample,
 # -- rational sweep ----------------------------------------------------------
 
 
-def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> SuiteResult:
+def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> Iterator[dict]:
     """Prop 4.1 ordering over all coprime pairs, both modes, plus winding.
 
     A pair, or an adjacent comparison, that a shortfall stops is one
     inconclusive row; a pair whose chord was realized still takes part in
     the ordering.
     """
-    result = SuiteResult("rational")
     two_pi = two_pi_enclosure(precision)
     realized = []
     for k, N in coprime_pairs(max_n):
@@ -390,11 +375,11 @@ def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> SuiteRe
             circumscribed = normalized_length(r, "circumscribed")
             winding_checked = winding_count(r) == r.k
         except SHORTFALLS as exc:
-            result.shortfall(shortfall_row(row, precision, exc))
+            yield fell_short(row, precision, exc)
             continue
         row.update(chord=_dec(r.chord), normalized=_dec(inscribed),
                    winding_checked=winding_checked)
-        result.check(
+        yield checked(
             row,
             (LESS, compare_certain(inscribed, two_pi)),
             (GREATER, compare_certain(circumscribed, two_pi)),
@@ -408,18 +393,17 @@ def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> SuiteRe
             try:
                 cmp = normalized_compare(a, b, mode)
             except SHORTFALLS as exc:
-                result.shortfall(shortfall_row(row, precision, exc))
+                yield fell_short(row, precision, exc)
                 continue
             row.update(lhs=_dec(cmp.lhs), rhs=_dec(cmp.rhs))
-            result.check(row, (expected, cmp.verdict))
-    return result
+            yield checked(row, (expected, cmp.verdict))
 
 
 # -- circuit suites ----------------------------------------------------------
 
 
-def _circuit_sample(args) -> Tuple[dict, Tuple[Check, ...], Dyadic]:
-    """One random circuit: its sandwich row, checks and upper gap bound."""
+def _circuit_sample(args) -> Tuple[dict, Dyadic]:
+    """One random circuit: its sandwich row and upper gap bound."""
     seed, cap_exp, precision, suite = args
     cap = Interval.exact(Dyadic(1, -cap_exp), precision)
     circuit = random_circuit(3, cap, seed, precision)
@@ -439,11 +423,11 @@ def _circuit_sample(args) -> Tuple[dict, Tuple[Check, ...], Dyadic]:
         "outer": _dec(outer),
         "mesh": _dec(measures.mesh),
     }
-    checks = (
+    sandwich = (
         (LESS, compare_certain(inner, target)),
         (LESS, compare_certain(target, outer)),
     )
-    return row, checks, target.hi - inner.lo
+    return checked(row, *sandwich), target.hi - inner.lo
 
 
 def _circuit_suite(suite: str) -> Callable:
@@ -459,20 +443,17 @@ def _circuit_suite(suite: str) -> Callable:
         seed: int = DEFAULT_SEED,
         precision: int = DEFAULT_PRECISION,
         jobs: int = 1,
-    ) -> SuiteResult:
-        result = SuiteResult(suite)
+    ) -> Iterator[dict]:
         caps = []   # (cap_exp, worst gap, had an inconclusive sample)
         for cap_exp in cap_exps:
             args = [
                 (_sample_seed(seed, cap_exp * 100_000 + i), cap_exp, precision, suite)
                 for i in range(circuits_per_cap)
             ]
-            gaps = []
-            inconclusive = result.inconclusive
-            for row, checks, gap in _map_samples(_circuit_sample, args, jobs):
-                result.check(row, *checks)
-                gaps.append(gap)
-            caps.append((cap_exp, max(gaps), result.inconclusive > inconclusive))
+            sampled = _map_samples(_circuit_sample, args, jobs)
+            yield from (row for row, _ in sampled)
+            caps.append((cap_exp, max(gap for _, gap in sampled),
+                         any(row["status"] == "inconclusive" for row, _ in sampled)))
         for prev, cur in zip(caps, caps[1:]):
             row = {
                 "suite": suite,
@@ -480,13 +461,12 @@ def _circuit_suite(suite: str) -> Callable:
                 "mesh_cap_exp": cur[0],
                 "worst_gap": cur[1].decimal(20, up=True),
             }
-            unsure = [str(cap[0]) for cap in (prev, cur) if cap[2]]
+            unsure = ", ".join(str(cap[0]) for cap in (prev, cur) if cap[2])
             if unsure:
-                row["skipped"] = "inconclusive samples at mesh_cap_exp " + ", ".join(unsure)
-                result.shortfall(row)
+                yield dict(row, skipped=f"inconclusive samples at mesh_cap_exp {unsure}",
+                           verdict="shortfall", status="inconclusive")
             else:
-                result.check(row, cur[1] <= prev[1])
-        return result
+                yield checked(row, cur[1] <= prev[1])
 
     return run
 
@@ -498,14 +478,13 @@ run_area_sandwich = _circuit_suite("area-sandwich")
 # -- trig sandwich -----------------------------------------------------------
 
 
-def run_trig_sandwich(k_max: int = 16, precision: int = 128) -> SuiteResult:
+def run_trig_sandwich(k_max: int = 16, precision: int = 128) -> Iterator[dict]:
     """theta = 2^-k ladder: both verdicts, the theta^2 gap bound, and a gap
     certainly below the previous one.
 
     A k that a shortfall stops is one inconclusive row; the next k skips
     the decrease check and says so in its row.
     """
-    result = SuiteResult("trig-sandwich")
     prev_gap = None
     prev_short = False
     for k in range(1, k_max + 1):
@@ -514,7 +493,7 @@ def run_trig_sandwich(k_max: int = 16, precision: int = 128) -> SuiteResult:
         try:
             report = sandwich_report(theta, precision)
         except SHORTFALLS as exc:
-            result.shortfall(shortfall_row(row, precision, exc))
+            yield fell_short(row, precision, exc)
             prev_gap, prev_short = None, True
             continue
         gap = report.mid - 1
@@ -533,12 +512,11 @@ def run_trig_sandwich(k_max: int = 16, precision: int = 128) -> SuiteResult:
             checks.append((LESS, compare_certain(gap, prev_gap)))
         elif prev_short:
             row["decrease"] = f"skipped: k {k - 1} fell short"
-        result.check(row, *checks)
+        yield checked(row, *checks)
         prev_gap, prev_short = gap, False
-    return result
 
 
-SUITES: Dict[str, Callable[..., SuiteResult]] = {
+SUITES: Dict[str, Callable[..., Iterator[dict]]] = {
     "monotone": run_monotone,
     "bounds": run_bounds,
     "identities": run_identities,
@@ -560,4 +538,4 @@ def run_suite(name: str, **kwargs) -> SuiteResult:
     for key, value in kwargs.items():
         if key in LEAST and value < LEAST[key]:
             raise ValueError(f"{key} must be at least {LEAST[key]}, got {value}")
-    return SUITES[name](**kwargs)
+    return SuiteResult(name, list(SUITES[name](**kwargs)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archpi.dyadic import Dyadic, ZERO, ONE
+from archpi.interval import Interval
 
 
 def test_canonical_mantissa():
@@ -81,6 +82,20 @@ def test_from_fraction_directed():
     hi = Dyadic.from_fraction(f, 40, up=True)
     assert lo.as_fraction() <= f <= hi.as_fraction()
     assert Dyadic.from_fraction(Fraction(5, 8), 4, up=True) == Dyadic(5, -3)
+    # a power-of-two denominator is rounded to prec bits too
+    wide = Fraction(2**300 + 1, 2)
+    assert Dyadic.from_fraction(wide, 64, up=False) == Dyadic(1, 299)
+    assert Dyadic.from_fraction(wide, 64, up=True) == Dyadic(2**63 + 1, 236)
+
+
+def test_non_dyadic_operand_defers_to_its_reflected_operator():
+    d, p = Dyadic(3, -1), 64
+    x = Interval.from_fraction(Fraction(1, 3), p)
+    exact = Interval.exact(d, p)
+    for got, want in ((d + x, exact + x), (d - x, exact - x), (d * x, exact * x)):
+        assert (got.lo, got.hi, got.prec) == (want.lo, want.hi, want.prec)
+    with pytest.raises(TypeError):
+        Dyadic(1) + 1
 
 
 def test_decimal_rendering():

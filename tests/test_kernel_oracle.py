@@ -91,8 +91,7 @@ def test_round_and_div_match_oracle(pair, prec, up):
     if b.man:
         assert bits(a.div(b, prec, up)) == directed(frac(a) / frac(b), prec, up)
     f = frac(a) / frac(b) if b.man else frac(a)
-    if f.denominator & (f.denominator - 1):   # a power of two is kept exact
-        assert bits(Dyadic.from_fraction(f, prec, up)) == directed(f, prec, up)
+    assert bits(Dyadic.from_fraction(f, prec, up)) == directed(f, prec, up)
 
 
 @given(dyadics(), precs, st.booleans())

@@ -103,6 +103,8 @@ def test_normalized_compare_rejects_unordered():
         normalized_compare(a, a)
     with pytest.raises(PreconditionViolation):
         normalized_compare(a, realize_rational(1, 3, PREC), "sideways")
+    with pytest.raises(PreconditionViolation):
+        normalized_length(a, "bogus")
 
 
 def test_coprime_pairs():

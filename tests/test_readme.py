@@ -1,0 +1,13 @@
+"""The fenced ``python`` blocks of README.md run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})

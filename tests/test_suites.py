@@ -8,7 +8,7 @@ from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, DivByZeroInterval, HypothesisUnordered
 from archpi.interval import Verdict
-from archpi.suites import SUITES, SuiteResult, run_suite
+from archpi.suites import SUITES, SuiteResult, checked, run_suite
 
 LESS = Verdict.CERTAINLY_LESS
 GREATER = Verdict.CERTAINLY_GREATER
@@ -97,27 +97,26 @@ def test_trig_suite_small():
 
 
 def test_check_overlap_wins_over_failure():
-    res = SuiteResult("t")
-    res.check({}, (LESS, GREATER), (LESS, OVERLAP), False)
-    assert res.rows[0]["status"] == "inconclusive"
+    row = checked({}, (LESS, GREATER), (LESS, OVERLAP), False)
+    assert row["status"] == "inconclusive"
+    res = SuiteResult("t", [row])
     assert (res.violations, res.inconclusive) == (0, 1)
 
 
 def test_check_false_predicate_violates():
-    res = SuiteResult("t")
-    res.check({}, (LESS, LESS), False)
-    res.check({}, True)
+    res = SuiteResult("t", [checked({}, (LESS, LESS), False), checked({}, True)])
     assert [row["status"] for row in res.rows] == ["violated", "ok"]
     assert [row["verdict"] for row in res.rows] == ["fails", "holds"]
     assert (res.violations, res.inconclusive) == (1, 0)
 
 
 def test_check_single_comparison_reports_its_verdict():
-    res = SuiteResult("t")
-    res.check({"x": 1}, (LESS, LESS))
-    res.check({"x": 2}, (LESS, GREATER))
-    res.check({"x": 3}, (GREATER, OVERLAP))
-    assert res.rows == [
+    rows = [
+        checked({"x": 1}, (LESS, LESS)),
+        checked({"x": 2}, (LESS, GREATER)),
+        checked({"x": 3}, (GREATER, OVERLAP)),
+    ]
+    assert rows == [
         {"x": 1, "verdict": "certainly_less", "status": "ok"},
         {"x": 2, "verdict": "certainly_greater", "status": "violated"},
         {"x": 3, "verdict": "overlap", "status": "inconclusive"},
@@ -198,11 +197,8 @@ def test_rational_shortfall_is_one_row_per_pair(monkeypatch):
 
 
 def test_samples_is_row_count():
-    res = SuiteResult("t")
-    assert res.samples == 0
-    for _ in range(3):
-        res.check({}, True)
-    assert res.samples == 3
+    assert SuiteResult("t", []).samples == 0
+    assert SuiteResult("t", [checked({}, True)] * 3).samples == 3
     for name, kwargs in [
         ("identities", {"m_max": 2, "limit_m": 4, "precision": 64}),
         ("projections", {"samples": 2, "seed": 3}),
