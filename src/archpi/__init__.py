@@ -13,11 +13,11 @@ from .polygons import (
     SchemeMeasures,
     circumscribed_edge,
     halve_edge,
-    huygens_bounds,
     iter_scheme_measures,
     pi_bounds,
     pi_digits,
     pi_enclosure,
+    romberg_bounds,
     scheme_measures,
     seed_edge,
     two_pi_enclosure,
@@ -83,7 +83,7 @@ __all__ = [
     "scheme_measures",
     "iter_scheme_measures",
     "pi_bounds",
-    "huygens_bounds",
+    "romberg_bounds",
     "pi_enclosure",
     "two_pi_enclosure",
     "pi_digits",

@@ -36,10 +36,13 @@ from .errors import (
     DomainViolation,
     InvalidChord,
     PreconditionViolation,
+    PrecisionCeiling,
 )
 from .interval import Interval, Verdict, compare_certain
 
 PRECISION_CAP = 4096
+#: the most bits a solve can take: its walks start 16 bits above it
+MAX_PRECISION = PRECISION_CAP - 16
 
 _UNDER = "under"
 _OVER = "over"
@@ -114,6 +117,10 @@ def _classify_adaptive(
     step: Dyadic, n: int, chord_total: Interval, prec: int
 ) -> str:
     work = prec + 16
+    if work > PRECISION_CAP:
+        raise PrecisionCeiling(
+            f"precision {prec} is above {MAX_PRECISION} bits, the most "
+            "the chord solver takes")
     while work <= PRECISION_CAP:
         result = _classify(step, n, chord_total.with_prec(work), work)
         if result is not _AMBIG:
@@ -312,9 +319,9 @@ def _compare_adaptive(
     while True:
         lhs, rhs = build(arc, m, n, work)
         verdict = compare_certain(lhs, rhs)
-        if verdict is not Verdict.OVERLAP or work >= PRECISION_CAP:
+        if verdict is not Verdict.OVERLAP or work >= MAX_PRECISION:
             return CompareResult(verdict, lhs, rhs, work)
-        work *= 2
+        work = min(2 * work, MAX_PRECISION)
 
 
 def _chord_sides(arc: ArcSpec, m: int, n: int, prec: int):

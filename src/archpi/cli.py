@@ -2,8 +2,9 @@
 and trig tabulation.
 
 Exit codes: 0 success, 1 a verification suite found a certain violation,
-2 argument error (including a ``verify`` flag the suite does not take, and a
-size that yields no rows), 3 inconclusive (interval overlap persisting at the
+2 argument error (including a ``verify`` flag the suite does not take, a
+size that yields no rows, and a precision above what the chord solver
+takes), 3 inconclusive (interval overlap persisting at the
 precision cap, an ambiguous winding crossing, chords that cannot be ordered
 at this precision, tangents that cannot be certified to meet, or an operand
 too wide for a square root, a division or a chord at this precision).  The
@@ -28,7 +29,7 @@ from typing import Optional
 
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
-from .errors import SHORTFALLS, ArchpiError
+from .errors import SHORTFALLS, ArchpiError, PrecisionCeiling
 from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
@@ -106,11 +107,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write report to file")
 
 
+def _precision_source(args) -> str:
+    return "--precision" if args.precision is not None else "ARCHPI_PRECISION"
+
+
 def _precision(args, floor: int = 16) -> int:
     prec = args.precision if args.precision is not None else _default_precision()
     if prec < floor:
-        source = "--precision" if args.precision is not None else "ARCHPI_PRECISION"
-        raise ValueError(f"{source} must be at least {floor} bits, got {prec}")
+        raise ValueError(f"{_precision_source(args)} must be at least {floor} bits, got {prec}")
     return prec
 
 
@@ -371,6 +375,9 @@ def main(argv=None) -> int:
         # from operands too wide at this precision
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except PrecisionCeiling as exc:
+        print(f"error: {_precision_source(args)}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ArchpiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -69,6 +69,10 @@ class PreconditionViolation(ArchpiError):
     """Operation called with arguments violating a stated precondition."""
 
 
+class PrecisionCeiling(PreconditionViolation):
+    """Working precision above the most an algorithm takes."""
+
+
 class AmbiguousCrossing(PreconditionViolation):
     """A winding crossing test cannot be certified at this precision."""
 

@@ -15,8 +15,8 @@ from archpi.chords import (
     tangent_compare,
 )
 from archpi.dyadic import Dyadic
-from archpi.errors import (BisectionStall, DomainViolation, InvalidChord,
-                           PreconditionViolation)
+from archpi.errors import (SHORTFALLS, BisectionStall, DomainViolation,
+                           InvalidChord, PreconditionViolation)
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import seed_edge
 
@@ -172,6 +172,30 @@ def test_solve_stalls_when_ambiguous_steps_exceed_tolerance():
     chord = Interval.exact(Dyadic(2**17 - 256, -16), 16).widen(Dyadic(1, -9))
     with pytest.raises(BisectionStall, match="whole tolerance"):
         solve_regular_chord(ArcSpec.from_chord(chord), 2, 16)
+
+
+def test_solve_above_the_precision_ceiling_is_a_precondition_not_a_shortfall():
+    # walks run 16 bits above the working precision, so above 4080 bits no
+    # walk fits under the cap; that is a bad argument, not too little
+    # precision, and the message names the most that works
+    arc = ArcSpec.from_chord(Interval.from_fraction(Fraction(1, 2), 4081))
+    with pytest.raises(PreconditionViolation, match="4080") as caught:
+        solve_regular_chord(arc, 3, 4081)
+    assert not isinstance(caught.value, SHORTFALLS)
+    assert chords.MAX_PRECISION == 4080
+
+
+def test_escalating_compare_stops_at_the_ceiling():
+    works = []
+    wide = Interval(Dyadic(0), Dyadic(1), 64)
+
+    def build(arc, m, n, work):
+        works.append(work)
+        return wide, wide
+
+    result = chords._compare_adaptive(build, quarter_arc(), 1, 2, 64)
+    assert works == [64, 128, 256, 512, 1024, 2048, 4080]
+    assert result.verdict is Verdict.OVERLAP and result.precision_used == 4080
 
 
 def test_solve_near_full_arc():

@@ -196,6 +196,39 @@ def test_digits_above_cap_exits_2(capsys):
     assert "--count" in err
 
 
+@pytest.mark.parametrize("count", [4301, 5000])
+def test_digits_beyond_the_int_str_limit(count, capsys):
+    code, out = run_cli(["digits", "--count", str(count), "--format", "text"], capsys)
+    assert code == 0
+    # the oracle converts its own big integer, so only it lifts the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = machin_pi_digits(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.strip() == expected
+
+
+def test_python_dash_m_archpi():
+    proc = subprocess.run(
+        [sys.executable, "-m", "archpi", "digits", "--count", "5", "--format", "text"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "3.1415"
+
+
+def test_verify_precision_above_the_solver_ceiling_exits_2(capsys):
+    # 4080 bits is the most the chord solver takes; above it every solve
+    # was once ambiguous and the run a false shortfall (exit 3)
+    code, err = run_cli_err(
+        ["verify", "chord-compare", "--samples", "1", "--precision", "4081"], capsys)
+    assert code == 2
+    assert "--precision" in err and "4080" in err
+
+
 def test_bounds_precision_floor_has_message(capsys):
     code, err = run_cli_err(["bounds", "--n", "6", "--m", "2", "--precision", "8"], capsys)
     assert code == 2

@@ -14,11 +14,12 @@ from archpi.polygons import (
     circumscribed_edge,
     edge_chain,
     halve_edge,
-    huygens_bounds,
     iter_scheme_measures,
     pi_bounds,
     pi_digits,
     pi_enclosure,
+    romberg_bounds,
+    romberg_error_bound,
     scheme_measures,
     seed_edge,
     two_pi_enclosure,
@@ -119,19 +120,41 @@ def test_pi_digits_against_machin():
         assert pi_digits(count) == machin_pi_digits(count)
 
 
+def test_pi_digits_every_count_against_machin():
+    # every count to 600, and each count of the Feynman point's six 9s
+    reference = machin_pi_digits(800)
+    for count in [*range(1, 601), *range(762, 768)]:
+        expected = reference[: count + 1] if count > 1 else "3"
+        assert pi_digits(count) == expected, count
+
+
 @pytest.mark.parametrize("count", [12, 44, 63, 128, 257, 391, 500, 767])
 def test_pi_digits_high_counts_against_machin(count, monkeypatch):
-    precisions = []
+    calls = []
 
-    def recording(scheme, prec):
-        precisions.append(prec)
-        return huygens_bounds(scheme, prec)
+    def recording(m0, k, prec):
+        calls.append((m0, k, prec))
+        return romberg_bounds(m0, k, prec)
 
-    monkeypatch.setattr(polygons, "huygens_bounds", recording)
+    monkeypatch.setattr(polygons, "romberg_bounds", recording)
     assert pi_digits(count) == machin_pi_digits(count)
-    # the starting depth and precision suffice, even at 767, the end of the
+    # the starting order and precision suffice, even at 767, the end of the
     # six 9s of the Feynman point
-    assert len(precisions) == 1
+    assert len(calls) == 1
+
+
+def test_romberg_weights_are_the_lagrange_weights_at_zero():
+    for k in range(8):
+        weights, denom = polygons._romberg_weights(k)
+        nodes = [Fraction(1, 4**i) for i in range(k + 1)]
+        for i, weight in enumerate(weights):
+            expected = Fraction(1)
+            for l, node in enumerate(nodes):
+                if l != i:
+                    expected *= node / (node - nodes[i])
+            assert Fraction(weight, denom) == expected
+    # k = 1 is Huygens' (4 s_2N - s_N)/3
+    assert polygons._romberg_weights(1) == ((-1, 4), 3)
 
 
 def _machin_pi_bracket(count):
@@ -139,6 +162,19 @@ def _machin_pi_bracket(count):
     text = machin_pi_digits(count).replace(".", "")
     t = Fraction(int(text), 10 ** (count - 1))
     return t, t + Fraction(1, 10 ** (count - 1))
+
+
+def _contains_pi_and_beats_archimedes(m0, k, prec):
+    bracket = romberg_bounds(m0, k, prec)
+    # 40 digits more than a prec-bit bracket can resolve
+    below, above = _machin_pi_bracket(prec * 3 // 10 + 40)
+    assert bracket.lo.as_fraction() <= below and above <= bracket.hi.as_fraction()
+    archimedes = pi_bounds(RegularScheme(3, m0 + k), prec)
+    # from k = 1 on, while Archimedes' bracket at the deepest edge is well
+    # above the rounding floor (about 2^(9 - prec) here), the extrapolated
+    # one is strictly narrower
+    if k and archimedes.width() > Dyadic(1, 16 - prec):
+        assert bracket.width() < archimedes.width()
 
 
 def _huygens_samples():
@@ -149,16 +185,33 @@ def _huygens_samples():
 
 @pytest.mark.parametrize("m,prec", _huygens_samples())
 def test_huygens_bounds_contain_pi_and_beat_archimedes(m, prec):
-    scheme = RegularScheme(3, m)
-    bracket = huygens_bounds(scheme, prec)
-    # 40 digits more than a prec-bit bracket can resolve
-    below, above = _machin_pi_bracket(prec * 3 // 10 + 40)
-    assert bracket.lo.as_fraction() <= below and above <= bracket.hi.as_fraction()
-    archimedes = pi_bounds(scheme, prec)
-    # while Archimedes' bracket is well above the rounding floor (about
-    # 2^(9 - prec) here), Huygens' is strictly narrower
-    if archimedes.width() > Dyadic(1, 16 - prec):
-        assert bracket.width() < archimedes.width()
+    # k = 1 is Huygens' extrapolation (4 s_2N - s_N)/3 with its bound
+    _contains_pi_and_beats_archimedes(m, 1, prec)
+
+
+def _romberg_samples():
+    rng = random.Random(1655)
+    corners = [(0, 0, 64), (0, 12, 1024), (8, 0, 64), (8, 12, 1024)]
+    return corners + [
+        (rng.randint(0, 8), rng.randint(0, 12), rng.randint(64, 1024))
+        for _ in range(24)
+    ]
+
+
+@pytest.mark.parametrize("m0,k,prec", _romberg_samples())
+def test_romberg_bounds_contain_pi_and_beat_archimedes(m0, k, prec):
+    _contains_pi_and_beats_archimedes(m0, k, prec)
+
+
+@pytest.mark.parametrize("m0", [0, 1, 3, 5, 8])
+def test_romberg_error_is_within_its_bound(m0):
+    # at 2048 bits rounding is far below the bound for k <= 6, so the
+    # midpoint's distance from pi is the extrapolation's own error
+    below, _ = _machin_pi_bracket(700)
+    for k in range(7):
+        bracket = romberg_bounds(m0, k, 2048)
+        mid = (bracket.lo.as_fraction() + bracket.hi.as_fraction()) / 2
+        assert abs(mid - below) <= romberg_error_bound(m0, k)
 
 
 def test_pi_digits_validation():
