@@ -4,9 +4,18 @@ certified edge-length comparison checks.
 The per-step chord for an n-fold regular subdivision is found by certified
 bisection in chord space.  A candidate step s is classified by walking the
 half-angle rotation (sin = s/2) from (1, 0): after k steps the point is
-(cos(t/2), sin(t/2)) of the cumulative arc t, built by pure field/sqrt
-expressions.  cos(t/2) is strictly decreasing for t in [0, 2*pi), so an
-early-exit comparison against the target stays sound before any wrap.
+(cos(t/2), sin(t/2)) of the cumulative arc t.  cos(t/2) is strictly
+decreasing for t in [0, 2*pi), so an early-exit comparison against the
+target stays sound before any wrap.
+
+The walk is a fixed-point ball walk: integer centers (X, Y) at scale 2^-w,
+w the walk's working bits, and one Euclidean radius R for the whole walk.
+The rotation's cos and sin enclosures give integer centers c, s and radii
+r_c, r_s; each step sets X, Y = (X*c - Y*s) >> w, (X*s + Y*c) >> w and
+R += ceil(rho*(2^w + R)/2^w) + 2 with rho = r_c + r_s.  The true rotation
+is an isometry, the center rotation is within rho*2^-w of it in norm, the
+point has norm at most 1 + R*2^-w, and the floors lose under sqrt(2) ulp,
+so the true point stays within R*2^-w of the center.
 
 Walking every bisection mid would cost about prec - 8 walks, so the solver
 first places a certified root bracket a < b: a float seed
@@ -17,15 +26,25 @@ below a is under and every mid at or above b is over without a walk; only
 the few mids inside (a, b) are walked.  The bisection itself is unchanged,
 and the outcomes the bracket implies are the ones a walk certifies, so its
 result is bit-identical to walking every mid.  A bracket that fails to
-certify is dropped, and then every mid walks.
+certify, or a Newton walk whose end cannot tell the sign of y, is dropped,
+and then every mid walks.
+
+The comparisons build only the sides they read: ``_chord_sides`` walks the
+partition and takes two distances from P_1, and ``_tangent_sides`` builds
+the tangent segments alone, with the same operations in the same order as
+``partition_profile``, so their values are bit-identical to the profile's.
+When a comparison overlaps, it escalates: it lifts the arc's start point
+and chord to the doubled precision, so the geometry, not just the
+bisection, runs at the precision it reports.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .circuits import (CirclePoint, Rotation, distance, tangent_intersection,
                        unit_start, walk)
@@ -67,6 +86,10 @@ class ArcSpec:
     def from_chord(chord: Interval) -> "ArcSpec":
         return ArcSpec(unit_start(chord.prec), chord)
 
+    def with_prec(self, prec: int) -> "ArcSpec":
+        start = CirclePoint(self.start.x.with_prec(prec), self.start.y.with_prec(prec))
+        return ArcSpec(start, self.chord_total.with_prec(prec))
+
 
 @dataclass(frozen=True)
 class PartitionProfile:
@@ -98,17 +121,51 @@ def _target(chord_total: Interval) -> Interval:
     return (4 - chord_total * chord_total).sqrt() / 2
 
 
+def _scaled(d: Dyadic, w: int, up: bool) -> int:
+    """d * 2^w rounded to an integer toward +inf (up) or -inf."""
+    k = d.exp + w
+    if k >= 0:
+        return d.man << k
+    return -(-d.man >> -k) if up else d.man >> -k
+
+
+def _ball(x: Interval, w: int) -> Tuple[int, int]:
+    """Integer center and radius of an enclosure of x at scale 2^-w."""
+    lo = _scaled(x.lo, w, up=False)
+    hi = _scaled(x.hi, w, up=True)
+    center = (lo + hi) >> 1
+    return center, hi - center
+
+
+def _ball_walk(rotation: Rotation, n: int, w: int) -> Iterator[Tuple[int, int, int]]:
+    """(X, Y, R) after each of n rotations of (1, 0), at scale 2^-w.
+
+    The true point lies within Euclidean distance R * 2^-w of (X, Y) * 2^-w.
+    """
+    c, r_c = _ball(rotation.cos, w)
+    s, r_s = _ball(rotation.sin, w)
+    rho = r_c + r_s
+    one = 1 << w
+    x, y, r = one, 0, 0
+    for _ in range(n):
+        x, y = (x * c - y * s) >> w, (x * s + y * c) >> w
+        r += -(-rho * (one + r) >> w) + 2
+        yield x, y, r
+
+
 def _classify(step: Dyadic, n: int, chord_total: Interval, prec: int) -> str:
     """Do n steps of chord ``step`` fall short of or pass the arc endpoint?
 
     Compares cos(cumulative/2) with cos(arc/2) = sqrt(4 - c^2)/2.  Exits at
     the first certain pass, which keeps the cumulative arc below 2*pi.
     """
-    v_target = _target(chord_total)
-    for point in walk(unit_start(prec), _half_step(step, prec), n):
-        if compare_certain(point.x, v_target) is Verdict.CERTAINLY_LESS:
+    target = _target(chord_total)
+    over = _scaled(target.lo, prec, up=False)
+    under = _scaled(target.hi, prec, up=True)
+    for x, _, r in _ball_walk(_half_step(step, prec), n, prec):
+        if x + r < over:
             return _OVER
-    if compare_certain(point.x, v_target) is Verdict.CERTAINLY_GREATER:
+    if x - r > under:
         return _UNDER
     return _AMBIG
 
@@ -134,16 +191,24 @@ def _seed(chord_total: Interval, n: int) -> float:
     return 2 * math.sin(math.asin(float(chord_total.mid()) / 2) / n)
 
 
-def _newton_step(step: Dyadic, n: int, chord_total: Interval, prec: int) -> Dyadic:
+def _newton_step(
+    step: Dyadic, n: int, chord_total: Interval, prec: int
+) -> Optional[Dyadic]:
     """One Newton step on f(s) = x_n(s) - cos(arc/2), from one walk.
 
     With sin(alpha) = s/2 the walk ends at (cos n*alpha, sin n*alpha), so
-    f'(s) = -n*y_n / (2 cos alpha).
+    f'(s) = -n*y_n / (2 cos alpha).  None when the ball at the walk's end
+    does not tell the sign of y_n.
     """
     half_step = _half_step(step, prec)
-    *_, end = walk(unit_start(prec), half_step, n)
-    delta = (end.x - _target(chord_total)) * half_step.cos * 2 / (end.y * n)
-    return (step + delta.mid()).round(prec, up=False)
+    *_, (x, y, r) = _ball_walk(half_step, n, prec)
+    if abs(y) <= r:
+        return None
+    c, _ = _ball(half_step.cos, prec)
+    t, _ = _ball(_target(chord_total), prec)
+    # (x - t) * 2c / (n y) at scale 2^-prec
+    delta = Dyadic((x - t) * c * 2).div(Dyadic(y * n), prec, up=False)
+    return (step + delta.scale2(-prec)).round(prec, up=False)
 
 
 def _bracket(
@@ -162,6 +227,8 @@ def _bracket(
             bits *= 2
             work = bits + n.bit_length() + 16
             step = _newton_step(step, n, chord_total.with_prec(work), work)
+            if step is None:
+                return None
     except (ArchpiError, ValueError):
         return None
     slack = Dyadic(1, 5 - prec)  # tol/8
@@ -255,59 +322,62 @@ def partition_points(arc: ArcSpec, n: int, step_chord: Interval) -> List[CircleP
     return list(walk(arc.start, Rotation.of_chord(step_chord), n))
 
 
-def partition_profile(arc: ArcSpec, n: int, prec: int) -> PartitionProfile:
+def _partition(arc: ArcSpec, n: int, prec: int) -> Tuple[Interval, List[CirclePoint]]:
+    """The solved step chord and the points P_1 .. P_{n+1} it walks."""
     if n < 2:
         raise PreconditionViolation("profiles need at least 2 subdivisions")
     step = solve_regular_chord(arc, n, prec)
-    points = partition_points(arc, n, step)
+    return step, partition_points(arc, n, step)
+
+
+def tangent_segments(points: List[CirclePoint]) -> List[Interval]:
+    """Tangent path increments along the tangent line at P_1.
+
+    The k-th increment is the growth of the two-leg tangent path P_1 ->
+    meet -> P_{k+1}; on the tangent line the meets are collinear with P_1,
+    so the increment is twice the distance between consecutive meets.
+    """
     first = points[0]
-    last = points[n]
+    meets = [CirclePoint(*tangent_intersection(first, p)) for p in points[1:]]
+    return [distance(first, meets[0]) * 2] + [
+        distance(a, b) * 2 for a, b in zip(meets, meets[1:])
+    ]
 
-    cumulative = [distance(first, points[k]) for k in range(1, n + 1)]
 
-    # Projection gaps onto the full-chord direction.  The exact gaps are
-    # mirror symmetric, so compute the first half and reflect it; this keeps
-    # gap_i and gap_{n+1-i} bitwise equal by construction.
-    full = cumulative[-1]
+def _projections(points: List[CirclePoint], full: Interval) -> List[Interval]:
+    """Projection gaps onto the full-chord direction, of length ``full``.
+
+    The exact gaps are mirror symmetric, so compute the first half and
+    reflect it; this keeps gap_i and gap_{n+1-i} bitwise equal by
+    construction.
+    """
+    first, last = points[0], points[-1]
+    n = len(points) - 1
     dx = (last.x - first.x) / full
     dy = (last.y - first.y) / full
-    projection_of = [
-        (points[k].x - first.x) * dx + (points[k].y - first.y) * dy
-        for k in range(n + 1)
-    ]
+    projection_of = [(p.x - first.x) * dx + (p.y - first.y) * dy for p in points]
     half_gaps = [
         projection_of[k + 1] - projection_of[k] for k in range((n + 1) // 2)
     ]
-    projections = list(half_gaps)
-    if n % 2 == 1:
-        mid_gap = projection_of[(n + 1) // 2 + 0] - projection_of[n // 2]
-        # odd n: lone middle gap, then the mirror of the first half
-        projections = half_gaps[: n // 2] + [mid_gap] + half_gaps[: n // 2][::-1]
-    else:
-        projections = half_gaps + half_gaps[::-1]
+    if n % 2 == 0:
+        return half_gaps + half_gaps[::-1]
+    # odd n: lone middle gap, then the mirror of the first half
+    mid_gap = projection_of[(n + 1) // 2] - projection_of[n // 2]
+    return half_gaps[: n // 2] + [mid_gap] + half_gaps[: n // 2][::-1]
 
-    # Tangent path increments along the tangent line at P_1.  The k-th
-    # increment is the growth of the two-leg tangent path P_1 -> meet ->
-    # P_{k+1}; on the tangent line the meets are collinear with P_1, so the
-    # increment is twice the distance between consecutive meets.
-    meets = []
-    for k in range(1, n + 1):
-        tx, ty = tangent_intersection(first, points[k])
-        meets.append(CirclePoint(tx, ty))
-    segments = [distance(first, meets[0]) * 2]
-    for k in range(1, n):
-        segments.append(distance(meets[k - 1], meets[k]) * 2)
-    total = segments[0]
-    for seg in segments[1:]:
-        total = total + seg
 
+def partition_profile(arc: ArcSpec, n: int, prec: int) -> PartitionProfile:
+    step, points = _partition(arc, n, prec)
+    cumulative = [distance(points[0], p) for p in points[1:]]
+    projections = _projections(points, cumulative[-1])
+    segments = tangent_segments(points)
     return PartitionProfile(
         n=n,
         step_chord=step,
         cumulative_chords=cumulative,
         tangent_segments=segments,
         projections=projections,
-        tangent_total=total,
+        tangent_total=sum(segments[1:], segments[0]),
         points=points,
     )
 
@@ -315,30 +385,34 @@ def partition_profile(arc: ArcSpec, n: int, prec: int) -> PartitionProfile:
 def _compare_adaptive(
     build, arc: ArcSpec, m: int, n: int, prec: int
 ) -> CompareResult:
+    """Build and compare the two sides, doubling the precision on overlap.
+
+    Each escalation lifts the arc to the new precision: interval operations
+    run at the smaller operand precision, so the caller's arc would hold
+    the geometry at its own bits.
+    """
     work = prec
+    lifted = arc
     while True:
-        lhs, rhs = build(arc, m, n, work)
+        lhs, rhs = build(lifted, m, n, work)
         verdict = compare_certain(lhs, rhs)
         if verdict is not Verdict.OVERLAP or work >= MAX_PRECISION:
             return CompareResult(verdict, lhs, rhs, work)
         work = min(2 * work, MAX_PRECISION)
+        lifted = arc.with_prec(work)
 
 
 def _chord_sides(arc: ArcSpec, m: int, n: int, prec: int):
-    profile = partition_profile(arc, n, prec)
-    lhs = profile.cumulative_chords[m - 1] * n
-    rhs = profile.cumulative_chords[n - 1] * m
-    return lhs, rhs
+    """n*|P_1 P_{m+1}| and m*|P_1 P_{n+1}|, as in ``partition_profile``."""
+    _, points = _partition(arc, n, prec)
+    return distance(points[0], points[m]) * n, distance(points[0], points[n]) * m
 
 
 def _tangent_sides(arc: ArcSpec, m: int, n: int, prec: int):
-    profile = partition_profile(arc, n, prec)
-    partial = profile.tangent_segments[0]
-    for seg in profile.tangent_segments[1:m]:
-        partial = partial + seg
-    lhs = partial * n
-    rhs = profile.tangent_total * m
-    return lhs, rhs
+    """n*L_m and m*L_n, summed in the order of ``partition_profile``."""
+    _, points = _partition(arc, n, prec)
+    lengths = list(accumulate(tangent_segments(points)))
+    return lengths[m - 1] * n, lengths[-1] * m
 
 
 def chord_compare(arc: ArcSpec, m: int, n: int, prec: int) -> CompareResult:

@@ -36,7 +36,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple, Union
 
-from .chords import ArcSpec, chord_compare, partition_profile, tangent_compare
+from .chords import (ArcSpec, chord_compare, partition_points, partition_profile,
+                     solve_regular_chord, tangent_compare, tangent_segments)
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
 from .errors import SHORTFALLS
@@ -266,17 +267,16 @@ def _compare_sample(seed: int, precision: int, suite: str) -> List[dict]:
     return [checked(row, (LESS, res.verdict))]
 
 
-def _random_profile(seed: int, precision: int):
+def _random_split(seed: int, precision: int) -> Tuple[ArcSpec, int]:
     rng = random.Random(seed)
-    arc = _random_arc(rng, precision)
-    n = rng.randint(2, 16)
-    return arc, n, partition_profile(arc, n, precision)
+    return _random_arc(rng, precision), rng.randint(2, 16)
 
 
 def _tangent_profile_sample(seed: int, precision: int, suite: str) -> List[dict]:
     """One random arc split n ways: its tangent segments increase."""
-    _, n, profile = _random_profile(seed, precision)
-    segs = profile.tangent_segments
+    arc, n = _random_split(seed, precision)
+    step = solve_regular_chord(arc, n, precision)
+    segs = tangent_segments(partition_points(arc, n, step))
     return [
         checked({"suite": suite, "sample_seed": seed, "n": n, "index": i + 1,
                  "check": "increasing"},
@@ -287,7 +287,8 @@ def _tangent_profile_sample(seed: int, precision: int, suite: str) -> List[dict]
 
 def _projections_sample(seed: int, precision: int, suite: str) -> List[dict]:
     """One random arc split n ways: its projection gaps onto the chord."""
-    arc, n, profile = _random_profile(seed, precision)
+    arc, n = _random_split(seed, precision)
+    profile = partition_profile(arc, n, precision)
     base = {"suite": suite, "sample_seed": seed, "n": n}
     gaps = profile.projections
     rows = [

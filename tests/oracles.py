@@ -4,13 +4,18 @@ The Machin arctangent formula gives pi digits through pure integer
 arithmetic, sharing no code or method with the polygon pipeline under test.
 mpmath supplies high-precision trig reference values.  ``directed`` rounds
 an exact rational with ``Fraction`` and ``int`` alone, as the reference for
-the dyadic kernel.  Nothing here is imported by the library, and nothing
-here imports archpi.
+the dyadic kernel.  ``interval_walk`` and ``interval_classify`` are the
+chord solver's former walk in ``Interval`` steps, the reference for its
+fixed-point ball walk; they are the only oracles built on archpi.  Nothing
+here is imported by the library.
 """
 
 from fractions import Fraction
 
 import mpmath
+
+from archpi.circuits import Rotation, unit_start, walk
+from archpi.interval import Interval, Verdict, compare_certain
 
 
 def machin_pi_digits(count: int) -> str:
@@ -84,3 +89,24 @@ def contains(interval, reference, dps: int = 50) -> bool:
         lo = mpmath.mpf(interval.lo.man) * mpmath.power(2, interval.lo.exp)
         hi = mpmath.mpf(interval.hi.man) * mpmath.power(2, interval.hi.exp)
         return lo <= ref <= hi
+
+
+def interval_walk(step, n: int, prec: int) -> list:
+    """The n points after (1, 0) of the half-angle rotation (sin = step/2),
+    stepped as ``Interval`` coordinates at ``prec`` bits."""
+    sb = Interval.exact(step, prec) / 2
+    rotation = Rotation((1 - sb * sb).sqrt(), sb)
+    return list(walk(unit_start(prec), rotation, n))[1:]
+
+
+def interval_classify(step, n: int, chord_total, prec: int) -> str:
+    """Whether n steps of chord ``step`` fall "under" or pass ("over") the end
+    of the arc of chord ``chord_total``, or "ambig": the ``Interval`` walk,
+    with its exit at the first certain pass."""
+    target = (4 - chord_total * chord_total).sqrt() / 2
+    for point in interval_walk(step, n, prec):
+        if compare_certain(point.x, target) is Verdict.CERTAINLY_LESS:
+            return "over"
+    if compare_certain(point.x, target) is Verdict.CERTAINLY_GREATER:
+        return "under"
+    return "ambig"

@@ -20,7 +20,7 @@ from archpi.errors import (SHORTFALLS, BisectionStall, DomainViolation,
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import seed_edge
 
-from oracles import contains, trig_chord, trig_value
+from oracles import contains, interval_classify, interval_walk, trig_chord
 
 PREC = 64
 
@@ -196,6 +196,82 @@ def test_escalating_compare_stops_at_the_ceiling():
     result = chords._compare_adaptive(build, quarter_arc(), 1, 2, 64)
     assert works == [64, 128, 256, 512, 1024, 2048, 4080]
     assert result.verdict is Verdict.OVERLAP and result.precision_used == 4080
+
+
+@pytest.mark.parametrize(
+    "compare, chord, m, n",
+    [(chord_compare, Dyadic(515, -12), 25, 31),
+     (tangent_compare, Dyadic(18601, -14), 5, 8)],
+    ids=["chord", "tangent"],
+)
+def test_escalation_lifts_the_arc(compare, chord, m, n):
+    # both overlap at 16 bits; the escalated sides must be built from an arc
+    # at the precision the result reports, not from the caller's 16 bits
+    res = compare(ArcSpec.from_chord(Interval.exact(chord, 16)), m, n, 16)
+    assert res.verdict is Verdict.CERTAINLY_LESS
+    assert res.precision_used > 16
+    assert res.lhs.prec == res.rhs.prec == res.precision_used
+
+
+@given(
+    st.integers(min_value=1, max_value=2**17 - 1),
+    st.integers(min_value=1, max_value=32),
+    st.sampled_from([16, 24, 64, 128]),
+)
+@example(2**17 - 1, 32, 16)  # past half a turn: the walk wraps
+@settings(max_examples=60, deadline=None)
+def test_ball_walk_encloses_the_interval_walk(k, n, w):
+    # every ball [X +- R] * 2^-w holds the Interval walk's point at 4x the bits
+    step = Dyadic(k, -16)
+    balls = chords._ball_walk(chords._half_step(step, w), n, w)
+    for (x, y, r), point in zip(balls, interval_walk(step, n, 4 * w), strict=True):
+        for center, coord in ((x, point.x), (y, point.y)):
+            assert Dyadic(center - r, -w) <= coord.lo
+            assert coord.hi <= Dyadic(center + r, -w)
+
+
+@given(
+    st.integers(min_value=6554, max_value=130416),
+    st.integers(min_value=2, max_value=32),
+    st.integers(min_value=-256, max_value=256),
+    st.sampled_from([16, 24, 64]),
+)
+@settings(max_examples=100, deadline=None)
+def test_ball_and_interval_walks_agree_when_both_certify(k, n, offset, prec):
+    # steps within 256 ulps of the walk's scale around the root, where the
+    # radius decides whether a verdict certifies
+    chord = Dyadic(k, -16)
+    work = prec + 16
+    with mpmath.workdps(60):
+        root = int(mpmath.floor(mpmath.ldexp(_true_step(chord, n), work)))
+    step = Dyadic(root + offset, -work)
+    chord_total = Interval.exact(chord, work)
+    ball = chords._classify(step, n, chord_total, work)
+    oracle = interval_classify(step, n, chord_total, work)
+    if chords._AMBIG not in (ball, oracle):
+        assert ball == oracle
+
+
+@given(
+    st.integers(min_value=6554, max_value=130416),
+    st.integers(min_value=2, max_value=32),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_lean_sides_match_the_profile(k, n, data):
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    arc = ArcSpec.from_chord(Interval.exact(Dyadic(k, -16), PREC))
+    profile = partition_profile(arc, n, PREC)
+    chord_sides = (profile.cumulative_chords[m - 1] * n,
+                   profile.cumulative_chords[n - 1] * m)
+    partial = profile.tangent_segments[0]
+    for seg in profile.tangent_segments[1:m]:
+        partial = partial + seg
+    tangent_sides = (partial * n, profile.tangent_total * m)
+    assert [_bits(v) for v in chords._chord_sides(arc, m, n, PREC)] == [
+        _bits(v) for v in chord_sides]
+    assert [_bits(v) for v in chords._tangent_sides(arc, m, n, PREC)] == [
+        _bits(v) for v in tangent_sides]
 
 
 def test_solve_near_full_arc():

@@ -290,8 +290,12 @@ def test_unordered_chords_exit_3(monkeypatch, capsys):
 @pytest.mark.parametrize("suite", ["chord-compare", "tangent-profile", "projections"])
 def test_operands_too_wide_exit_3(suite, capsys):
     # at 16 bits a coordinate difference straddles zero, so the square root
-    # of a squared distance fails: a precision shortfall, not a usage error
+    # of a squared distance fails: a precision shortfall, not a usage error.
+    # chord-compare takes only the two distances it compares, and they hold
     code, err = run_cli_err(["verify", suite, "--samples", "3", "--precision", "16"], capsys)
+    if suite == "chord-compare":
+        assert (code, err) == (0, "")
+        return
     assert code == 3
     assert err.startswith("inconclusive:") and "sqrt" in err
 

@@ -125,12 +125,12 @@ def test_check_single_comparison_reports_its_verdict():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_shortfall_is_one_inconclusive_row(jobs):
-    # at 16 bits the first sample's squared distance straddles zero; the
-    # other two samples still run and pass
-    res = run_suite("chord-compare", samples=3, precision=16, jobs=jobs)
+    # at 16 bits a squared distance between the first sample's tangent
+    # meets straddles zero; the other two samples still run and pass
+    res = run_suite("tangent-compare", samples=3, precision=16, jobs=jobs)
     first, *rest = res.rows
     assert first == {
-        "suite": "chord-compare",
+        "suite": "tangent-compare",
         "sample_seed": suites._sample_seed(suites.DEFAULT_SEED, 0),
         "precision": 16,
         "error": "NegativeSqrt",
@@ -141,6 +141,14 @@ def test_shortfall_is_one_inconclusive_row(jobs):
     assert first["message"].startswith("sqrt of Interval(")
     assert [row["status"] for row in rest] == ["ok", "ok"]
     assert (res.samples, res.violations, res.inconclusive) == (3, 0, 1)
+
+
+def test_chord_compare_at_16_bits_does_not_fall_short():
+    # chord-compare reads two chords of the partition and no tangent
+    # segment, and an escalation lifts the arc with the precision, so no
+    # sample falls short on geometry the comparison never uses
+    res = run_suite("chord-compare", samples=200, seed=1, precision=16)
+    assert (res.samples, res.violations, res.inconclusive) == (200, 0, 0)
 
 
 def test_trig_sandwich_skips_the_decrease_after_a_shortfall(monkeypatch):
@@ -298,6 +306,10 @@ PINNED_REPORTS = [
      "b60502b3a20a4677d2233b41d8de9ff422698f939f24445ffbdf1aabdca5ed81"),
     (["verify", "area-sandwich", "--circuits-per-cap", "1"],
      "10b85de4e3e3dab43cae515d1dd6e606ec240580136ec1437c1d9dbd9990569c"),
+    # chord-compare reads no tangent segment, so at 16 bits it no longer
+    # falls short on one; pinned once its sides were built alone
+    (["verify", "chord-compare", "--samples", "3", "--precision", "16"],
+     "ea3d3a5bd5f0e610a4b34027c09c0a1fba76ed892986b06e9dc993a8de350bb6"),
 ]
 
 #: sha256 of reports whose shortfall rows make ``verify`` exit 3, pinned
@@ -309,8 +321,8 @@ PINNED_SHORTFALL_REPORTS = [
      "de5ff2b596eb523b3c7cc2b4ab0fb00990a04574ac3894aaba9b67319a272371"),
     (["verify", "trig-sandwich", "--k-max", "20", "--precision", "16"],
      "ebfa8dc0cbaa3edbb94b18fef651eedb975cc211210d650e57d22b6174899eb7"),
-    (["verify", "chord-compare", "--samples", "3", "--precision", "16"],
-     "277deaec8d5e5e73e4031ad10d42654b54d2fb4ea208418ad60ad8cd6210c96c"),
+    (["verify", "tangent-compare", "--samples", "3", "--precision", "16"],
+     "acafed184b391a4e226e940422d88a0b620294eea8e79633c7bb9d9f1339ca10"),
 ]
 
 
