@@ -323,6 +323,8 @@ PINNED_SHORTFALL_REPORTS = [
      "ebfa8dc0cbaa3edbb94b18fef651eedb975cc211210d650e57d22b6174899eb7"),
     (["verify", "tangent-compare", "--samples", "3", "--precision", "16"],
      "acafed184b391a4e226e940422d88a0b620294eea8e79633c7bb9d9f1339ca10"),
+    (["verify", "tangent-profile", "--samples", "3", "--precision", "16"],
+     "321fd7dbe14408c42b82cb82ce86bfbd7f665241607c5ffa4adbe5ba7d3a1412"),
 ]
 
 
