@@ -23,18 +23,21 @@ first places a certified root bracket a < b: a float seed
 tol/8 on each side, and accepted only when a classifies under and b over.
 "n steps of chord s pass the arc end" is monotone in s, so every mid at or
 below a is under and every mid at or above b is over without a walk; only
-the few mids inside (a, b) are walked.  The bisection itself is unchanged,
-and the outcomes the bracket implies are the ones a walk certifies, so its
-result is bit-identical to walking every mid.  A bracket that fails to
-certify, or a Newton walk whose end cannot tell the sign of y, is dropped,
-and then every mid walks.
+the few mids inside (a, b) are walked.  The outcomes the bracket implies
+are the ones a walk certifies, so the result is bit-identical to walking
+every mid.  A bracket that fails to certify, or a Newton walk whose end
+cannot tell the sign of y, is dropped, and then every mid walks.
+
+A wide arc chord leaves a zone of steps that no precision classifies; the
+one bisection loop closes on it from both sides (``solve_regular_chord``).
 
 The comparisons build only the sides they read: ``_chord_sides`` walks the
 partition and takes two distances from P_1, and ``_tangent_sides`` builds
 the tangent segments alone, with the same operations in the same order as
 ``partition_profile``, so their values are bit-identical to the profile's.
-When a comparison overlaps, it escalates: it lifts the arc's start point
-and chord to the doubled precision, so the geometry, not just the
+An arc starts at (1, 0) and is given by its chord alone.  When a
+comparison overlaps or falls short of precision, it escalates: it lifts the
+arc's chord to the doubled precision, so the geometry, not just the
 bisection, runs at the precision it reports.
 """
 
@@ -44,7 +47,7 @@ import math
 from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .circuits import (CirclePoint, Rotation, distance, tangent_intersection,
                        unit_start, walk)
@@ -53,11 +56,12 @@ from .errors import (
     ArchpiError,
     BisectionStall,
     DomainViolation,
-    InvalidChord,
     PreconditionViolation,
     PrecisionCeiling,
+    SHORTFALLS,
 )
 from .interval import Interval, Verdict, compare_certain
+from .polygons import require_chord
 
 PRECISION_CAP = 4096
 #: the most bits a solve can take: its walks start 16 bits above it
@@ -70,25 +74,20 @@ _AMBIG = "ambig"
 
 @dataclass(frozen=True)
 class ArcSpec:
-    """An arc strictly shorter than half the circle, given by its chord."""
+    """An arc from (1, 0), strictly shorter than half the circle, given by
+    its chord."""
 
-    start: CirclePoint
     chord_total: Interval
 
     def __post_init__(self):
-        c = self.chord_total
-        if c.lo.sign <= 0 or c.hi >= Dyadic(2):
-            raise InvalidChord(
-                f"arc chord must lie certifiably in (0, 2): {c}"
-            )
+        require_chord(self.chord_total, "arc chord")
 
     @staticmethod
     def from_chord(chord: Interval) -> "ArcSpec":
-        return ArcSpec(unit_start(chord.prec), chord)
+        return ArcSpec(chord)
 
     def with_prec(self, prec: int) -> "ArcSpec":
-        start = CirclePoint(self.start.x.with_prec(prec), self.start.y.with_prec(prec))
-        return ArcSpec(start, self.chord_total.with_prec(prec))
+        return ArcSpec(self.chord_total.with_prec(prec))
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,14 @@ def _bracket(
 
 
 def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
-    """Certified per-step chord of the n-fold regular subdivision of the arc."""
+    """Certified per-step chord of the n-fold regular subdivision of the arc.
+
+    Bisects lo (under) < hi (over).  The arc chord is an interval, so the
+    steps whose walks end inside cos(arc/2) are ambiguous at any precision;
+    once a mid lands there, the loop keeps the hull za..zb of the ambiguous
+    mids and bisects the wider of the gaps beside it.  A zone as wide as
+    the tolerance stalls.
+    """
     if n < 1:
         raise PreconditionViolation("subdivision count must be at least 1")
     if n == 1:
@@ -254,72 +260,41 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
     tol = Dyadic(1, 8 - prec)
     # without a bracket, (lo, hi) implies nothing: every mid lies strictly inside
     under, over = _bracket(chord_total, n, prec) or (lo, hi)
-
-    def classify(step: Dyadic) -> str:
-        if step <= under:
-            return _UNDER
-        if step >= over:
-            return _OVER
-        return _classify_adaptive(step, n, chord_total, prec)
-
+    za = zb = None
     guard = 0
     while (hi - lo) > tol:
         guard += 1
         if guard > 4 * prec + 64:
             raise BisectionStall("chord bisection exceeded its iteration budget")
-        mid = (lo + hi).half().round(prec + 16, up=False)
-        if not (lo < mid < hi):
-            break
-        result = classify(mid)
-        if result is _AMBIG:
-            # the step landed essentially on the root; probe off-center
-            probe = (lo + mid).half().round(prec + 16, up=False)
-            if not (lo < probe < hi):
-                break
-            result = classify(probe)
-            if result is _AMBIG:
-                lo, hi = _close_on_zone(lo, probe, mid, hi, classify, tol, prec)
-                break
-            mid = probe
-        if result is _OVER:
-            hi = mid
-        else:
-            lo = mid
-    return Interval(lo, hi, prec).with_prec(prec + 16)
-
-
-def _close_on_zone(
-    lo: Dyadic, za: Dyadic, zb: Dyadic, hi: Dyadic,
-    classify: Callable[[Dyadic], str], tol: Dyadic, prec: int,
-) -> Tuple[Dyadic, Dyadic]:
-    """Shrink lo < za <= zb < hi onto the steps that stay ambiguous.
-
-    lo classifies under, hi over, za and zb ambiguous.  The arc chord is an
-    interval, so every step whose walk ends inside cos(arc/2) is ambiguous
-    at any precision.  Bisect the wider of the gaps beside that zone until
-    hi - lo meets the tolerance; a zone that is itself that wide stalls.
-    """
-    while (hi - lo) > tol:
-        if zb - za >= tol:
+        if za is None:
+            a, b = lo, hi
+        elif zb - za >= tol:
             raise BisectionStall("ambiguous steps span the whole tolerance")
-        a, b = (lo, za) if za - lo >= hi - zb else (zb, hi)
+        else:
+            a, b = (lo, za) if za - lo >= hi - zb else (zb, hi)
         mid = (a + b).half().round(prec + 16, up=False)
         if not (a < mid < b):
             break
-        result = classify(mid)
+        if mid <= under:
+            result = _UNDER
+        elif mid >= over:
+            result = _OVER
+        else:
+            result = _classify_adaptive(mid, n, chord_total, prec)
         if result is _AMBIG:
-            za, zb = min(za, mid), max(zb, mid)
-        elif result is _UNDER and mid < za:
+            za, zb = (mid, mid) if za is None else (min(za, mid), max(zb, mid))
+        elif result is _UNDER and (za is None or mid < za):
             lo = mid
-        elif result is _OVER and mid > zb:
+        elif result is _OVER and (za is None or mid > zb):
             hi = mid
         else:
             raise BisectionStall("verdicts out of order around the ambiguous steps")
-    return lo, hi
+    return Interval(lo, hi, prec).with_prec(prec + 16)
 
 
 def partition_points(arc: ArcSpec, n: int, step_chord: Interval) -> List[CirclePoint]:
-    return list(walk(arc.start, Rotation.of_chord(step_chord), n))
+    start = unit_start(arc.chord_total.prec)
+    return list(walk(start, Rotation.of_chord(step_chord), n))
 
 
 def _partition(arc: ArcSpec, n: int, prec: int) -> Tuple[Interval, List[CirclePoint]]:
@@ -385,19 +360,26 @@ def partition_profile(arc: ArcSpec, n: int, prec: int) -> PartitionProfile:
 def _compare_adaptive(
     build, arc: ArcSpec, m: int, n: int, prec: int
 ) -> CompareResult:
-    """Build and compare the two sides, doubling the precision on overlap.
+    """Build and compare the two sides, doubling the precision when they
+    overlap or their construction falls short of precision.
 
     Each escalation lifts the arc to the new precision: interval operations
     run at the smaller operand precision, so the caller's arc would hold
-    the geometry at its own bits.
+    the geometry at its own bits.  A shortfall at ``MAX_PRECISION`` is
+    raised.
     """
     work = prec
     lifted = arc
     while True:
-        lhs, rhs = build(lifted, m, n, work)
-        verdict = compare_certain(lhs, rhs)
-        if verdict is not Verdict.OVERLAP or work >= MAX_PRECISION:
-            return CompareResult(verdict, lhs, rhs, work)
+        try:
+            lhs, rhs = build(lifted, m, n, work)
+        except SHORTFALLS:
+            if work >= MAX_PRECISION:
+                raise
+        else:
+            verdict = compare_certain(lhs, rhs)
+            if verdict is not Verdict.OVERLAP or work >= MAX_PRECISION:
+                return CompareResult(verdict, lhs, rhs, work)
         work = min(2 * work, MAX_PRECISION)
         lifted = arc.with_prec(work)
 

@@ -16,9 +16,9 @@ from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
 from .dyadic import Dyadic
-from .errors import AntipodalTangents, InvalidChord, PreconditionViolation
+from .errors import AntipodalTangents, PreconditionViolation
 from .interval import Interval
-from .polygons import edge_chain
+from .polygons import edge_chain, require_chord
 
 #: deepest ring a circuit may sit on: 3*2^18 = 786,432 vertices
 MAX_RING_DEPTH = 18
@@ -70,8 +70,7 @@ class Rotation:
         renormalization, which would decorrelate the coordinates and inflate
         the enclosure instead of shrinking it.
         """
-        if c.lo.sign <= 0 or c.hi >= Dyadic(2):
-            raise InvalidChord(f"step chord must lie certifiably in (0, 2): {c}")
+        require_chord(c, "step chord")
         c_sq = c * c
         return Rotation(1 - c_sq / 2, (c * (4 - c_sq).sqrt()) / 2)
 

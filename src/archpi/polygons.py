@@ -85,9 +85,10 @@ def seed_edge(n: int, prec: int) -> Interval:
     return Interval.exact(_SEED_SQUARED[n], prec).sqrt()
 
 
-def _require_chord(ell: Interval) -> None:
-    if ell.lo.sign <= 0 or ell.hi >= Dyadic(2):
-        raise InvalidChord(f"chord must lie certifiably in (0, 2): {ell}")
+def require_chord(c: Interval, noun: str) -> None:
+    """Raise ``InvalidChord``, naming ``noun``, unless c lies certifiably in (0, 2)."""
+    if c.lo.sign <= 0 or c.hi >= Dyadic(2):
+        raise InvalidChord(f"{noun} must lie certifiably in (0, 2): {c}")
 
 
 def halve_edge(ell: Interval) -> Interval:
@@ -96,7 +97,7 @@ def halve_edge(ell: Interval) -> Interval:
     Evaluated as ell / sqrt(2 + sqrt(4 - ell^2)), the same value without
     the cancellation that destroys relative precision for small chords.
     """
-    _require_chord(ell)
+    require_chord(ell, "chord")
     return ell / (2 + (4 - ell * ell).sqrt()).sqrt()
 
 
@@ -110,7 +111,7 @@ def edge_chain(n: int, prec: int) -> Iterator[Interval]:
 
 def circumscribed_edge(ell: Interval) -> Interval:
     """Tangent edge with matching arc: 2*ell / sqrt(4 - ell^2)."""
-    _require_chord(ell)
+    require_chord(ell, "chord")
     return (ell * 2) / (4 - ell * ell).sqrt()
 
 

@@ -14,7 +14,6 @@ from typing import List, Tuple
 
 from .chords import ArcSpec, solve_regular_chord
 from .circuits import CirclePoint, Rotation, distance, unit_start, walk
-from .dyadic import Dyadic
 from .errors import (
     AmbiguousCrossing,
     ChordTooLong,
@@ -53,7 +52,7 @@ def _ngon_vertices(N: int, prec: int) -> List[CirclePoint]:
     The third-circle arc (chord sqrt(3)) split into N parts steps through
     the 3N-gon; every third vertex is an N-gon vertex.
     """
-    arc = ArcSpec(unit_start(prec), seed_edge(3, prec))
+    arc = ArcSpec(seed_edge(3, prec))
     small = solve_regular_chord(arc, N, prec)
     return list(walk(unit_start(prec), Rotation.of_chord(small), 3 * N - 3))[::3]
 

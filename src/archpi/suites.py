@@ -206,17 +206,21 @@ def run_identities(
     precision: int = 256,
     limit_m: int = 40,
 ) -> Iterator[dict]:
-    """Heron and half-perimeter identities, plus cross-scheme pi agreement.
+    """Each area by a second route, plus cross-scheme pi agreement.
 
-    An identity holds when its two enclosures overlap (they cannot be
-    separated) and are narrow relative to the working precision.
+    The inscribed 2N-gon's area a_2N is the N-gon's half perimeter p_N/2,
+    and the circumscribed area A_N is a_N*4/(4 - ell_N^2).  An identity
+    holds when its two enclosures overlap (they cannot be separated) and
+    are narrow relative to the working precision.
     """
     width_cap = Dyadic(1, 8 - precision)
     for n in n_values:
-        for meas in iter_scheme_measures(n, m_max, precision):
-            heron = (meas.p * (4 - meas.ell * meas.ell).sqrt()) / 4
-            half_p = meas.P / 2
-            for name, lhs, rhs in (("a", meas.a, heron), ("A", meas.A, half_p)):
+        chain = list(iter_scheme_measures(n, m_max + 1, precision))
+        for meas, finer in zip(chain, chain[1:]):
+            for name, lhs, rhs in (
+                ("a", finer.a, meas.p / 2),
+                ("A", meas.A, (meas.a * 4) / (4 - meas.ell * meas.ell)),
+            ):
                 width_ok = max(lhs.width(), rhs.width()) <= width_cap * max(
                     lhs.mag(), Dyadic(1)
                 )

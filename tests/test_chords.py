@@ -52,37 +52,35 @@ def test_solve_regular_chord_matches_oracle():
 
 
 def reference_solve(arc, n, prec):
-    """The chord bisection with every mid classified by a walk."""
+    """The chord bisection's one loop with every mid classified by a walk."""
     chord_total = arc.chord_total
     lo = Dyadic(0)
     hi = chord_total.hi
     tol = Dyadic(1, 8 - prec)
-
-    def walked(step):
-        return chords._classify_adaptive(step, n, chord_total, prec)
-
+    za = zb = None
     guard = 0
     while (hi - lo) > tol:
         guard += 1
         if guard > 4 * prec + 64:
             raise BisectionStall("chord bisection exceeded its iteration budget")
-        mid = (lo + hi).half().round(prec + 16, up=False)
-        if not (lo < mid < hi):
+        if za is None:
+            a, b = lo, hi
+        elif zb - za >= tol:
+            raise BisectionStall("ambiguous steps span the whole tolerance")
+        else:
+            a, b = (lo, za) if za - lo >= hi - zb else (zb, hi)
+        mid = (a + b).half().round(prec + 16, up=False)
+        if not (a < mid < b):
             break
-        result = walked(mid)
+        result = chords._classify_adaptive(mid, n, chord_total, prec)
         if result is chords._AMBIG:
-            probe = (lo + mid).half().round(prec + 16, up=False)
-            if not (lo < probe < hi):
-                break
-            result = walked(probe)
-            if result is chords._AMBIG:
-                lo, hi = chords._close_on_zone(lo, probe, mid, hi, walked, tol, prec)
-                break
-            mid = probe
-        if result is chords._OVER:
+            za, zb = (mid, mid) if za is None else (min(za, mid), max(zb, mid))
+        elif result is chords._UNDER and (za is None or mid < za):
+            lo = mid
+        elif result is chords._OVER and (za is None or mid > zb):
             hi = mid
         else:
-            lo = mid
+            raise BisectionStall("verdicts out of order around the ambiguous steps")
     return Interval(lo, hi, prec).with_prec(prec + 16)
 
 
@@ -165,6 +163,31 @@ def test_solve_closes_on_ambiguous_steps(prec, n):
     with mpmath.workdps(50):
         for end in (chord.lo, chord.hi):
             assert contains(step, mpmath.nstr(_true_step(end, n), 45))
+
+
+@given(
+    st.sampled_from([16, 24, 32]),
+    st.integers(min_value=2, max_value=32),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=2**8 + 1, max_value=2**12),
+)
+@settings(max_examples=100, deadline=None)
+def test_solve_brackets_the_ambiguous_zone(prec, n, j, k):
+    # chords 2 - k 2^-prec, widened by 2^(j - prec): the steps between the
+    # true steps of the two chord ends are ambiguous at any precision
+    chord = Interval.exact(Dyadic(2**(prec + 1) - k, -prec), prec)
+    chord = chord.widen(Dyadic(1, j - prec))
+    tol = Dyadic(1, 8 - prec)
+    with mpmath.workdps(50):
+        true_lo, true_hi = (_true_step(end, n) for end in (chord.lo, chord.hi))
+        try:
+            step = solve_regular_chord(ArcSpec.from_chord(chord), n, prec)
+        except BisectionStall:
+            assert true_hi - true_lo >= mpmath.ldexp(1, 7 - prec)  # tol/2
+            return
+        assert step.hi - step.lo <= tol
+        for true in (true_lo, true_hi):
+            assert contains(step, mpmath.nstr(true, 45))
 
 
 def test_solve_stalls_when_ambiguous_steps_exceed_tolerance():

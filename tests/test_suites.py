@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from archpi import suites
+from archpi import polygons, suites
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, DivByZeroInterval, HypothesisUnordered
@@ -96,6 +96,21 @@ def test_trig_suite_small():
     assert res.samples == 4
 
 
+def test_identities_catch_a_wrong_halving(monkeypatch):
+    # a_2N and p_N/2 come from successive edges of the chain, so an edge
+    # halved 2^-40 too long separates them; A_N and a_N*4/(4 - ell_N^2)
+    # share one edge and still agree
+    real = polygons.halve_edge
+    monkeypatch.setattr(polygons, "halve_edge",
+                        lambda ell: real(ell) * Dyadic(2**40 + 1, -40))
+    res = run_suite("identities", m_max=3, precision=64)
+    status = {}
+    for row in res.rows:
+        if "identity" in row:
+            status.setdefault(row["identity"], set()).add(row["status"])
+    assert status == {"a": {"violated"}, "A": {"ok"}}
+
+
 def test_check_overlap_wins_over_failure():
     row = checked({}, (LESS, GREATER), (LESS, OVERLAP), False)
     assert row["status"] == "inconclusive"
@@ -126,11 +141,12 @@ def test_check_single_comparison_reports_its_verdict():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_shortfall_is_one_inconclusive_row(jobs):
     # at 16 bits a squared distance between the first sample's tangent
-    # meets straddles zero; the other two samples still run and pass
-    res = run_suite("tangent-compare", samples=3, precision=16, jobs=jobs)
+    # meets straddles zero; the other two samples still run, and their four
+    # rows pass
+    res = run_suite("tangent-profile", samples=3, precision=16, jobs=jobs)
     first, *rest = res.rows
     assert first == {
-        "suite": "tangent-compare",
+        "suite": "tangent-profile",
         "sample_seed": suites._sample_seed(suites.DEFAULT_SEED, 0),
         "precision": 16,
         "error": "NegativeSqrt",
@@ -139,8 +155,16 @@ def test_shortfall_is_one_inconclusive_row(jobs):
         "status": "inconclusive",
     }
     assert first["message"].startswith("sqrt of Interval(")
-    assert [row["status"] for row in rest] == ["ok", "ok"]
-    assert (res.samples, res.violations, res.inconclusive) == (3, 0, 1)
+    assert [row["status"] for row in rest] == ["ok"] * 4
+    assert (res.samples, res.violations, res.inconclusive) == (5, 0, 1)
+
+
+def test_compare_escalates_on_a_shortfall():
+    # at 16 bits the tangent meets of 33 of these samples fall short; the
+    # comparison doubles its precision, as on an overlap, and settles
+    res = run_suite("tangent-compare", samples=40, seed=7, precision=16)
+    assert (res.samples, res.violations, res.inconclusive) == (40, 0, 0)
+    assert max(row["precision_used"] for row in res.rows) == 32
 
 
 def test_chord_compare_at_16_bits_does_not_fall_short():
@@ -310,6 +334,10 @@ PINNED_REPORTS = [
     # falls short on one; pinned once its sides were built alone
     (["verify", "chord-compare", "--samples", "3", "--precision", "16"],
      "ea3d3a5bd5f0e610a4b34027c09c0a1fba76ed892986b06e9dc993a8de350bb6"),
+    # a comparison escalates on a precision shortfall as on an overlap, so
+    # the sample whose tangent meets fall short at 16 bits settles at 32
+    (["verify", "tangent-compare", "--samples", "3", "--precision", "16"],
+     "e31e31469b3e15511cf3ec4463b9a290be34f585cb79090501082a346c08d2db"),
 ]
 
 #: sha256 of reports whose shortfall rows make ``verify`` exit 3, pinned
@@ -321,8 +349,6 @@ PINNED_SHORTFALL_REPORTS = [
      "de5ff2b596eb523b3c7cc2b4ab0fb00990a04574ac3894aaba9b67319a272371"),
     (["verify", "trig-sandwich", "--k-max", "20", "--precision", "16"],
      "ebfa8dc0cbaa3edbb94b18fef651eedb975cc211210d650e57d22b6174899eb7"),
-    (["verify", "tangent-compare", "--samples", "3", "--precision", "16"],
-     "acafed184b391a4e226e940422d88a0b620294eea8e79633c7bb9d9f1339ca10"),
     (["verify", "tangent-profile", "--samples", "3", "--precision", "16"],
      "321fd7dbe14408c42b82cb82ce86bfbd7f665241607c5ffa4adbe5ba7d3a1412"),
 ]
