@@ -38,7 +38,8 @@ the tangent segments alone, with the same operations in the same order as
 An arc starts at (1, 0) and is given by its chord alone.  When a
 comparison overlaps or falls short of precision, it escalates: it lifts the
 arc's chord to the doubled precision, so the geometry, not just the
-bisection, runs at the precision it reports.
+bisection, runs at the precision it reports.  A stall on an ambiguous zone
+as wide as the tolerance is raised at once, since no precision cures it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ MAX_PRECISION = PRECISION_CAP - 16
 _UNDER = "under"
 _OVER = "over"
 _AMBIG = "ambig"
+
+#: the stall no precision cures: lifting the arc keeps its chord's width,
+#: and the tolerance only shrinks as precision grows
+_WIDE_ZONE = "ambiguous steps span the whole tolerance"
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,7 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
         if za is None:
             a, b = lo, hi
         elif zb - za >= tol:
-            raise BisectionStall("ambiguous steps span the whole tolerance")
+            raise BisectionStall(_WIDE_ZONE)
         else:
             a, b = (lo, za) if za - lo >= hi - zb else (zb, hi)
         mid = (a + b).half().round(prec + 16, up=False)
@@ -366,15 +371,16 @@ def _compare_adaptive(
     Each escalation lifts the arc to the new precision: interval operations
     run at the smaller operand precision, so the caller's arc would hold
     the geometry at its own bits.  A shortfall at ``MAX_PRECISION`` is
-    raised.
+    raised, and so is at once a stall on an ambiguous zone as wide as the
+    tolerance.
     """
     work = prec
     lifted = arc
     while True:
         try:
             lhs, rhs = build(lifted, m, n, work)
-        except SHORTFALLS:
-            if work >= MAX_PRECISION:
+        except SHORTFALLS as exc:
+            if work >= MAX_PRECISION or exc.args == (_WIDE_ZONE,):
                 raise
         else:
             verdict = compare_certain(lhs, rhs)

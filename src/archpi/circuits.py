@@ -17,7 +17,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 from .dyadic import Dyadic
 from .errors import AntipodalTangents, PreconditionViolation
-from .interval import Interval
+from .interval import Interval, _interval, _product, _sum
 from .polygons import edge_chain, require_chord
 
 #: deepest ring a circuit may sit on: 3*2^18 = 786,432 vertices
@@ -75,9 +75,24 @@ class Rotation:
         return Rotation(1 - c_sq / 2, (c * (4 - c_sq).sqrt()) / 2)
 
     def __call__(self, p: CirclePoint) -> CirclePoint:
-        return CirclePoint(
-            p.x * self.cos - p.y * self.sin, p.x * self.sin + p.y * self.cos
-        )
+        """(x cos - y sin, x sin + y cos), bit-identical to that Interval
+        expression: each product endpoint is rounded at its product's
+        precision and each sum endpoint at the sum's, with no Interval or
+        Dyadic built in between."""
+        x, y, cos, sin = p.x, p.y, self.cos, self.sin
+        am, ae, bm, be, q = _product(x, cos)
+        cm, ce, dm, de, r = _product(y, sin)
+        if r < q:
+            q = r
+        new_x = _interval(_sum(am, ae, -dm, de, q, False),
+                          _sum(bm, be, -cm, ce, q, True), q)
+        am, ae, bm, be, q = _product(x, sin)
+        cm, ce, dm, de, r = _product(y, cos)
+        if r < q:
+            q = r
+        new_y = _interval(_sum(am, ae, cm, ce, q, False),
+                          _sum(bm, be, dm, de, q, True), q)
+        return CirclePoint(new_x, new_y)
 
 
 def walk(start: CirclePoint, rotation: Rotation, k: int) -> Iterator[CirclePoint]:
@@ -287,6 +302,22 @@ def _refinement(k: int, cap_lo: Dyadic, prec: int) -> Tuple[int, int]:
     )
 
 
+def _gap_draws(seed: int, gmax: int) -> Iterator[int]:
+    """The successive ``randint(1, gmax)`` of ``random.Random(seed)``.
+
+    randint rejects getrandbits(gmax.bit_length()) draws until one is below
+    gmax; doing that here skips its argument handling, several times the
+    cost of the draw itself.
+    """
+    draw = random.Random(seed).getrandbits
+    bits = gmax.bit_length()
+    while True:
+        r = draw(bits)
+        while r >= gmax:
+            r = draw(bits)
+        yield r + 1
+
+
 def random_circuit(
     k: int, mesh_cap: Interval, seed: int, prec: int = 64
 ) -> Circuit:
@@ -300,15 +331,14 @@ def random_circuit(
         raise PreconditionViolation("need at least 3 points")
     m, gmax = _refinement_for_cap(k, mesh_cap, prec)
     n = 3 << m
-    rng = random.Random(seed)
+    draws = _gap_draws(seed, gmax)
     indices = [0]
     position = 0
     while True:
         remaining = n - position
         if remaining <= gmax:
             break
-        gap = rng.randint(1, gmax)
-        gap = min(gap, remaining - 1)
+        gap = min(next(draws), remaining - 1)
         position += gap
         indices.append(position)
     return Circuit.from_regular_indices(m, indices, prec)

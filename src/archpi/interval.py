@@ -13,7 +13,7 @@ import enum
 from fractions import Fraction
 from typing import Union
 
-from .dyadic import Dyadic, _rounded
+from .dyadic import Dyadic, _new, _rounded
 from .errors import DivByZeroInterval, NegativeSqrt
 
 Scalar = Union[int, Dyadic, "Interval"]
@@ -40,7 +40,7 @@ class Interval:
     @staticmethod
     def exact(value: Union[int, Dyadic], prec: int) -> "Interval":
         d = Dyadic(value) if isinstance(value, int) else value
-        return Interval(d, d, prec)
+        return _interval(d, d, prec)
 
     @staticmethod
     def from_fraction(value: Fraction, prec: int) -> "Interval":
@@ -75,10 +75,11 @@ class Interval:
     # -- arithmetic ---------------------------------------------------------
     # Each endpoint is the exact result, formed on the mantissas and
     # rounded outward once; directed rounding depends only on the value.
+    # Outward rounding keeps lo <= hi, so results skip the order check.
 
     def __add__(self, other: Scalar) -> "Interval":
         lm, le, hm, he, p = self._terms(other)
-        return Interval(
+        return _interval(
             _sum(self.lo.man, self.lo.exp, lm, le, p, False),
             _sum(self.hi.man, self.hi.exp, hm, he, p, True),
             p,
@@ -88,7 +89,7 @@ class Interval:
 
     def __sub__(self, other: Scalar) -> "Interval":
         lm, le, hm, he, p = self._terms(other)
-        return Interval(
+        return _interval(
             _sum(self.lo.man, self.lo.exp, -hm, he, p, False),
             _sum(self.hi.man, self.hi.exp, -lm, le, p, True),
             p,
@@ -96,40 +97,26 @@ class Interval:
 
     def __rsub__(self, other: Scalar) -> "Interval":
         lm, le, hm, he, p = self._terms(other)
-        return Interval(
+        return _interval(
             _sum(lm, le, -self.hi.man, self.hi.exp, p, False),
             _sum(hm, he, -self.lo.man, self.lo.exp, p, True),
             p,
         )
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo, self.prec)
+        return _interval(-self.hi, -self.lo, self.prec)
 
     def __mul__(self, other: Scalar) -> "Interval":
         if isinstance(other, int):
             p = self.prec
             lo, hi = (self.lo, self.hi) if other >= 0 else (self.hi, self.lo)
-            return Interval(
+            return _interval(
                 _rounded(lo.man * other, lo.exp, p, False),
                 _rounded(hi.man * other, hi.exp, p, True),
                 p,
             )
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        a_neg = self.hi.man <= 0
-        b_neg = o.hi.man <= 0
-        if (a_neg or self.lo.man >= 0) and (b_neg or o.lo.man >= 0):
-            # neither operand straddles zero: the sign table names the two
-            # endpoint products that are the extremes
-            x, y = (self.hi if b_neg else self.lo), (o.hi if a_neg else o.lo)
-            lo = _rounded(x.man * y.man, x.exp + y.exp, p, False)
-            x, y = (self.lo if b_neg else self.hi), (o.lo if a_neg else o.hi)
-            hi = _rounded(x.man * y.man, x.exp + y.exp, p, True)
-            return Interval(lo, hi, p)
-        products = [x * y for x in (self.lo, self.hi) for y in (o.lo, o.hi)]
-        return Interval(
-            min(products).round(p, up=False), max(products).round(p, up=True), p
-        )
+        lm, le, hm, he, p = _product(self, self._coerce(other))
+        return _interval(_rounded(lm, le, p, False), _rounded(hm, he, p, True), p)
 
     __rmul__ = __mul__
 
@@ -138,13 +125,13 @@ class Interval:
             p = self.prec
             if other & (other - 1) == 0 and other > 0:
                 k = other.bit_length() - 1
-                return Interval(self.lo.scale2(-k), self.hi.scale2(-k), p)
+                return _interval(self.lo.scale2(-k), self.hi.scale2(-k), p)
             d = Dyadic(other)
             if other > 0:
-                return Interval(
+                return _interval(
                     self.lo.div(d, p, up=False), self.hi.div(d, p, up=True), p
                 )
-            return Interval(
+            return _interval(
                 self.hi.div(d, p, up=False), self.lo.div(d, p, up=True), p
             )
         o = self._coerce(other)
@@ -161,7 +148,7 @@ class Interval:
         else:
             lo = self.hi.div(o.hi if self.hi.man >= 0 else o.lo, p, up=False)
             hi = self.lo.div(o.lo if self.lo.man >= 0 else o.hi, p, up=True)
-        return Interval(lo, hi, p)
+        return _interval(lo, hi, p)
 
     def __rtruediv__(self, other: Scalar) -> "Interval":
         return self._coerce(other) / self
@@ -169,7 +156,7 @@ class Interval:
     def sqrt(self) -> "Interval":
         if self.lo.man < 0:
             raise NegativeSqrt(f"sqrt of {self}")
-        return Interval(
+        return _interval(
             self.lo.sqrt(self.prec, up=False),
             self.hi.sqrt(self.prec, up=True),
             self.prec,
@@ -199,7 +186,7 @@ class Interval:
         return Interval(self.lo - slack, self.hi + slack, self.prec)
 
     def with_prec(self, prec: int) -> "Interval":
-        return Interval(
+        return _interval(
             self.lo.round(prec, up=False), self.hi.round(prec, up=True), prec
         )
 
@@ -219,6 +206,49 @@ class Interval:
     def __repr__(self) -> str:
         lo, hi = self.decimal_pair(12)
         return f"Interval({lo}, {hi}, prec={self.prec})"
+
+
+def _interval(lo: Dyadic, hi: Dyadic, prec: int) -> Interval:
+    """An Interval whose endpoints are known to be in order: no check."""
+    iv = _new(Interval)
+    iv.lo = lo
+    iv.hi = hi
+    iv.prec = prec
+    return iv
+
+
+def _product(a: Interval, b: Interval) -> tuple:
+    """(lo man, lo exp, hi man, hi exp, precision) of a * b.
+
+    Each endpoint is the extreme exact product rounded outward to the
+    smaller operand precision; mantissas may be even or zero.
+    """
+    p = a.prec if a.prec < b.prec else b.prec
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    a_neg = ahi.man <= 0
+    b_neg = bhi.man <= 0
+    if (a_neg or alo.man >= 0) and (b_neg or blo.man >= 0):
+        # neither operand straddles zero: the sign table names the two
+        # endpoint products that are the extremes
+        x, y = (ahi if b_neg else alo), (bhi if a_neg else blo)
+        lm, le = x.man * y.man, x.exp + y.exp
+        x, y = (alo if b_neg else ahi), (blo if a_neg else bhi)
+        hm, he = x.man * y.man, x.exp + y.exp
+    else:
+        products = [(x.man * y.man, x.exp + y.exp)
+                    for x in (alo, ahi) for y in (blo, bhi)]
+        base = min(e for _, e in products)
+        lm, le = min(products, key=lambda t: t[0] << (t[1] - base))
+        hm, he = max(products, key=lambda t: t[0] << (t[1] - base))
+    drop = lm.bit_length() - p
+    if drop > 0:
+        lm >>= drop
+        le += drop
+    drop = hm.bit_length() - p
+    if drop > 0:
+        hm = -(-hm >> drop)
+        he += drop
+    return lm, le, hm, he, p
 
 
 def _sum(am: int, ae: int, bm: int, be: int, prec: int, up: bool) -> Dyadic:

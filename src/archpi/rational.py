@@ -122,8 +122,9 @@ def _crosses_start_radius(a: CirclePoint, b: CirclePoint) -> bool:
     # straddle of the edge line by origin and (1, 0)
     ex = b.x - a.x
     ey = b.y - a.y
-    cross_origin = ex * a.y - ey * a.x  # ~ cross(b - a, O - a), negated sign pair
-    cross_unit = ex * a.y - ey * (a.x - 1)
+    ex_ay = ex * a.y
+    cross_origin = ex_ay - ey * a.x  # ~ cross(b - a, O - a), negated sign pair
+    cross_unit = ex_ay - ey * (a.x - 1)
     so = _sign_certain(cross_origin)
     su = _sign_certain(cross_unit)
     if so != 0 and so == su:

@@ -221,6 +221,35 @@ def test_escalating_compare_stops_at_the_ceiling():
     assert result.verdict is Verdict.OVERLAP and result.precision_used == 4080
 
 
+def test_compare_does_not_escalate_a_wide_zone_stall():
+    # the chord 2 - 2^-28 widened by 2^-32: its ambiguous steps span the
+    # tolerance at 64 bits, and lifting the arc keeps the chord's width
+    chord = Interval.exact(Dyadic(2**29 - 1, -28), 64).widen(Dyadic(1, -32))
+    works = []
+
+    def build(arc, m, n, work):
+        works.append(work)
+        return chords._chord_sides(arc, m, n, work)
+
+    with pytest.raises(BisectionStall, match="whole tolerance"):
+        chords._compare_adaptive(build, ArcSpec(chord), 3, 7, 64)
+    assert works == [64]
+
+
+def test_compare_escalates_other_stalls():
+    works = []
+
+    def build(arc, m, n, work):
+        works.append(work)
+        if work == 64:
+            raise BisectionStall("verdicts out of order around the ambiguous steps")
+        return Interval.exact(1, work), Interval.exact(2, work)
+
+    result = chords._compare_adaptive(build, quarter_arc(), 1, 2, 64)
+    assert works == [64, 128]
+    assert result.verdict is Verdict.CERTAINLY_LESS and result.precision_used == 128
+
+
 @pytest.mark.parametrize(
     "compare, chord, m, n",
     [(chord_compare, Dyadic(515, -12), 25, 31),

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -146,6 +147,14 @@ def test_random_circuit_contract():
     )
 
 
+@pytest.mark.parametrize("gmax", [1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 1000])
+def test_gap_draws_are_the_randint_draws(gmax):
+    for seed in (0, 1, 7, 42, 2**40 + 3):
+        rng = random.Random(seed)
+        expected = [rng.randint(1, gmax) for _ in range(300)]
+        assert list(islice(circuits._gap_draws(seed, gmax), 300)) == expected
+
+
 def test_random_circuit_validation():
     cap = Interval.exact(1, PREC)
     with pytest.raises(PreconditionViolation):
@@ -196,23 +205,71 @@ def _bits(p):
     return tuple((v.lo.man, v.lo.exp, v.hi.man, v.hi.exp, v.prec) for v in (p.x, p.y))
 
 
+def _expression_step(rotation, p):
+    """The rotation as the Interval expression it fuses."""
+    return CirclePoint(
+        p.x * rotation.cos - p.y * rotation.sin,
+        p.x * rotation.sin + p.y * rotation.cos,
+    )
+
+
+def _assert_steps_match(rotation, expected):
+    """``walk`` and each direct ``rotation`` call give ``expected``, bit for bit."""
+    walked = list(walk(expected[0], rotation, len(expected) - 1))
+    assert [_bits(p) for p in walked] == [_bits(p) for p in expected]
+    for before, after in zip(expected, expected[1:]):
+        assert _bits(rotation(before)) == _bits(after)
+
+
 @given(
     st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1999, 1000)),
     st.fractions(min_value=-1, max_value=1),
     st.fractions(min_value=-1, max_value=1),
-    st.integers(min_value=24, max_value=128),
+    st.integers(min_value=16, max_value=128),
+    st.sampled_from([16, 24, 64, 128]),
+    st.sampled_from([16, 24, 64, 128]),
+    st.sampled_from([None, 16, 40]),
     st.integers(min_value=0, max_value=24),
 )
-@settings(max_examples=40, deadline=None)
-def test_walk_matches_stepwise_reference(chord, x, y, prec, k):
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_stepwise_reference(chord, x, y, prec, x_prec, y_prec, slack, k):
+    # the coordinates' precisions may differ from each other and from the
+    # chord's, and a widened chord or point has endpoints of unequal exponents
     c = Interval.from_fraction(chord, prec)
-    start = CirclePoint(Interval.from_fraction(x, prec), Interval.from_fraction(y, prec))
+    start = CirclePoint(Interval.from_fraction(x, x_prec),
+                        Interval.from_fraction(y, y_prec))
+    if slack is not None:
+        c = c.widen(Dyadic(1, -slack))
+        start = CirclePoint(start.x.widen(Dyadic(3, -slack - 2)),
+                            start.y.widen(Dyadic(1, -slack)))
     expected = [start]
     for _ in range(k):
         expected.append(_reference_step(expected[-1], c))
-    walked = list(walk(start, Rotation.of_chord(c), k))
-    assert [_bits(p) for p in walked] == [_bits(p) for p in expected]
+    _assert_steps_match(Rotation.of_chord(c), expected)
     assert _bits(step_by_chord(start, c)) == _bits(_reference_step(start, c))
+
+
+@pytest.mark.parametrize("prec", [16, 64, 200])
+def test_fused_step_across_zero_matches_the_interval_expression(prec):
+    # coordinates and cos/sin that straddle zero take the four-product
+    # fallback of the interval product
+    eps = Dyadic(1, -(prec // 2))
+    around_zero = Interval.exact(0, prec).widen(eps)
+    quarter = Rotation.of_chord(Interval.exact(2, prec).sqrt().widen(eps))
+    assert quarter.cos.lo.sign < 0 < quarter.cos.hi.sign
+    tilt = Rotation(Interval.exact(1, prec + 5) - eps, around_zero)
+    points = [
+        CirclePoint(around_zero, Interval.exact(1, prec)),
+        CirclePoint(Interval.exact(-1, prec), around_zero),
+        CirclePoint(around_zero, around_zero * 3),
+        unit_start(prec + 7),
+    ]
+    for rotation in (quarter, tilt):
+        for start in points:
+            expected = [start]
+            for _ in range(9):
+                expected.append(_expression_step(rotation, expected[-1]))
+            _assert_steps_match(rotation, expected)
 
 
 def test_regular_ring_has_every_vertex():

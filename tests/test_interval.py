@@ -85,6 +85,13 @@ def test_widen_and_with_prec():
     assert y.prec == 32 and y.contains(Fraction(1, 3))
 
 
+def test_widen_by_negative_slack_past_the_midpoint_raises():
+    x = ival(1, 2)
+    assert x.widen(Dyadic(-1, -1)).width() == ZERO
+    with pytest.raises(ValueError, match="inverted"):
+        x.widen(Dyadic(-3, -2))
+
+
 def test_serialize_shapes():
     x = ival("0.5", "0.5", 32)
     lo, hi = x.decimal_pair(4)
