@@ -26,7 +26,10 @@ below a is under and every mid at or above b is over without a walk; only
 the few mids inside (a, b) are walked.  The outcomes the bracket implies
 are the ones a walk certifies, so the result is bit-identical to walking
 every mid.  A bracket that fails to certify, or a Newton walk whose end
-cannot tell the sign of y, is dropped, and then every mid walks.
+cannot tell the sign of y, is dropped, and then every mid walks.  The
+bisection itself runs on plain integers, every value on one grid 2^-S
+fine enough that each mid lands on it; a Dyadic is built only for a mid
+that walks.
 
 A wide arc chord leaves a zone of steps that no precision classifies; the
 one bisection loop closes on it from both sides (``solve_regular_chord``).
@@ -52,7 +55,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .circuits import (CirclePoint, Rotation, distance, tangent_intersection,
                        unit_start, walk)
-from .dyadic import Dyadic
+from .dyadic import Dyadic, _rounded
 from .errors import (
     ArchpiError,
     BisectionStall,
@@ -61,7 +64,7 @@ from .errors import (
     PrecisionCeiling,
     SHORTFALLS,
 )
-from .interval import Interval, Verdict, compare_certain
+from .interval import Interval, Verdict, _interval, compare_certain
 from .polygons import require_chord
 
 PRECISION_CAP = 4096
@@ -254,20 +257,33 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
     once a mid lands there, the loop keeps the hull za..zb of the ambiguous
     mids and bisects the wider of the gaps beside it.  A zone as wide as
     the tolerance stalls.
+
+    Every value of the loop is an integer on one grid 2^-S.  The upper end
+    of a bisected gap is the arc chord's upper end H or an earlier mid, and
+    a mid is at least (1 - 2^-(prec+15))/2 times its gap's upper end, so
+    under the iteration guard every a + b stays at or above
+    H * 2^(S - 4*prec - 64); with S = 5*prec + 82 - log2 H that is over
+    2^(prec + 17).  So truncating a + b to prec + 16 bits drops at least
+    one bit, and the mid (a + b)/2 truncated lies on the grid.  A Dyadic is
+    built only for a mid that walks, and for the result.
     """
     if n < 1:
         raise PreconditionViolation("subdivision count must be at least 1")
     if n == 1:
         return arc.chord_total
     chord_total = arc.chord_total
-    lo = Dyadic(0)
-    hi = chord_total.hi
-    tol = Dyadic(1, 8 - prec)
+    top = chord_total.hi
+    bits = prec + 16
+    S = max(5 * prec + 82 - top.man.bit_length() - top.exp, -top.exp, prec - 8)
+    lo = 0
+    hi = top.man << (top.exp + S)
+    tol = 1 << (S + 8 - prec)
     # without a bracket, (lo, hi) implies nothing: every mid lies strictly inside
-    under, over = _bracket(chord_total, n, prec) or (lo, hi)
+    a, b = _bracket(chord_total, n, prec) or (Dyadic(0), top)
+    under, over = _scaled(a, S, up=False), _scaled(b, S, up=True)
     za = zb = None
     guard = 0
-    while (hi - lo) > tol:
+    while hi - lo > tol:
         guard += 1
         if guard > 4 * prec + 64:
             raise BisectionStall("chord bisection exceeded its iteration budget")
@@ -277,15 +293,18 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
             raise BisectionStall(_WIDE_ZONE)
         else:
             a, b = (lo, za) if za - lo >= hi - zb else (zb, hi)
-        mid = (a + b).half().round(prec + 16, up=False)
-        if not (a < mid < b):
+        # (a + b)/2 truncated to prec + 16 bits; drop >= 1, as shown above
+        mid = a + b
+        drop = mid.bit_length() - bits
+        mid = mid >> drop << (drop - 1)
+        if not a < mid < b:
             break
         if mid <= under:
             result = _UNDER
         elif mid >= over:
             result = _OVER
         else:
-            result = _classify_adaptive(mid, n, chord_total, prec)
+            result = _classify_adaptive(Dyadic(mid, -S), n, chord_total, prec)
         if result is _AMBIG:
             za, zb = (mid, mid) if za is None else (min(za, mid), max(zb, mid))
         elif result is _UNDER and (za is None or mid < za):
@@ -294,7 +313,7 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
             hi = mid
         else:
             raise BisectionStall("verdicts out of order around the ambiguous steps")
-    return Interval(lo, hi, prec).with_prec(prec + 16)
+    return _interval(_rounded(lo, -S, bits, False), _rounded(hi, -S, bits, True), bits)
 
 
 def partition_points(arc: ArcSpec, n: int, step_chord: Interval) -> List[CirclePoint]:

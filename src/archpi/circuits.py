@@ -16,18 +16,23 @@ from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
 from .dyadic import Dyadic
-from .errors import AntipodalTangents, PreconditionViolation
-from .interval import Interval, _interval, _product, _sum
+from .errors import AntipodalTangents, NegativeSqrt, PreconditionViolation
+from .interval import (Interval, _interval, _product, _quotient, _raw_sum,
+                       _sum)
 from .polygons import edge_chain, require_chord
 
 #: deepest ring a circuit may sit on: 3*2^18 = 786,432 vertices
 MAX_RING_DEPTH = 18
 
 
-@dataclass(frozen=True)
 class CirclePoint:
-    x: Interval
-    y: Interval
+    """A point of the unit circle, as its coordinate intervals."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Interval, y: Interval):
+        self.x = x
+        self.y = y
 
     def on_circle(self) -> bool:
         """Certified membership: x^2 + y^2 must contain 1."""
@@ -48,9 +53,28 @@ def unit_start(prec: int) -> CirclePoint:
 
 
 def distance(p: CirclePoint, q: CirclePoint) -> Interval:
-    dx = q.x - p.x
-    dy = q.y - p.y
-    return (dx * dx + dy * dy).sqrt()
+    """sqrt(dx*dx + dy*dy) with (dx, dy) = q - p, bit-identical to that
+    Interval expression: each difference, product and sum endpoint is
+    rounded at its operation's precision, with no Interval built in
+    between."""
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    a, b, c, d = qx.lo, qx.hi, px.lo, px.hi
+    r = qx.prec if qx.prec < px.prec else px.prec
+    am, ae = _raw_sum(a.man, a.exp, -d.man, d.exp, r, False)
+    bm, be = _raw_sum(b.man, b.exp, -c.man, c.exp, r, True)
+    xlm, xle, xhm, xhe = _product(am, ae, bm, be, am, ae, bm, be, r)
+    a, b, c, d = qy.lo, qy.hi, py.lo, py.hi
+    s = qy.prec if qy.prec < py.prec else py.prec
+    am, ae = _raw_sum(a.man, a.exp, -d.man, d.exp, s, False)
+    bm, be = _raw_sum(b.man, b.exp, -c.man, c.exp, s, True)
+    ylm, yle, yhm, yhe = _product(am, ae, bm, be, am, ae, bm, be, s)
+    if s < r:
+        r = s
+    lo = _sum(xlm, xle, ylm, yle, r, False)
+    hi = _sum(xhm, xhe, yhm, yhe, r, True)
+    if lo.man < 0:
+        raise NegativeSqrt(f"sqrt of {_interval(lo, hi, r)}")
+    return _interval(lo.sqrt(r, up=False), hi.sqrt(r, up=True), r)
 
 
 @dataclass(frozen=True)
@@ -80,16 +104,26 @@ class Rotation:
         precision and each sum endpoint at the sum's, with no Interval or
         Dyadic built in between."""
         x, y, cos, sin = p.x, p.y, self.cos, self.sin
-        am, ae, bm, be, q = _product(x, cos)
-        cm, ce, dm, de, r = _product(y, sin)
-        if r < q:
-            q = r
+        a, b = x.lo, x.hi
+        xlm, xle, xhm, xhe = a.man, a.exp, b.man, b.exp
+        a, b = y.lo, y.hi
+        ylm, yle, yhm, yhe = a.man, a.exp, b.man, b.exp
+        a, b = cos.lo, cos.hi
+        clm, cle, chm, che = a.man, a.exp, b.man, b.exp
+        a, b = sin.lo, sin.hi
+        slm, sle, shm, she = a.man, a.exp, b.man, b.exp
+        pc = x.prec if x.prec < cos.prec else cos.prec
+        ps = y.prec if y.prec < sin.prec else sin.prec
+        am, ae, bm, be = _product(xlm, xle, xhm, xhe, clm, cle, chm, che, pc)
+        cm, ce, dm, de = _product(ylm, yle, yhm, yhe, slm, sle, shm, she, ps)
+        q = pc if pc < ps else ps
         new_x = _interval(_sum(am, ae, -dm, de, q, False),
                           _sum(bm, be, -cm, ce, q, True), q)
-        am, ae, bm, be, q = _product(x, sin)
-        cm, ce, dm, de, r = _product(y, cos)
-        if r < q:
-            q = r
+        pc = x.prec if x.prec < sin.prec else sin.prec
+        ps = y.prec if y.prec < cos.prec else cos.prec
+        am, ae, bm, be = _product(xlm, xle, xhm, xhe, slm, sle, shm, she, pc)
+        cm, ce, dm, de = _product(ylm, yle, yhm, yhe, clm, cle, chm, che, ps)
+        q = pc if pc < ps else ps
         new_y = _interval(_sum(am, ae, cm, ce, q, False),
                           _sum(bm, be, dm, de, q, True), q)
         return CirclePoint(new_x, new_y)
@@ -110,11 +144,34 @@ def step_by_chord(p: CirclePoint, c: Interval) -> CirclePoint:
 
 
 def tangent_intersection(p: CirclePoint, q: CirclePoint) -> Tuple[Interval, Interval]:
-    """Meet of the tangent lines at p and q: (p + q) / (1 + p.q)."""
-    denom = 1 + (p.x * q.x + p.y * q.y)
-    if denom.lo.sign <= 0 <= denom.hi.sign:
+    """Meet of the tangent lines at p and q: (p + q) / (1 + p.q).
+
+    Bit-identical to that Interval expression: each product, sum and
+    quotient endpoint is rounded at its operation's precision, with no
+    Interval built in between.
+    """
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    a, b, c, d = px.lo, px.hi, qx.lo, qx.hi
+    r = px.prec if px.prec < qx.prec else qx.prec
+    am, ae, bm, be = _product(a.man, a.exp, b.man, b.exp,
+                              c.man, c.exp, d.man, d.exp, r)
+    x_lo = _sum(a.man, a.exp, c.man, c.exp, r, False)
+    x_hi = _sum(b.man, b.exp, d.man, d.exp, r, True)
+    a, b, c, d = py.lo, py.hi, qy.lo, qy.hi
+    s = py.prec if py.prec < qy.prec else qy.prec
+    cm, ce, dm, de = _product(a.man, a.exp, b.man, b.exp,
+                              c.man, c.exp, d.man, d.exp, s)
+    y_lo = _sum(a.man, a.exp, c.man, c.exp, s, False)
+    y_hi = _sum(b.man, b.exp, d.man, d.exp, s, True)
+    t = r if r < s else s
+    am, ae = _raw_sum(am, ae, cm, ce, t, False)
+    bm, be = _raw_sum(bm, be, dm, de, t, True)
+    lo = _sum(am, ae, 1, 0, t, False)
+    hi = _sum(bm, be, 1, 0, t, True)
+    if lo.man <= 0 <= hi.man:
         raise AntipodalTangents("tangent lines are (possibly) parallel")
-    return ((p.x + q.x) / denom, (p.y + q.y) / denom)
+    # the denominator's precision t is at most r and s
+    return _quotient(x_lo, x_hi, lo, hi, t), _quotient(y_lo, y_hi, lo, hi, t)
 
 
 @dataclass(frozen=True)

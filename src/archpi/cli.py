@@ -3,11 +3,12 @@ and trig tabulation.
 
 Exit codes: 0 success, 1 a verification suite found a certain violation,
 2 argument error (including a ``verify`` flag the suite does not take, a
-size that yields no rows, and a precision above what the chord solver
-takes), 3 inconclusive (interval overlap persisting at the
-precision cap, an ambiguous winding crossing, chords that cannot be ordered
-at this precision, tangents that cannot be certified to meet, or an operand
-too wide for a square root, a division or a chord at this precision).  The
+size that yields no rows, a precision above what the chord solver takes,
+and an ``--output`` that cannot be written), 3 inconclusive (interval
+overlap persisting at the precision cap, an ambiguous winding crossing,
+chords that cannot be ordered at this precision, tangents that cannot be
+certified to meet, or an operand too wide for a square root, a division or
+a chord at this precision).  The
 sampled suites, ``rational``, ``h-ratio``, ``trig-sandwich``, ``trig`` and
 ``sweep-rational`` turn such a shortfall into one row, print the report and
 exit 3; ``main`` maps every other error to its exit code by type.
@@ -93,10 +94,24 @@ def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
 
 def _write(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"--output: {exc.strerror}: {output!r}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_output(output: Optional[str]) -> None:
+    """Reject an ``--output`` that cannot be a file, before work starts."""
+    if not output:
+        return
+    if os.path.isdir(output):
+        raise ValueError(f"--output: is a directory: {output!r}")
+    parent = os.path.dirname(output) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--output: no such directory: {parent!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -369,6 +384,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_output(args.output)
         return args.func(args)
     except SHORTFALLS as exc:
         # every CLI input is checked before work starts, so these come only

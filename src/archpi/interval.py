@@ -115,7 +115,11 @@ class Interval:
                 _rounded(hi.man * other, hi.exp, p, True),
                 p,
             )
-        lm, le, hm, he, p = _product(self, self._coerce(other))
+        o = self._coerce(other)
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        p = self.prec if self.prec < o.prec else o.prec
+        lm, le, hm, he = _product(a.man, a.exp, b.man, b.exp,
+                                  c.man, c.exp, d.man, d.exp, p)
         return _interval(_rounded(lm, le, p, False), _rounded(hm, he, p, True), p)
 
     __rmul__ = __mul__
@@ -137,18 +141,7 @@ class Interval:
         o = self._coerce(other)
         if o.lo.man <= 0 <= o.hi.man:
             raise DivByZeroInterval(f"division by {o}")
-        p = min(self.prec, o.prec)
-        # the divisor has one sign, so the sign of each dividend endpoint
-        # picks the divisor endpoint of the extreme quotient; directed
-        # rounding is monotone, so rounding that quotient is the min (max)
-        # of all four rounded quotients
-        if o.lo.man > 0:
-            lo = self.lo.div(o.hi if self.lo.man >= 0 else o.lo, p, up=False)
-            hi = self.hi.div(o.lo if self.hi.man >= 0 else o.hi, p, up=True)
-        else:
-            lo = self.hi.div(o.hi if self.hi.man >= 0 else o.lo, p, up=False)
-            hi = self.lo.div(o.lo if self.lo.man >= 0 else o.hi, p, up=True)
-        return _interval(lo, hi, p)
+        return _quotient(self.lo, self.hi, o.lo, o.hi, min(self.prec, o.prec))
 
     def __rtruediv__(self, other: Scalar) -> "Interval":
         return self._coerce(other) / self
@@ -217,26 +210,31 @@ def _interval(lo: Dyadic, hi: Dyadic, prec: int) -> Interval:
     return iv
 
 
-def _product(a: Interval, b: Interval) -> tuple:
-    """(lo man, lo exp, hi man, hi exp, precision) of a * b.
+def _product(am: int, ae: int, bm: int, be: int,
+             cm: int, ce: int, dm: int, de: int, p: int) -> tuple:
+    """(lo man, lo exp, hi man, hi exp) of [a, b] * [c, d], each endpoint
+    given as a raw (man, exp) pair.
 
-    Each endpoint is the extreme exact product rounded outward to the
-    smaller operand precision; mantissas may be even or zero.
+    Each endpoint is the extreme exact product rounded outward to ``p``
+    bits; mantissas may be even or zero, in the operands and the result.
     """
-    p = a.prec if a.prec < b.prec else b.prec
-    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
-    a_neg = ahi.man <= 0
-    b_neg = bhi.man <= 0
-    if (a_neg or alo.man >= 0) and (b_neg or blo.man >= 0):
+    a_neg = bm <= 0
+    c_neg = dm <= 0
+    if (a_neg or am >= 0) and (c_neg or cm >= 0):
         # neither operand straddles zero: the sign table names the two
         # endpoint products that are the extremes
-        x, y = (ahi if b_neg else alo), (bhi if a_neg else blo)
-        lm, le = x.man * y.man, x.exp + y.exp
-        x, y = (alo if b_neg else ahi), (blo if a_neg else bhi)
-        hm, he = x.man * y.man, x.exp + y.exp
+        if c_neg:
+            if a_neg:
+                lm, le, hm, he = bm * dm, be + de, am * cm, ae + ce
+            else:
+                lm, le, hm, he = bm * cm, be + ce, am * dm, ae + de
+        elif a_neg:
+            lm, le, hm, he = am * dm, ae + de, bm * cm, be + ce
+        else:
+            lm, le, hm, he = am * cm, ae + ce, bm * dm, be + de
     else:
-        products = [(x.man * y.man, x.exp + y.exp)
-                    for x in (alo, ahi) for y in (blo, bhi)]
+        products = [(x * y, xe + ye) for x, xe in ((am, ae), (bm, be))
+                    for y, ye in ((cm, ce), (dm, de))]
         base = min(e for _, e in products)
         lm, le = min(products, key=lambda t: t[0] << (t[1] - base))
         hm, he = max(products, key=lambda t: t[0] << (t[1] - base))
@@ -248,7 +246,23 @@ def _product(a: Interval, b: Interval) -> tuple:
     if drop > 0:
         hm = -(-hm >> drop)
         he += drop
-    return lm, le, hm, he, p
+    return lm, le, hm, he
+
+
+def _quotient(a: Dyadic, b: Dyadic, c: Dyadic, d: Dyadic, p: int) -> Interval:
+    """[a, b] / [c, d] at ``p`` bits, for a divisor of one sign.
+
+    The sign of each dividend endpoint picks the divisor endpoint of the
+    extreme quotient; directed rounding is monotone, so rounding that
+    quotient is the min (max) of all four rounded quotients.
+    """
+    if c.man > 0:
+        lo = a.div(d if a.man >= 0 else c, p, up=False)
+        hi = b.div(c if b.man >= 0 else d, p, up=True)
+    else:
+        lo = b.div(d if b.man >= 0 else c, p, up=False)
+        hi = a.div(c if a.man >= 0 else d, p, up=True)
+    return _interval(lo, hi, p)
 
 
 def _sum(am: int, ae: int, bm: int, be: int, prec: int, up: bool) -> Dyadic:
@@ -256,6 +270,19 @@ def _sum(am: int, ae: int, bm: int, be: int, prec: int, up: bool) -> Dyadic:
     if ae > be:
         return _rounded((am << (ae - be)) + bm, be, prec, up)
     return _rounded(am + (bm << (be - ae)), ae, prec, up)
+
+
+def _raw_sum(am: int, ae: int, bm: int, be: int, prec: int, up: bool) -> tuple:
+    """``_sum`` as a raw (man, exp) pair, its mantissa maybe even or zero."""
+    if ae > be:
+        man, exp = (am << (ae - be)) + bm, be
+    else:
+        man, exp = am + (bm << (be - ae)), ae
+    drop = man.bit_length() - prec
+    if drop > 0:
+        man = -(-man >> drop) if up else man >> drop
+        exp += drop
+    return man, exp
 
 
 def compare_certain(a: Interval, b: Interval) -> Verdict:

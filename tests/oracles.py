@@ -6,8 +6,10 @@ mpmath supplies high-precision trig reference values.  ``directed`` rounds
 an exact rational with ``Fraction`` and ``int`` alone, as the reference for
 the dyadic kernel.  ``interval_walk`` and ``interval_classify`` are the
 chord solver's former walk in ``Interval`` steps, the reference for its
-fixed-point ball walk; they are the only oracles built on archpi.  Nothing
-here is imported by the library.
+fixed-point ball walk; ``interval_distance`` and ``interval_tangent_meet``
+are the ``Interval`` expressions that ``circuits.distance`` and
+``circuits.tangent_intersection`` fuse.  These four are the only oracles
+built on archpi.  Nothing here is imported by the library.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from archpi.circuits import Rotation, unit_start, walk
+from archpi.errors import AntipodalTangents
 from archpi.interval import Interval, Verdict, compare_certain
 
 
@@ -110,3 +113,19 @@ def interval_classify(step, n: int, chord_total, prec: int) -> str:
     if compare_certain(point.x, target) is Verdict.CERTAINLY_GREATER:
         return "under"
     return "ambig"
+
+
+def interval_distance(p, q):
+    """|q - p| as the ``Interval`` expression sqrt(dx*dx + dy*dy)."""
+    dx = q.x - p.x
+    dy = q.y - p.y
+    return (dx * dx + dy * dy).sqrt()
+
+
+def interval_tangent_meet(p, q):
+    """The meet (p + q) / (1 + p.q) of the tangents at p and q, as
+    ``Interval`` expressions."""
+    denom = 1 + (p.x * q.x + p.y * q.y)
+    if denom.lo.sign <= 0 <= denom.hi.sign:
+        raise AntipodalTangents("tangent lines are (possibly) parallel")
+    return ((p.x + q.x) / denom, (p.y + q.y) / denom)

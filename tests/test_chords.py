@@ -118,6 +118,41 @@ def test_solve_is_bit_identical_to_walking_every_mid(prec, n, k, widened):
     assert _bits(solve_regular_chord(arc, n, prec)) == _bits(reference_solve(arc, n, prec))
 
 
+SMALLEST_CHORD = Dyadic(1, -15)  # the least chord the bit-identity test draws
+
+
+@pytest.mark.parametrize(
+    "chord, n, prec",
+    [(Dyadic(1, -1), 5, 1024),
+     (Dyadic(1, -1), 3, chords.MAX_PRECISION),
+     (SMALLEST_CHORD, 32, 16),
+     (SMALLEST_CHORD, 32, 64),
+     (SMALLEST_CHORD, 32, 256)],
+    ids=["p1024", "p4080", "smallest-p16", "smallest-p64", "smallest-p256"],
+)
+def test_solve_matches_walking_every_mid_at_the_extremes(chord, n, prec):
+    arc = ArcSpec.from_chord(Interval.exact(chord, prec))
+    expected = reference_solve(arc, n, prec)
+    assert _bits(solve_regular_chord(arc, n, prec)) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "chord, n, prec",
+    [(Interval.exact(Dyadic(1, -1), PREC), 5, PREC),
+     (Interval.exact(SMALLEST_CHORD, 16), 32, 16),
+     (Interval.exact(Dyadic(2**17 - 2, -16), 16).widen(Dyadic(1, -16)), 2, 16)],
+    ids=["half", "smallest", "ambiguous"],
+)
+def test_solve_without_a_bracket_walks_every_mid(chord, n, prec, monkeypatch):
+    monkeypatch.setattr(chords, "_bracket", lambda *args: None)
+    calls = count_classifications(monkeypatch)
+    arc = ArcSpec.from_chord(chord)
+    expected = reference_solve(arc, n, prec)
+    walked = len(calls)
+    assert _bits(solve_regular_chord(arc, n, prec)) == _bits(expected)
+    assert len(calls) - walked == walked
+
+
 @pytest.mark.parametrize("n", [2, 5, 17])
 @pytest.mark.parametrize("wrong", ["half", "arc-chord"])
 def test_wrong_seed_falls_back_to_walking_every_mid(n, wrong, monkeypatch):
@@ -191,10 +226,12 @@ def test_solve_brackets_the_ambiguous_zone(prec, n, j, k):
 
 
 def test_solve_stalls_when_ambiguous_steps_exceed_tolerance():
-    # a chord [1.994, 1.998]: its steps differ by more than 2^-8
+    # a chord [1.994, 1.998]: its steps differ by more than 2^-8; walking
+    # every mid stalls on the same zone
     chord = Interval.exact(Dyadic(2**17 - 256, -16), 16).widen(Dyadic(1, -9))
-    with pytest.raises(BisectionStall, match="whole tolerance"):
-        solve_regular_chord(ArcSpec.from_chord(chord), 2, 16)
+    for solve in (solve_regular_chord, reference_solve):
+        with pytest.raises(BisectionStall, match="whole tolerance"):
+            solve(ArcSpec.from_chord(chord), 2, 16)
 
 
 def test_solve_above_the_precision_ceiling_is_a_precondition_not_a_shortfall():

@@ -30,12 +30,13 @@ from archpi.errors import (
     SHORTFALLS,
     AntipodalTangents,
     InvalidChord,
+    NegativeSqrt,
     PreconditionViolation,
 )
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import edge_chain, pi_enclosure, seed_edge
 
-from oracles import contains
+from oracles import contains, interval_distance, interval_tangent_meet
 
 PREC = 64
 
@@ -85,6 +86,82 @@ def test_tangent_intersection_antipodal_raises():
     q = type(p)(Interval.exact(-1, PREC), Interval.exact(0, PREC))
     with pytest.raises(AntipodalTangents):
         tangent_intersection(p, q)
+
+
+PRECS = [16, 24, 64, 128]
+
+
+def _exact_outcome(fn, p, q):
+    """The bits of fn(p, q), or the type and message of what it raises."""
+    try:
+        value = fn(p, q)
+    except (AntipodalTangents, NegativeSqrt) as exc:
+        return type(exc), str(exc)
+    values = value if isinstance(value, tuple) else (value,)
+    return [_ibits(v) for v in values]
+
+
+@st.composite
+def circle_points(draw):
+    """(x, +-sqrt(1 - x^2)) with its own precision per coordinate, maybe
+    widened so its endpoints have unequal exponents."""
+    x = Interval.from_fraction(draw(st.fractions(min_value=-1, max_value=1)),
+                               draw(st.sampled_from(PRECS)))
+    y = (1 - x * x).sqrt().with_prec(draw(st.sampled_from(PRECS)))
+    if draw(st.booleans()):
+        y = -y
+    slack = draw(st.sampled_from([None, 12, 40]))
+    if slack is not None:
+        x = x.widen(Dyadic(3, -slack - 2))
+        y = y.widen(Dyadic(1, -slack))
+    return CirclePoint(x, y)
+
+
+@st.composite
+def point_pairs(draw):
+    """p and q: q drawn freely, q near p (differences straddle zero), or q
+    near -p (tangents near parallel)."""
+    p = draw(circle_points())
+    kind = draw(st.sampled_from(["free", "near", "antipodal"]))
+    if kind == "free":
+        return p, draw(circle_points())
+    sign = 1 if kind == "near" else -1
+    shift = [Dyadic(draw(st.integers(-8, 8)), -draw(st.integers(4, 40)))
+             for _ in "xy"]
+    prec = draw(st.sampled_from(PRECS))
+    return p, CirclePoint((p.x * sign + shift[0]).with_prec(prec),
+                          (p.y * sign + shift[1]).with_prec(prec))
+
+
+@given(point_pairs())
+@settings(max_examples=300, deadline=None)
+def test_fused_distance_and_meet_match_the_interval_expressions(pair):
+    p, q = pair
+    assert _exact_outcome(distance, p, q) == _exact_outcome(interval_distance, p, q)
+    assert _exact_outcome(tangent_intersection, p, q) == _exact_outcome(
+        interval_tangent_meet, p, q)
+
+
+def test_fused_distance_of_overlapping_points_raises_as_the_expression():
+    # at 16 bits the neighbors 2^-15 apart overlap: both differences
+    # straddle zero, and so does the sum of their squares
+    start = CirclePoint(Interval.from_fraction(Fraction(3, 5), 16),
+                        Interval.from_fraction(Fraction(4, 5), 16))
+    near = step_by_chord(start, Interval.exact(Dyadic(1, -15), 16))
+    for q in (start, near):
+        expected = _exact_outcome(interval_distance, start, q)
+        assert expected[0] is NegativeSqrt
+        assert _exact_outcome(distance, start, q) == expected
+
+
+@pytest.mark.parametrize("prec", [16, 64])
+def test_fused_meet_of_antipodal_points_raises_as_the_expression(prec):
+    p = CirclePoint(Interval.from_fraction(Fraction(3, 5), prec),
+                    Interval.from_fraction(Fraction(4, 5), prec))
+    for q in (CirclePoint(-p.x, -p.y), CirclePoint(-p.x, -p.y.widen(Dyadic(1, -20)))):
+        expected = _exact_outcome(interval_tangent_meet, p, q)
+        assert expected[0] is AntipodalTangents
+        assert _exact_outcome(tangent_intersection, p, q) == expected
 
 
 def test_circuit_construction_rules():

@@ -23,6 +23,11 @@ def run_cli(args, capsys):
     return code, out
 
 
+def run_cli_err(args, capsys):
+    code = main(args)
+    return code, capsys.readouterr().err
+
+
 def test_bounds_json(capsys):
     code, out = run_cli(
         ["bounds", "--n", "6", "--m", "4", "--precision", "96"], capsys
@@ -143,6 +148,34 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 3
 
 
+@pytest.mark.parametrize("where", ["missing-parent", "directory", "file-parent"])
+def test_unwritable_output_exits_2_before_work(where, tmp_path, monkeypatch, capsys):
+    (tmp_path / "plain").write_text("")
+    target = {"missing-parent": tmp_path / "nonexistent" / "x.json",
+              "directory": tmp_path,
+              "file-parent": tmp_path / "plain" / "x.json"}[where]
+
+    def no_work(count):
+        raise AssertionError("digits computed for an unwritable --output")
+
+    monkeypatch.setattr("archpi.cli.pi_digits", no_work)
+    code, err = run_cli_err(
+        ["digits", "--count", "5", "--output", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error: --output: ") and "Traceback" not in err
+
+
+def test_output_write_failure_exits_2(tmp_path, monkeypatch, capsys):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("builtins.open", full_disk)
+    code, err = run_cli_err(
+        ["digits", "--count", "5", "--output", str(tmp_path / "x.json")], capsys)
+    assert code == 2
+    assert err == f"error: --output: No space left on device: '{tmp_path / 'x.json'}'\n"
+
+
 def test_env_precision_override(monkeypatch, capsys):
     monkeypatch.setenv("ARCHPI_PRECISION", "128")
     code, out = run_cli(["bounds", "--n", "3", "--m", "2"], capsys)
@@ -154,11 +187,6 @@ def test_bad_arguments_exit_2(capsys):
         main(["bounds", "--n", "6"])  # missing --m
     assert exc.value.code == 2
     assert main(["bounds", "--n", "2", "--m", "1"]) == 2  # n too small
-
-
-def run_cli_err(args, capsys):
-    code = main(args)
-    return code, capsys.readouterr().err
 
 
 def test_verify_flag_the_suite_does_not_take_exits_2(capsys):
