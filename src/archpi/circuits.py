@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
-from .dyadic import Dyadic
 from .errors import AntipodalTangents, NegativeSqrt, PreconditionViolation
 from .interval import (Interval, _interval, _product, _quotient, _raw_sum,
                        _sum)
@@ -41,11 +40,8 @@ class CirclePoint:
     def reflect(self) -> "CirclePoint":
         return CirclePoint(self.x, -self.y)
 
-    def serialize(self, frac_digits: int = 17) -> list:
-        return [
-            list(self.x.decimal_pair(frac_digits)),
-            list(self.y.decimal_pair(frac_digits)),
-        ]
+    def serialize(self) -> list:
+        return [list(self.x.decimal_pair()), list(self.y.decimal_pair())]
 
 
 def unit_start(prec: int) -> CirclePoint:
@@ -176,42 +172,29 @@ def tangent_intersection(p: CirclePoint, q: CirclePoint) -> Tuple[Interval, Inte
 
 @dataclass(frozen=True)
 class Circuit:
-    """Closed counterclockwise point sequence; adjacent arcs < half circle.
+    """Closed counterclockwise circuit through vertices of the 3*2^m-gon ring.
 
-    A circuit is either explicit, from its ``given`` vertices, or ring-based:
-    ``from_regular_indices`` keeps the depth ``ring_m`` of the 3*2^m-gon
-    ring, the sorted vertex ``indices`` and the per-edge step counts
-    ``gaps``, and builds no ring.  ``vertices`` is the open vertex list; for
-    a ring-based circuit it keeps the indexed points of one ``ring_walk``.
-    The arc condition is structural: ring-based circuits are checked with
-    integer gap bookkeeping.
+    Only ``from_regular_indices`` builds one.  It keeps the ring depth
+    ``ring_m``, the sorted vertex ``indices`` and the per-edge step counts
+    ``gaps``, checks the circuit conditions (at least 3 points, every
+    adjacent arc under half the circle) with integer gap bookkeeping, and
+    builds no ring.  ``vertices`` is the open vertex list: the indexed
+    points of one ``ring_walk``.
     """
 
-    given: Sequence[CirclePoint]
+    ring_m: int
+    indices: Tuple[int, ...]
+    gaps: List[int]
     prec: int
-    ring_m: int = -1
-    indices: Sequence[int] = ()
-    gaps: List[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self) < 3:
-            raise PreconditionViolation("a circuit needs at least 3 points")
 
     @property
     def vertices(self) -> List[CirclePoint]:
-        if not self.gaps:
-            return list(self.given)
         wanted = set(self.indices)
         ring = ring_walk(self.ring_m, self.prec, self.indices[-1])
         return [p for i, p in enumerate(ring) if i in wanted]
 
     def __len__(self) -> int:
-        return len(self.indices) if self.gaps else len(self.given)
-
-    def edges(self):
-        pts = self.vertices
-        for i in range(len(pts)):
-            yield pts[i], pts[(i + 1) % len(pts)]
+        return len(self.indices)
 
     @staticmethod
     def from_regular_indices(m: int, indices: Sequence[int], prec: int) -> "Circuit":
@@ -227,7 +210,7 @@ class Circuit:
         gaps.append(n - idx[-1] + idx[0])
         if max(gaps) * 2 >= n:
             raise PreconditionViolation("adjacent arc spans at least half the circle")
-        return Circuit((), prec, ring_m=m, indices=tuple(idx), gaps=gaps)
+        return Circuit(m, tuple(idx), gaps, prec)
 
 
 @dataclass(frozen=True)
@@ -239,19 +222,9 @@ class CircuitMeasures:
     mesh: Interval
     min_edge: Interval
 
-    def serialize(self, frac_digits: int = 17) -> dict:
-        out = {}
-        for name in (
-            "perimeter_in",
-            "perimeter_circ",
-            "area_in",
-            "area_circ",
-            "mesh",
-            "min_edge",
-        ):
-            lo, hi = getattr(self, name).decimal_pair(frac_digits)
-            out[name] = [lo, hi]
-        return out
+    def serialize(self) -> dict:
+        return {f.name: list(getattr(self, f.name).decimal_pair())
+                for f in fields(self)}
 
 
 def _edge_terms(chord: Interval) -> Tuple[Interval, Interval]:
@@ -266,17 +239,13 @@ def _edge_terms(chord: Interval) -> Tuple[Interval, Interval]:
 
 def circuit_measures(circuit: Circuit) -> CircuitMeasures:
     prec = circuit.prec
-    if circuit.gaps:
-        # ring-based circuit: one chord per distinct step count, each with
-        # its multiplicity, read off one walk prefix
-        counts = Counter(circuit.gaps)
-        prefix = list(ring_walk(circuit.ring_m, prec, max(counts)))
-        terms = [(distance(prefix[0], prefix[g]), n) for g, n in counts.items()]
-    else:
-        terms = [(distance(p, q), 1) for p, q in circuit.edges()]
+    # one chord per distinct step count, each with its multiplicity, read
+    # off one walk prefix
+    counts = Counter(circuit.gaps)
+    prefix = list(ring_walk(circuit.ring_m, prec, max(counts)))
+    terms = [(distance(prefix[0], prefix[g]), n) for g, n in counts.items()]
     perim_in = perim_circ = area_in = Interval.exact(0, prec)
     for chord, count in terms:
-        # each term has at most prec bits, so a multiplicity of 1 is exact
         detour, tri_area = _edge_terms(chord)
         perim_in = perim_in + chord * count
         perim_circ = perim_circ + detour * count
@@ -329,13 +298,8 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
     """
     if mesh_cap.lo.sign <= 0:
         raise PreconditionViolation("mesh cap must be certifiably positive")
-    # only the cap's lower end decides "certainly shorter"; the key is its
-    # value, since Interval has no value equality
-    return _refinement(k, mesh_cap.lo, prec)
-
-
-@lru_cache(maxsize=64)
-def _refinement(k: int, cap_lo: Dyadic, prec: int) -> Tuple[int, int]:
+    # only the cap's lower end decides "certainly shorter"
+    cap_lo = mesh_cap.lo
     fallback = None
     for m, ell in enumerate(lattice_ladder(prec)[0][: MAX_RING_DEPTH + 1]):
         n = 3 << m

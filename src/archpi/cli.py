@@ -3,8 +3,9 @@ and trig tabulation.
 
 Exit codes: 0 success, 1 a verification suite found a certain violation,
 2 argument error (including a ``verify`` flag the suite does not take, a
-size that yields no rows, a precision above what the chord solver takes,
-and an ``--output`` that cannot be written), 3 inconclusive (interval
+size that yields no rows, a job count outside 1..256, a precision above
+what the chord solver takes, and an ``--output`` that cannot be written),
+3 inconclusive (interval
 overlap persisting at the precision cap, an ambiguous winding crossing,
 chords that cannot be ordered at this precision, tangents that cannot be
 certified to meet, or an operand too wide for a square root, a division or
@@ -35,7 +36,7 @@ from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
 from .rational import coprime_pairs, realize_rational, normalized_length, winding_count
-from .suites import DEFAULT_SEED, LEAST, SUITES, run_suite, shortfall_row
+from .suites import DEFAULT_SEED, LEAST, MAX_JOBS, SUITES, run_suite, shortfall_row
 from .trig import sandwich_report
 
 EXIT_OK = 0
@@ -63,8 +64,10 @@ def _default_precision() -> int:
     return _env_int("ARCHPI_PRECISION", 64)
 
 
-def _default_jobs() -> int:
-    return _env_int("ARCHPI_JOBS", 1)
+def _require_jobs(source: str, jobs: int) -> None:
+    """Reject a job count outside 1..``suites.MAX_JOBS``, before any worker starts."""
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"{source} must lie in 1..{MAX_JOBS}, got {jobs}")
 
 
 def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
@@ -220,10 +223,13 @@ def _cmd_verify(args) -> int:
             )
         if key in LEAST:
             _require_least(key, value)
+    if args.jobs is not None:
+        _require_jobs("--jobs", args.jobs)
+    elif "jobs" in takes:
+        given["jobs"] = _env_int("ARCHPI_JOBS", 1)
+        _require_jobs("ARCHPI_JOBS", given["jobs"])
     if args.precision is not None or "ARCHPI_PRECISION" in os.environ:
         given["precision"] = _precision(args)
-    if "jobs" in takes:
-        given.setdefault("jobs", _default_jobs())
     result = run_suite(args.suite, **given)
     report = {
         "command": "verify",

@@ -60,22 +60,12 @@ class SchemeMeasures:
     A: Interval        # circumscribed area
     h: Interval        # circumscribed vertex gap
 
-    def report_row(self, frac_digits: int = 17) -> dict:
-        s = self.scheme
-        return {
-            "n": s.n,
-            "m": s.m,
-            "precision": self.ell.prec,
-            "p_lo": self.p.decimal_pair(frac_digits)[0],
-            "p_hi": self.p.decimal_pair(frac_digits)[1],
-            "P_lo": self.P.decimal_pair(frac_digits)[0],
-            "P_hi": self.P.decimal_pair(frac_digits)[1],
-            "a_lo": self.a.decimal_pair(frac_digits)[0],
-            "a_hi": self.a.decimal_pair(frac_digits)[1],
-            "A_lo": self.A.decimal_pair(frac_digits)[0],
-            "A_hi": self.A.decimal_pair(frac_digits)[1],
-            "h_hi": self.h.decimal_pair(frac_digits)[1],
-        }
+    def report_row(self) -> dict:
+        row = {"n": self.scheme.n, "m": self.scheme.m, "precision": self.ell.prec}
+        for name in ("p", "P", "a", "A"):
+            row[name + "_lo"], row[name + "_hi"] = getattr(self, name).decimal_pair()
+        row["h_hi"] = self.h.decimal_pair()[1]
+        return row
 
 
 def seed_edge(n: int, prec: int) -> Interval:

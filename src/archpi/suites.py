@@ -31,6 +31,7 @@ over samples; each sample owns its seed and returns its finished rows.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +68,10 @@ _ARC_HI = 130416
 
 #: the least value of each size parameter that still yields a check
 LEAST = {"samples": 1, "circuits_per_cap": 1, "k_max": 1, "m_max": 0, "max_n": 3}
+
+#: the most worker processes a suite may be asked for; it starts at most one
+#: per sample and per CPU
+MAX_JOBS = 256
 
 LESS = Verdict.CERTAINLY_LESS
 GREATER = Verdict.CERTAINLY_GREATER
@@ -142,9 +147,10 @@ def _dec(x: Interval) -> List[str]:
 
 
 def _map_samples(fn: Callable, args: List, jobs: int) -> List:
-    if jobs <= 1:
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args, chunksize=8))
 
 
@@ -543,4 +549,6 @@ def run_suite(name: str, **kwargs) -> SuiteResult:
     for key, value in kwargs.items():
         if key in LEAST and value < LEAST[key]:
             raise ValueError(f"{key} must be at least {LEAST[key]}, got {value}")
+        if key == "jobs" and not 1 <= value <= MAX_JOBS:
+            raise ValueError(f"jobs must lie in 1..{MAX_JOBS}, got {value}")
     return SuiteResult(name, list(SUITES[name](**kwargs)))

@@ -130,11 +130,11 @@ class SandwichReport:
     lower_verdict: Verdict   # expect 1 certainly <= mid
     upper_verdict: Verdict   # expect mid certainly <= upper
 
-    def serialize(self, frac_digits: int = 17) -> dict:
+    def serialize(self) -> dict:
         return {
-            "theta": list(self.theta.decimal_pair(frac_digits)),
-            "mid": list(self.mid.decimal_pair(frac_digits)),
-            "upper": list(self.upper.decimal_pair(frac_digits)),
+            "theta": list(self.theta.decimal_pair()),
+            "mid": list(self.mid.decimal_pair()),
+            "upper": list(self.upper.decimal_pair()),
             "lower_verdict": self.lower_verdict.value,
             "upper_verdict": self.upper_verdict.value,
         }

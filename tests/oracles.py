@@ -8,15 +8,18 @@ the dyadic kernel.  ``interval_walk`` and ``interval_classify`` are the
 chord solver's former walk in ``Interval`` steps, the reference for its
 fixed-point ball walk; ``interval_distance`` and ``interval_tangent_meet``
 are the ``Interval`` expressions that ``circuits.distance`` and
-``circuits.tangent_intersection`` fuse.  These four are the only oracles
-built on archpi.  Nothing here is imported by the library.
+``circuits.tangent_intersection`` fuse; ``explicit_circuit_measures``
+measures a circuit edge by edge in ``Interval`` expressions, the reference
+for ``circuits.circuit_measures``, which measures one chord per distinct
+gap.  These five are the only oracles built on archpi.  Nothing here is
+imported by the library.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from archpi.circuits import Rotation, unit_start, walk
+from archpi.circuits import CircuitMeasures, Rotation, unit_start, walk
 from archpi.errors import AntipodalTangents
 from archpi.interval import Interval, Verdict, compare_certain
 
@@ -129,3 +132,27 @@ def interval_tangent_meet(p, q):
     if denom.lo.sign <= 0 <= denom.hi.sign:
         raise AntipodalTangents("tangent lines are (possibly) parallel")
     return ((p.x + q.x) / denom, (p.y + q.y) / denom)
+
+
+def explicit_circuit_measures(vertices, prec):
+    """The measures of the closed circuit through ``vertices``, edge by edge.
+
+    Each edge's chord c is ``interval_distance`` of its ends; its two
+    tangent legs add the detour 2c/sqrt(4 - c^2), and its inscribed
+    triangle has area c*sqrt(4 - c^2)/4.
+    """
+    chords = [interval_distance(p, q)
+              for p, q in zip(vertices, vertices[1:] + vertices[:1])]
+    roots = [(4 - c * c).sqrt() for c in chords]
+    zero = Interval.exact(0, prec)
+    perim_in = sum(chords, zero)
+    perim_circ = sum((c * 2 / r for c, r in zip(chords, roots)), zero)
+    area_in = sum((c * r / 4 for c, r in zip(chords, roots)), zero)
+    return CircuitMeasures(
+        perimeter_in=perim_in,
+        perimeter_circ=perim_circ,
+        area_in=area_in,
+        area_circ=perim_circ / 2,
+        mesh=Interval(max(c.lo for c in chords), max(c.hi for c in chords), prec),
+        min_edge=Interval(min(c.lo for c in chords), min(c.hi for c in chords), prec),
+    )

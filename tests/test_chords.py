@@ -14,6 +14,7 @@ from archpi.chords import (
     solve_regular_chord,
     tangent_compare,
 )
+from archpi.circuits import Rotation
 from archpi.dyadic import Dyadic
 from archpi.errors import (SHORTFALLS, BisectionStall, DomainViolation,
                            InvalidChord, PreconditionViolation)
@@ -317,6 +318,41 @@ def test_ball_walk_encloses_the_interval_walk(k, n, w):
         for center, coord in ((x, point.x), (y, point.y)):
             assert Dyadic(center - r, -w) <= coord.lo
             assert coord.hi <= Dyadic(center + r, -w)
+
+
+@pytest.mark.parametrize("w", [16, 64, 200])
+@pytest.mark.parametrize("a, b, c", [(3, 4, 5), (20, 21, 29), (40, 399, 401)])
+def test_ball_walk_encloses_the_exact_walk_of_its_matrix(a, b, c, w):
+    # cos a/c and sin b/c floored onto the walk's grid: the rotation's balls
+    # have radius 0 (rho = 0), so each step's radius term is all truncation,
+    # and the exact iterate of the same matrix must stay within it
+    bits = w - 4
+    cos, sin = Dyadic(a * 2**bits // c, -bits), Dyadic(b * 2**bits // c, -bits)
+    rotation = Rotation(Interval.exact(cos, w), Interval.exact(sin, w))
+    cf, sf = cos.as_fraction() * 2**w, sin.as_fraction() * 2**w
+    x, y = Fraction(2**w), Fraction(0)
+    for center_x, center_y, r in chords._ball_walk(rotation, 64, w):
+        x, y = (x * cf - y * sf) / 2**w, (x * sf + y * cf) / 2**w
+        assert (x - center_x) ** 2 + (y - center_y) ** 2 <= r * r
+
+
+@pytest.mark.parametrize("n", [5, 17, 32])
+@pytest.mark.parametrize("prec", [16, 64, 128])
+def test_classify_near_the_root_is_ambiguous_or_exact(prec, n):
+    # steps d 2^-(prec+16) around the true step, 2^-16 of an ulp of the
+    # walk apart: their exact walks end a small fraction of an ulp from the
+    # target, well inside the ball's radius, so only the radius keeps a
+    # verdict from disagreeing with the exact sign
+    for k in range(6554, 130417, 6000):
+        chord = Dyadic(k, -16)
+        with mpmath.workdps(80):
+            root = int(mpmath.floor(mpmath.ldexp(_true_step(chord, n), prec + 16)))
+        for d in range(-3, 4):
+            step = Dyadic(root + d, -(prec + 16))
+            verdict = chords._classify(step, n, Interval.exact(chord, prec), prec)
+            # the step is below the true one exactly when d <= 0
+            exact = chords._UNDER if d <= 0 else chords._OVER
+            assert verdict in (chords._AMBIG, exact), (k, d)
 
 
 @given(

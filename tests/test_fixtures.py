@@ -18,4 +18,4 @@ def test_circuit_fixtures_reproduce():
         assert circuit.gaps == fixture["gaps"]
         assert circuit.ring_m == fixture["ring_m"]
         measures = circuit_measures(circuit)
-        assert measures.serialize(17) == fixture["measures"]
+        assert measures.serialize() == fixture["measures"]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 
 import pytest
 
@@ -261,6 +262,65 @@ def test_run_suite_rejects_unknown_keyword():
 def test_run_suite_rejects_sizes_without_checks(name, kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         run_suite(name, **kwargs)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of each pool a suite makes; no process starts."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 257])
+def test_run_suite_rejects_jobs_out_of_range(jobs, pools):
+    with pytest.raises(ValueError, match="jobs"):
+        run_suite("chord-compare", samples=1, jobs=jobs)
+    assert pools == []
+
+
+@pytest.mark.parametrize("source", ["--jobs", "ARCHPI_JOBS"])
+@pytest.mark.parametrize("value", ["0", "-1", "257"])
+def test_jobs_out_of_range_exit_2_before_any_worker(source, value, pools,
+                                                    monkeypatch, capsys):
+    argv = ["verify", "chord-compare", "--samples", "1"]
+    if source == "--jobs":
+        argv += ["--jobs", value]
+    else:
+        monkeypatch.setenv("ARCHPI_JOBS", value)
+    assert main(argv) == 2
+    assert source in capsys.readouterr().err
+    assert pools == []
+
+
+@pytest.mark.parametrize("jobs, samples, cpus, workers", [
+    (8, 3, 16, [3]),     # one worker per sample
+    (8, 5, 2, [2]),      # one worker per CPU
+    (8, 5, 1, []),       # one CPU: serial, no pool
+    (8, 5, None, []),    # CPU count unknown: serial
+])
+def test_jobs_start_at_most_one_worker_per_sample_and_cpu(
+        jobs, samples, cpus, workers, pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    serial = run_suite("tangent-compare", samples=samples, seed=4, precision=64)
+    clamped = run_suite("tangent-compare", samples=samples, seed=4, precision=64,
+                        jobs=jobs)
+    assert pools == workers
+    assert clamped.rows == serial.rows
 
 
 def test_rational_overlap_is_inconclusive(monkeypatch):

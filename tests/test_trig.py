@@ -129,7 +129,7 @@ def test_sandwich_domain():
 
 
 def test_sandwich_serialize():
-    out = sandwich_report(exact("0.25"), PREC).serialize(8)
+    out = sandwich_report(exact("0.25"), PREC).serialize()
     assert set(out) == {"theta", "mid", "upper", "lower_verdict", "upper_verdict"}
     assert out["lower_verdict"] == "certainly_less"
 
