@@ -4,7 +4,8 @@ and trig tabulation.
 Exit codes: 0 success, 1 a verification suite found a certain violation,
 2 argument error (including a ``verify`` flag the suite does not take, a
 size that yields no rows, a job count outside 1..256, a precision above
-what the chord solver takes, and an ``--output`` that cannot be written),
+the command's ceiling in ``PRECISION_CEILING`` or above what the chord solver
+takes, and an ``--output`` that cannot be written),
 3 inconclusive (interval
 overlap persisting at the precision cap, an ambiguous winding crossing,
 chords that cannot be ordered at this precision, tangents that cannot be
@@ -29,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from .chords import MAX_PRECISION as SOLVER_CEILING
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
 from .errors import SHORTFALLS, ArchpiError, PrecisionCeiling
@@ -48,6 +50,23 @@ EXIT_INCONCLUSIVE = 3
 _VERIFY_KEYS = (*LEAST, "seed", "jobs")
 #: shortfall row keys that do not name the row
 _NOT_SUBJECT = {"suite", "precision", "error", "message", "verdict", "status"}
+
+#: the most bits each command takes at ``--precision`` or ARCHPI_PRECISION,
+#: checked before any work.  At its ceiling each command, at its default
+#: sizes (``bounds`` at --n 3 --m 3), took 1-35 s on a 2-CPU x86-64 host
+#: under CPython 3.11; the README lists the times.  The cost grows as about
+#: prec^1.7 for a fixed number of halvings and prec^2.7 where the number of
+#: halvings grows with prec, so twice a ceiling takes 3-7 times as long.
+#: ``sweep-rational`` and the chord-solving suites stop at the chord
+#: solver's ceiling, 4080 bits.
+PRECISION_CEILING = {
+    "bounds": 400_000,
+    "archimedes": 200_000,
+    "verify": 4096,
+    "circuit": 8192,
+    "trig": 4096,
+    "sweep-rational": SOLVER_CEILING,
+}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -130,9 +149,15 @@ def _precision_source(args) -> str:
 
 
 def _precision(args, floor: int = 16) -> int:
+    """The command's precision, checked against its floor and its ceiling
+    in ``PRECISION_CEILING`` before any work starts."""
     prec = args.precision if args.precision is not None else _default_precision()
     if prec < floor:
         raise ValueError(f"{_precision_source(args)} must be at least {floor} bits, got {prec}")
+    ceiling = PRECISION_CEILING[args.command]
+    if prec > ceiling:
+        raise ValueError(f"{_precision_source(args)} must be at most {ceiling} bits "
+                         f"for {args.command}, got {prec}")
     return prec
 
 

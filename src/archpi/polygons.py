@@ -4,12 +4,16 @@ Everything is built from field operations and square roots on intervals: the
 inscribed edge of the seed polygon, the bisected-chord recurrence, the
 tangent edge, and the vertex gap.  No trigonometry enters the certified path.
 
-Two brackets of pi come from the same bisected-edge chain: Archimedes' half
-perimeters p/2 < pi < P/2 (``pi_bounds``), whose width falls as N^-2 in the
-edge count N, and a Richardson-Romberg extrapolation of the inscribed half
-perimeters at k + 1 successive depths (``romberg_bounds``), widened by an
-exact bound on its truncation error, which falls superlinearly in k;
-``pi_digits`` certifies digits with the latter.
+Two brackets of pi come from the triangle's bisected edges.  Archimedes'
+half perimeters p/2 < pi < P/2 (``pi_bounds``) come from the ``Interval``
+chain, and their width falls as N^-2 in the edge count N.  The squared
+inscribed half perimeter s^2 = N^2 sin^2(pi/N) is a power series in
+h = 1/N^2 with constant term pi^2, so a Richardson-Romberg extrapolation
+of s^2 at k + 1 successive depths, widened by an exact bound on its
+truncation error that falls superlinearly in k, brackets pi^2
+(``romberg_bounds``).  That chain carries Q = 4^m ell^2 on each end as a
+plain integer at scale 2^-F, with one integer square root per end per
+halving; ``pi_digits`` certifies digits from its integer ends.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from math import isqrt
 from typing import Iterator
 
 from .dyadic import Dyadic
@@ -182,51 +187,111 @@ def _romberg_weights(k: int) -> tuple:
 
 
 def romberg_error_bound(m0: int, k: int) -> Fraction:
-    """Exact bound on |sum w_i s_i - pi| over depths m0 .. m0 + k.
+    """Exact bound on |sum w_i s_i^2 - pi^2| over depths m0 .. m0 + k.
 
-    s = N sin(pi/N) = sum_j a_j h^j with h = 1/N^2 and
-    a_j = (-1)^j pi^(2j+1)/(2j+1)!.  The weights reproduce every h^j with
-    j <= k at h = 0, so a_0 = pi is left exact.  For j > k they map h^j to
-    the value at 0 of its interpolant, (-1)^k prod h_i H_(j-k-1)(h_0..h_k),
-    where H_r is the complete homogeneous symmetric polynomial (the
-    interpolation error at 0 is a divided difference of h^j times
-    prod (0 - h_i)).  The nodes are h_0 4^-i, so H_r is h_0^r times a
-    Gaussian binomial in 1/4, at most h_0^r prod_{i=1..k} (1 - 4^-i)^-1.
-    With pi < 4, |a_j| < 4^(2j+1)/(2j+1)!, and consecutive terms over
-    j > k fall by at most q = 16 h_0/((2k+4)(2k+5)), so
+    s^2 = N^2 sin^2(pi/N) = sum_j b_j h^j with h = 1/N^2 and
+    b_j = (-1)^j (2 pi)^(2j+2)/(2 (2j+2)!).  The weights reproduce every
+    h^j with j <= k at h = 0, so b_0 = pi^2 is left exact.  For j > k they
+    map h^j to the value at 0 of its interpolant,
+    (-1)^k prod h_i H_(j-k-1)(h_0..h_k), where H_r is the complete
+    homogeneous symmetric polynomial (the interpolation error at 0 is a
+    divided difference of h^j times prod (0 - h_i)).  The nodes are
+    h_0 4^-i, so H_r is h_0^r times a Gaussian binomial in 1/4, at most
+    h_0^r prod_{i=1..k} (1 - 4^-i)^-1.  With 2 pi < 8,
+    |b_j| < 8^(2j+2)/(2 (2j+2)!), and consecutive terms over j > k fall by
+    at most q = 64 h_0/((2k+5)(2k+6)), so
 
-        |T - pi| <= prod h_i prod (1 - 4^-i)^-1 4^(2k+3)/(2k+3)! / (1 - q).
+        |T - pi^2| <= prod h_i prod (1 - 4^-i)^-1 8^(2k+4)/(2 (2k+4)!) / (1 - q).
 
     Here prod h_i prod (1 - 4^-i)^-1 = h_0^(k+1)/D, with D from
-    ``_romberg_weights``, and h_0 = 1/(3 * 2^m0)^2.
+    ``_romberg_weights``, and h_0 = 1/(3 * 2^m0)^2.  The bound is built as
+    one fraction, so it costs one gcd.
     """
-    h0 = Fraction(1, 9 << 2 * m0)
+    base = 9 << 2 * m0   # 1/h_0
+    span = (2 * k + 5) * (2 * k + 6)
     _, denom = _romberg_weights(k)
-    head = h0 ** (k + 1) * (1 << 4 * k + 6) / (denom * math.factorial(2 * k + 3))
-    return head / (1 - 16 * h0 / ((2 * k + 4) * (2 * k + 5)))
+    return Fraction(
+        span * base << 6 * k + 11,
+        base ** (k + 1) * denom * math.factorial(2 * k + 4) * (span * base - 64),
+    )
+
+
+def _halve_squared(lo: int, hi: int, m: int, frac_bits: int) -> tuple:
+    """One halving of Q_m = 4^m ell_m^2, bracketed by integers at scale 2^-F:
+    Q_(m+1) = 4 Q_m/(2 + sqrt(4 - Q_m 4^-m)), the square of
+    ell/sqrt(2 + sqrt(4 - ell^2)) times 4^(m+1).
+
+    q/(2 + sqrt(4 - q)) increases on (0, 4), so each end steps on its own:
+    the lower end with ell^2 floored, its root ceiled and the quotient
+    floored, the upper end the other way round.  One square root per end.
+    """
+    four = 4 << frac_bits
+    two = 2 << frac_bits
+    # ceil(sqrt(s)) = isqrt(s - 1) + 1 for s >= 1
+    root = isqrt((four - (lo >> 2 * m) << frac_bits) - 1) + 1
+    new_lo = (lo << frac_bits + 2) // (two + root)
+    root = isqrt(four + (-hi >> 2 * m) << frac_bits)
+    new_hi = -(-(hi << frac_bits + 2) // (two + root))
+    return new_lo, new_hi
+
+
+def _squared_edge_chain(frac_bits: int) -> Iterator[tuple]:
+    """Integer brackets (lo, hi) of Q_m = 4^m ell_m^2 at scale 2^-F for the
+    triangle's bisected edges, m = 0, 1, ...: Q_0 = 3 exactly, then
+    ``_halve_squared``.  Q lies in [3, 4 pi^2/9), so F fraction bits keep
+    about F significant bits at every depth.
+    """
+    lo = hi = 3 << frac_bits
+    m = 0
+    while True:
+        yield lo, hi
+        lo, hi = _halve_squared(lo, hi, m, frac_bits)
+        m += 1
+
+
+def _romberg_ends(m0: int, k: int, frac_bits: int, bound: Fraction) -> tuple:
+    """Integers lo <= 2^F pi <= hi: the Richardson-Romberg extrapolation
+    of the squared half perimeters s_i^2 = 9 Q_i/4 at depths m0 .. m0 + k,
+    widened by ``bound`` (at least ``romberg_error_bound(m0, k)``).
+
+    pi^2 lies within the bound of 9 sum W_i Q_i/(4D); the sum takes each
+    chain end by the sign of W_i, so it brackets the exact weighted sum.
+    The lower end of pi^2 is clamped at 0 (it is negative at m0 = 0,
+    k = 0), and each end's square root is rounded outward.
+    """
+    weights, denom = _romberg_weights(k)
+    low = high = 0
+    chain = islice(_squared_edge_chain(frac_bits), m0, m0 + k + 1)
+    for weight, (lo, hi) in zip(weights, chain):
+        if weight > 0:
+            low += weight * lo
+            high += weight * hi
+        else:
+            low += weight * hi
+            high += weight * lo
+    # pi^2 at scale 2^-2F; the slack is the bound rounded up
+    scale = denom << 2
+    slack = -((-bound.numerator << 2 * frac_bits) // bound.denominator)
+    square_lo = (9 * low << frac_bits) // scale - slack
+    square_hi = -(-(9 * high << frac_bits) // scale) + slack
+    return isqrt(max(square_lo, 0)), isqrt(square_hi - 1) + 1
 
 
 def romberg_bounds(m0: int, k: int, prec: int) -> Interval:
-    """Certified enclosure of pi: Richardson-Romberg extrapolation of
-    Archimedes' half perimeters s = N ell/2 at depths m0 .. m0 + k of the
-    triangle's ``edge_chain``, widened by ``romberg_error_bound``.
+    """Certified enclosure of pi: Richardson-Romberg extrapolation of the
+    squared half perimeters s^2 = (N ell/2)^2 at depths m0 .. m0 + k of
+    the triangle's bisected edges, widened by ``romberg_error_bound`` and
+    square-rooted (``_romberg_ends`` at ``prec`` fraction bits).
 
-    T = sum w_i s_i is Neville's tableau for h -> 0 in one weighted sum;
-    k = 1 is Huygens' estimate (4 s_2N - s_N)/3.  Every term is an
-    outward-rounded interval, so T contains the exact weighted sum.
+    T = sum w_i s_i^2 is Neville's tableau for h -> 0 in one weighted sum;
+    k = 1 is Huygens' estimate (4 s_2N^2 - s_N^2)/3 of pi^2.
     """
     if prec < 16:
         raise ValueError("precision must be at least 16 bits")
     if m0 < 0 or k < 0:
         raise ValueError("depth and order must be nonnegative")
-    weights, denom = _romberg_weights(k)
-    edges = islice(edge_chain(3, prec), m0, m0 + k + 1)
-    total = sum(
-        ell * (weight * 3 << m0 + i)   # W_i N_i ell_i
-        for i, (weight, ell) in enumerate(zip(weights, edges))
-    )
-    slack = Dyadic.from_fraction(romberg_error_bound(m0, k), 32, up=True)
-    return (total / (2 * denom)).widen(slack)
+    lo, hi = _romberg_ends(m0, k, prec, romberg_error_bound(m0, k))
+    return Interval(Dyadic(lo, -prec), Dyadic(hi, -prec), prec).with_prec(prec)
 
 
 #: the Romberg bracket's first depth: the 96-gon, h_0 = 1/96^2
@@ -240,24 +305,16 @@ _DIGIT_CHUNK = 512
 def _romberg_order(count: int) -> int:
     """Smallest k whose bound, estimated with floats, is below 10^-(count+2).
 
-    log10 of h_0^(k+1)/D * 4^(2k+3)/(2k+3)!, taking D as 4^(k(k+1)/2); the
-    exact bound is checked by the caller.
+    log10 of h_0^(k+1)/D * 8^(2k+4)/(2 (2k+4)!), taking D as
+    4^(k(k+1)/2); the exact bound is checked by the caller.
     """
-    log4 = math.log10(4)
+    log2 = math.log10(2)
     log_h0 = -math.log10(9 << 2 * ROMBERG_BASE_DEPTH)
     k = 0
-    while (log_h0 * (k + 1) - log4 * k * (k + 1) / 2 + log4 * (2 * k + 3)
-           - math.lgamma(2 * k + 4) / math.log(10)) >= -(count + 2):
+    while (log_h0 * (k + 1) - log2 * k * (k + 1) + log2 * (6 * k + 11)
+           - math.lgamma(2 * k + 5) / math.log(10)) >= -(count + 2):
         k += 1
     return k
-
-
-def _truncated_digits(value: Dyadic, count: int) -> int:
-    """floor(value * 10**(count-1)) for values in (1, 10)."""
-    scaled = value.man * 10 ** (count - 1)
-    if value.exp >= 0:
-        return scaled << value.exp
-    return scaled >> -value.exp
 
 
 def _decimal(n: int) -> str:
@@ -276,26 +333,28 @@ def pi_digits(count: int) -> str:
 
     Starts the Romberg bracket at depth ``ROMBERG_BASE_DEPTH`` with the
     least order k whose exact error bound is below 10^-(count+2), at
-    10/3 bits per digit plus 32 guard bits.  The digits are accepted when
-    both endpoints truncate to the same string; otherwise k rises by 4 and
-    the precision doubles.
+    10/3 fraction bits per digit plus 32 guard bits.  The digits are
+    accepted when both integer ends truncate to the same string; otherwise
+    k rises by 4 and the precision doubles.
     """
     if count < 1:
         raise ValueError("digit count must be positive")
     if count > DEFAULT_DIGIT_CAP:
         raise IterationCapExceeded(f"digit count {count} above cap {DEFAULT_DIGIT_CAP}")
     k = _romberg_order(count)
-    while romberg_error_bound(ROMBERG_BASE_DEPTH, k) >= Fraction(1, 10 ** (count + 2)):
+    target = Fraction(1, 10 ** (count + 2))
+    while (bound := romberg_error_bound(ROMBERG_BASE_DEPTH, k)) >= target:
         k += 1
     # log2(10) < 10/3 bits per digit, and guard bits
     prec = max(64, 10 * count // 3 + 32)
+    scale = 10 ** (count - 1)
     for _ in range(64):
-        bracket = romberg_bounds(ROMBERG_BASE_DEPTH, k, prec)
-        lo_digits = _truncated_digits(bracket.lo, count)
-        hi_digits = _truncated_digits(bracket.hi, count)
-        if lo_digits == hi_digits:
-            text = _decimal(lo_digits)
+        lo, hi = _romberg_ends(ROMBERG_BASE_DEPTH, k, prec, bound)
+        digits = lo * scale >> prec
+        if digits == hi * scale >> prec:
+            text = _decimal(digits)
             return text[0] + "." + text[1:] if count > 1 else text
         k += 4
         prec *= 2
+        bound = romberg_error_bound(ROMBERG_BASE_DEPTH, k)
     raise IterationCapExceeded("pi digit refinement failed to converge")

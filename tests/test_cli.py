@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from archpi import cli
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.interval import Interval
@@ -255,6 +256,53 @@ def test_verify_precision_above_the_solver_ceiling_exits_2(capsys):
         ["verify", "chord-compare", "--samples", "1", "--precision", "4081"], capsys)
     assert code == 2
     assert "--precision" in err and "4080" in err
+
+
+class _Reached(Exception):
+    """Raised by a stubbed command body: the precision check let it run."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+#: each command that takes --precision, and the first call of its body
+_CEILING_CASES = [
+    (["bounds", "--n", "3", "--m", "3"], "scheme_measures"),
+    (["archimedes"], "iter_scheme_measures"),
+    (["verify", "monotone"], "run_suite"),
+    (["circuit"], "random_circuit"),
+    (["trig", "--theta", "1/8"], "sandwich_report"),
+    (["sweep-rational"], "coprime_pairs"),
+]
+
+
+def test_every_precision_command_has_a_ceiling():
+    assert {args[0] for args, _ in _CEILING_CASES} == set(cli.PRECISION_CEILING)
+    assert cli.PRECISION_CEILING["sweep-rational"] == 4080
+
+
+@pytest.mark.parametrize("args, body", _CEILING_CASES,
+                         ids=[args[0] for args, _ in _CEILING_CASES])
+@pytest.mark.parametrize("source", ["--precision", "ARCHPI_PRECISION"])
+def test_precision_above_the_ceiling_exits_2_before_work(args, body, source,
+                                                         monkeypatch, capsys):
+    # the body is never run above the ceiling: a value that large can take
+    # minutes, so only the stub runs, and only at the ceiling itself
+    monkeypatch.setattr(cli, body, _reached)
+    ceiling = cli.PRECISION_CEILING[args[0]]
+
+    def run(prec):
+        if source == "--precision":
+            return main([*args, "--precision", str(prec)])
+        monkeypatch.setenv("ARCHPI_PRECISION", str(prec))
+        return main(args)
+
+    assert run(ceiling + 1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source} must be at most {ceiling} bits for {args[0]}")
+    with pytest.raises(_Reached):
+        run(ceiling)
 
 
 def test_bounds_precision_floor_has_message(capsys):

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from archpi.dyadic import Dyadic
 from archpi.errors import InvalidChord, InvalidEdge, IterationCapExceeded, UnsupportedSeed
@@ -111,7 +114,6 @@ def test_pi_bounds_and_enclosure():
     enc = pi_enclosure(128)
     assert contains(enc, "3.14159265358979323846264338327950288419716939937510")
     assert enc.width() < Dyadic(1, -100)
-    assert two_pi_enclosure(64).contains(Fraction(6283185307179586477, 10**18)) or True
     assert contains(two_pi_enclosure(64), "6.2831853071795864769252867665590057683943387987502")
 
 
@@ -131,16 +133,35 @@ def test_pi_digits_every_count_against_machin():
 @pytest.mark.parametrize("count", [12, 44, 63, 128, 257, 391, 500, 767])
 def test_pi_digits_high_counts_against_machin(count, monkeypatch):
     calls = []
+    kernel = polygons._romberg_ends
 
-    def recording(m0, k, prec):
-        calls.append((m0, k, prec))
-        return romberg_bounds(m0, k, prec)
+    def recording(m0, k, frac_bits, bound):
+        calls.append((m0, k, frac_bits))
+        return kernel(m0, k, frac_bits, bound)
 
-    monkeypatch.setattr(polygons, "romberg_bounds", recording)
+    monkeypatch.setattr(polygons, "_romberg_ends", recording)
     assert pi_digits(count) == machin_pi_digits(count)
     # the starting order and precision suffice, even at 767, the end of the
     # six 9s of the Feynman point
     assert len(calls) == 1
+
+
+def test_pi_digits_retries_with_a_higher_order_and_twice_the_bits(monkeypatch):
+    calls = []
+    kernel = polygons._romberg_ends
+
+    def first_misses(m0, k, frac_bits, bound):
+        calls.append((m0, k, frac_bits, bound))
+        lo, hi = kernel(m0, k, frac_bits, bound)
+        # widen the first bracket by one unit of pi: its ends disagree
+        return (lo - (1 << frac_bits), hi) if len(calls) == 1 else (lo, hi)
+
+    monkeypatch.setattr(polygons, "_romberg_ends", first_misses)
+    assert pi_digits(120) == machin_pi_digits(120)
+    (m0, k, bits, _), (m0_again, k_again, bits_again, bound) = calls
+    assert m0 == m0_again == polygons.ROMBERG_BASE_DEPTH
+    assert (k_again, bits_again) == (k + 4, 2 * bits)
+    assert bound == romberg_error_bound(m0, k + 4)
 
 
 def test_romberg_weights_are_the_lagrange_weights_at_zero():
@@ -205,13 +226,70 @@ def test_romberg_bounds_contain_pi_and_beat_archimedes(m0, k, prec):
 
 @pytest.mark.parametrize("m0", [0, 1, 3, 5, 8])
 def test_romberg_error_is_within_its_bound(m0):
-    # at 2048 bits rounding is far below the bound for k <= 6, so the
-    # midpoint's distance from pi is the extrapolation's own error
-    below, _ = _machin_pi_bracket(700)
-    for k in range(7):
-        bracket = romberg_bounds(m0, k, 2048)
-        mid = (bracket.lo.as_fraction() + bracket.hi.as_fraction()) / 2
-        assert abs(mid - below) <= romberg_error_bound(m0, k)
+    # the unrounded extrapolation sum w_i s_i^2 against pi^2, both at 6000
+    # bits, where rounding is far below every bound for k <= 8
+    with mpmath.workprec(6000):
+        pi_squared = mpmath.pi ** 2
+        for k in range(9):
+            weights, denom = polygons._romberg_weights(k)
+            total = mpmath.fsum(
+                weight * (mpmath.mpf(3 << m0 + i) * mpmath.sin(mpmath.pi / (3 << m0 + i))) ** 2
+                for i, weight in enumerate(weights)
+            ) / denom
+            bound = romberg_error_bound(m0, k)
+            assert abs(total - pi_squared) <= mpmath.mpf(bound.numerator) / bound.denominator
+
+
+@st.composite
+def _chain_steps(draw):
+    """(m, F, lo, hi): a bracket of Q_m = 4^m ell^2 at scale 2^-F, with
+    Q in [3, 4.4] and ell^2 = Q 4^-m < 4 (at m = 0 the chain holds only 3)."""
+    m = draw(st.integers(0, 40))
+    frac_bits = draw(st.sampled_from((64, 65, 127, 1024, 2048)) | st.integers(64, 2048))
+    top = (44 << frac_bits) // 10 if m else (39 << frac_bits) // 10
+    lo = draw(st.integers(3 << frac_bits, top))
+    return m, frac_bits, lo, lo + draw(st.integers(0, 1 << 20))
+
+
+def _below_step(value, q, m):
+    """value <= 4q/(2 + sqrt(4 - q 4^-m)), decided in Fraction."""
+    reach = 4 * q / value - 2
+    return reach >= 0 and reach * reach >= 4 - q / 4**m
+
+
+def _above_step(value, q, m):
+    """value >= 4q/(2 + sqrt(4 - q 4^-m)), decided in Fraction."""
+    reach = 4 * q / value - 2
+    return reach <= 0 or reach * reach <= 4 - q / 4**m
+
+
+@given(_chain_steps())
+@example((0, 64, 3 << 64, 3 << 64))           # the exact seed
+@example((40, 2048, (44 << 2048) // 10, (44 << 2048) // 10 + 1))   # deepest and widest
+# steps where ell^2 rounded the wrong way moves the end's rounded root
+# across the true root: the lower end at m = 17, the upper end at m = 38
+@example((17, 64, 62856763148368315029, 62856763148368315029))
+@example((38, 64, 74928129666138836393, 74928129666138836393))
+@settings(max_examples=300, deadline=None)
+def test_halve_squared_encloses_the_exact_step(step):
+    m, frac_bits, lo, hi = step
+    new_lo, new_hi = polygons._halve_squared(lo, hi, m, frac_bits)
+    one = 1 << frac_bits
+    assert new_lo <= new_hi
+    assert _below_step(Fraction(new_lo, one), Fraction(lo, one), m)
+    assert _above_step(Fraction(new_hi, one), Fraction(hi, one), m)
+
+
+def test_squared_edge_chain_encloses_the_exact_squares():
+    # Q_m = 4^m ell_m^2 = 4^(m+1) sin^2(pi/(3 2^m)), against mpmath at 600 bits
+    for frac_bits in (64, 100, 512):
+        chain = islice(polygons._squared_edge_chain(frac_bits), 41)
+        with mpmath.workprec(600):
+            for m, (lo, hi) in enumerate(chain):
+                exact = 4 ** (m + 1) * mpmath.sin(mpmath.pi / (3 << m)) ** 2
+                assert mpmath.ldexp(lo, -frac_bits) <= exact <= mpmath.ldexp(hi, -frac_bits)
+                # a few units of 2^-F at every depth
+                assert hi - lo <= 4 * (m + 1)
 
 
 def test_pi_digits_validation():
