@@ -8,14 +8,9 @@ half-angle rotation (sin = s/2) from (1, 0): after k steps the point is
 decreasing for t in [0, 2*pi), so an early-exit comparison against the
 target stays sound before any wrap.
 
-The walk is a fixed-point ball walk: integer centers (X, Y) at scale 2^-w,
-w the walk's working bits, and one Euclidean radius R for the whole walk.
-The rotation's cos and sin enclosures give integer centers c, s and radii
-r_c, r_s; each step sets X, Y = (X*c - Y*s) >> w, (X*s + Y*c) >> w and
-R += ceil(rho*(2^w + R)/2^w) + 2 with rho = r_c + r_s.  The true rotation
-is an isometry, the center rotation is within rho*2^-w of it in norm, the
-point has norm at most 1 + R*2^-w, and the floors lose under sqrt(2) ulp,
-so the true point stays within R*2^-w of the center.
+The walk is the fixed-point ball walk of ``circuits._ball_walk``: integer
+centers (X, Y) at scale 2^-w, w the walk's working bits, and one Euclidean
+radius R that always holds the true point.
 
 Walking every bisection mid would cost about prec - 8 walks, so the solver
 first places a certified root bracket a < b: a float seed
@@ -51,10 +46,10 @@ import math
 from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .circuits import (CirclePoint, Rotation, distance, tangent_intersection,
-                       unit_start, walk)
+from .circuits import (CirclePoint, Rotation, _ball, _ball_walk, _scaled,
+                       distance, tangent_intersection, unit_start, walk)
 from .dyadic import Dyadic, _rounded
 from .errors import (
     ArchpiError,
@@ -126,38 +121,6 @@ def _half_step(step: Dyadic, prec: int) -> Rotation:
 def _target(chord_total: Interval) -> Interval:
     """cos(arc/2) = sqrt(4 - c^2)/2, the x a walk to the arc end reaches."""
     return (4 - chord_total * chord_total).sqrt() / 2
-
-
-def _scaled(d: Dyadic, w: int, up: bool) -> int:
-    """d * 2^w rounded to an integer toward +inf (up) or -inf."""
-    k = d.exp + w
-    if k >= 0:
-        return d.man << k
-    return -(-d.man >> -k) if up else d.man >> -k
-
-
-def _ball(x: Interval, w: int) -> Tuple[int, int]:
-    """Integer center and radius of an enclosure of x at scale 2^-w."""
-    lo = _scaled(x.lo, w, up=False)
-    hi = _scaled(x.hi, w, up=True)
-    center = (lo + hi) >> 1
-    return center, hi - center
-
-
-def _ball_walk(rotation: Rotation, n: int, w: int) -> Iterator[Tuple[int, int, int]]:
-    """(X, Y, R) after each of n rotations of (1, 0), at scale 2^-w.
-
-    The true point lies within Euclidean distance R * 2^-w of (X, Y) * 2^-w.
-    """
-    c, r_c = _ball(rotation.cos, w)
-    s, r_s = _ball(rotation.sin, w)
-    rho = r_c + r_s
-    one = 1 << w
-    x, y, r = one, 0, 0
-    for _ in range(n):
-        x, y = (x * c - y * s) >> w, (x * s + y * c) >> w
-        r += -(-rho * (one + r) >> w) + 2
-        yield x, y, r
 
 
 def _classify(step: Dyadic, n: int, chord_total: Interval, prec: int) -> str:

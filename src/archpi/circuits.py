@@ -3,7 +3,10 @@
 Points carry coordinate intervals, never angles; all construction is by
 algebraic chord-stepping so the pipeline stays independent of trigonometry.
 A ``Rotation`` is built once per chord, and ``walk`` applies it k times:
-every "step around the circle" in the package is a walk.
+every "step around the circle" in the package is a walk.  ``_ball_walk``
+is the same walk in fixed-point ball arithmetic, on plain integers; the
+chord solver classifies its steps with it and ``rational`` checks windings
+with it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
+from .dyadic import Dyadic
 from .errors import AntipodalTangents, NegativeSqrt, PreconditionViolation
 from .interval import (Interval, _interval, _product, _quotient, _raw_sum,
                        _sum)
@@ -132,6 +136,45 @@ def walk(start: CirclePoint, rotation: Rotation, k: int) -> Iterator[CirclePoint
     for _ in range(k):
         point = rotation(point)
         yield point
+
+
+def _scaled(d: Dyadic, w: int, up: bool) -> int:
+    """d * 2^w rounded to an integer toward +inf (up) or -inf."""
+    k = d.exp + w
+    if k >= 0:
+        return d.man << k
+    return -(-d.man >> -k) if up else d.man >> -k
+
+
+def _ball(x: Interval, w: int) -> Tuple[int, int]:
+    """Integer center and radius of an enclosure of x at scale 2^-w."""
+    lo = _scaled(x.lo, w, up=False)
+    hi = _scaled(x.hi, w, up=True)
+    center = (lo + hi) >> 1
+    return center, hi - center
+
+
+def _ball_walk(rotation: Rotation, n: int, w: int) -> Iterator[Tuple[int, int, int]]:
+    """(X, Y, R) after each of n rotations of (1, 0), at scale 2^-w.
+
+    The true point lies within Euclidean distance R * 2^-w of (X, Y) * 2^-w,
+    for every rotation whose cos and sin lie in the enclosures.  Those give
+    integer centers c, s and radii r_c, r_s; each step sets
+    X, Y = (X*c - Y*s) >> w, (X*s + Y*c) >> w and
+    R += ceil(rho*(2^w + R)/2^w) + 2 with rho = r_c + r_s.  The true rotation
+    is an isometry, the center rotation is within rho*2^-w of it in norm,
+    the point has norm at most 1 + R*2^-w, and the floors lose under
+    sqrt(2) ulp, so the true point stays within R*2^-w of the center.
+    """
+    c, r_c = _ball(rotation.cos, w)
+    s, r_s = _ball(rotation.sin, w)
+    rho = r_c + r_s
+    one = 1 << w
+    x, y, r = one, 0, 0
+    for _ in range(n):
+        x, y = (x * c - y * s) >> w, (x * s + y * c) >> w
+        r += -(-rho * (one + r) >> w) + 2
+        yield x, y, r
 
 
 def step_by_chord(p: CirclePoint, c: Interval) -> CirclePoint:

@@ -3,7 +3,8 @@ and trig tabulation.
 
 Exit codes: 0 success, 1 a verification suite found a certain violation,
 2 argument error (including a ``verify`` flag the suite does not take, a
-size that yields no rows, a job count outside 1..256, a precision above
+size that yields no rows or is above its ceiling in ``suites.MOST``, a job
+count outside 1..256, a precision above
 the command's ceiling in ``PRECISION_CEILING`` or above what the chord solver
 takes, and an ``--output`` that cannot be written),
 3 inconclusive (interval
@@ -38,7 +39,8 @@ from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
 from .rational import coprime_pairs, realize_rational, normalized_length, winding_count
-from .suites import DEFAULT_SEED, LEAST, MAX_JOBS, SUITES, run_suite, shortfall_row
+from .suites import (DEFAULT_SEED, LEAST, MAX_JOBS, MOST, SUITES, run_suite,
+                     shortfall_row)
 from .trig import sandwich_report
 
 EXIT_OK = 0
@@ -165,10 +167,13 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _require_least(key: str, value: int) -> None:
-    """Reject a size below ``suites.LEAST``, where it would yield no rows."""
-    if value < LEAST[key]:
+def _require_size(key: str, value: int) -> None:
+    """Reject, before any work, a size below ``suites.LEAST``, where it would
+    yield no rows, or above ``suites.MOST``."""
+    if key in LEAST and value < LEAST[key]:
         raise ValueError(f"{_flag(key)} must be at least {LEAST[key]}, got {value}")
+    if value > MOST[key]:
+        raise ValueError(f"{_flag(key)} must be at most {MOST[key]}, got {value}")
 
 
 def _report_shortfalls(rows) -> int:
@@ -185,6 +190,7 @@ def _report_shortfalls(rows) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _require_size("m", args.m)
     prec = _precision(args)
     measures = scheme_measures(RegularScheme(args.n, args.m), prec)
     pi_lo = (measures.p / 2).lo
@@ -216,7 +222,7 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_archimedes(args) -> int:
-    _require_least("m_max", args.m_max)
+    _require_size("m_max", args.m_max)
     prec = _precision(args)
     rows = [
         meas.report_row()
@@ -247,7 +253,7 @@ def _cmd_verify(args) -> int:
                 f"which takes {flags}"
             )
         if key in LEAST:
-            _require_least(key, value)
+            _require_size(key, value)
     if args.jobs is not None:
         _require_jobs("--jobs", args.jobs)
     elif "jobs" in takes:
@@ -302,7 +308,7 @@ def _cmd_trig(args) -> int:
             raise ValueError(f"--theta {args.theta} has a zero denominator") from None
         thetas = [Interval.from_fraction(theta, prec)]
     else:
-        _require_least("k_max", args.k_max)
+        _require_size("k_max", args.k_max)
         thetas = [Interval.exact(Dyadic(1, -k), prec) for k in
                   range(1, args.k_max + 1)]
     rows = []
@@ -321,7 +327,7 @@ def _cmd_trig(args) -> int:
 
 
 def _cmd_sweep_rational(args) -> int:
-    _require_least("max_n", args.max_n)
+    _require_size("max_n", args.max_n)
     prec = _precision(args)
     rows = []
     for k, N in coprime_pairs(args.max_n):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from .chords import ArcSpec, solve_regular_chord
-from .circuits import CirclePoint, Rotation, distance, unit_start, walk
+from .circuits import CirclePoint, Rotation, _ball_walk, distance, unit_start, walk
 from .errors import (
     AmbiguousCrossing,
     ChordTooLong,
@@ -46,7 +46,7 @@ class RationalLength:
 
 
 @lru_cache(maxsize=64)
-def _ngon_vertices(N: int, prec: int) -> List[CirclePoint]:
+def _ngon_vertices(N: int, prec: int) -> Tuple[CirclePoint, ...]:
     """Vertices of the regular N-gon from a third-circle subdivision, cached.
 
     The third-circle arc (chord sqrt(3)) split into N parts steps through
@@ -54,7 +54,7 @@ def _ngon_vertices(N: int, prec: int) -> List[CirclePoint]:
     """
     arc = ArcSpec(seed_edge(3, prec))
     small = solve_regular_chord(arc, N, prec)
-    return list(walk(unit_start(prec), Rotation.of_chord(small), 3 * N - 3))[::3]
+    return tuple(walk(unit_start(prec), Rotation.of_chord(small), 3 * N - 3))[::3]
 
 
 def realize_rational(k: int, N: int, prec: int) -> RationalLength:
@@ -87,15 +87,86 @@ def winding_count(r: RationalLength) -> int:
     The first and last edges touch the start point itself; the closing edge
     contributes exactly one crossing and the opening edge none, so the count
     is 1 plus the certified interior-edge crossings.
+
+    The count is taken on the ball walk (``_ball_winding``).  Where a
+    crossing there is ambiguous, and only there, it is taken again on the
+    Interval walk (``_interval_winding``): a Euclidean ball cannot follow the
+    one-sided error of a wide chord interval, which the Interval box keeps.
     """
+    try:
+        return _ball_winding(r)
+    except AmbiguousCrossing:
+        return _interval_winding(r)
+
+
+def _ball_winding(r: RationalLength) -> int:
+    """``winding_count`` on the integer ball walk at scale 2^-w, w the
+    chord's precision.
+
+    Every ball holds its vertex for every chord in ``r.chord``, the exact
+    chord 2 sin(pi k/N) among them, whose path closes on (1, 0); so a final
+    ball that misses the exact start (2^w, 0) certifies a failed closure.
+    """
+    w = r.chord.prec
+    balls = list(_ball_walk(Rotation.of_chord(r.chord), r.N, w))
+    x, y, radius = balls[-1]
+    x -= 1 << w
+    if x * x + y * y > radius * radius:
+        raise ClosureFailure(
+            f"path for ({r.k}, {r.N}) certifiably misses its start"
+        )
+    # balls[j] holds vertex j + 1; the interior edges join vertices 1 .. N-1
+    return 1 + sum(_ball_crosses(a, b, w) for a, b in zip(balls[:-2], balls[1:-1]))
+
+
+def _ball_sign(value: int, radius: int) -> int:
+    """The sign of every number within ``radius`` of ``value``, else 0."""
+    if value > radius:
+        return 1
+    if value < -radius:
+        return -1
+    return 0
+
+
+def _ball_crosses(a: Tuple[int, int, int], b: Tuple[int, int, int], w: int) -> bool:
+    """``_crosses_start_radius`` on balls (X, Y, R) at scale 2^-w.
+
+    The same straddle tests with the same rules, on integers.  With A, B
+    the centers, Ra, Rb the radii and a = A + da, b = B + db the true points
+    (|da| <= Ra, |db| <= Rb), all at scale 2^-w:
+
+    - |y - Y| <= R, so Y's sign is y's when |Y| > R;
+    - cross_origin = bX*aY - bY*aX is B x A, and b x a at scale 2^-2w is
+      within B x da + db x A + db x da of it.  As |u x v| <= |u||v| and
+      |u| <= |uX| + |uY|, that is at most
+      (|bX| + |bY|)*Ra + (|aX| + |aY|)*Rb + Ra*Rb;
+    - cross_unit = cross_origin + (bY - aY)*2^w is the same at scale
+      2^-2w for b x a + (by - ay), and |dby - day| <= Ra + Rb adds
+      (Ra + Rb)*2^w.
+
+    Each sign is certain only when the center is beyond its radius.
+    """
+    ax, ay, ra = a
+    bx, by, rb = b
+    sa = _ball_sign(ay, ra)
+    sb = _ball_sign(by, rb)
+    if sa != 0 and sa == sb:
+        return False
+    cross = bx * ay - by * ax
+    radius = (abs(bx) + abs(by)) * ra + (abs(ax) + abs(ay)) * rb + ra * rb
+    so = _ball_sign(cross, radius)
+    su = _ball_sign(cross + ((by - ay) << w), radius + ((ra + rb) << w))
+    if so != 0 and so == su:
+        return False
+    if sa != 0 and sb != 0 and so != 0 and su != 0:
+        return True
+    raise AmbiguousCrossing("ambiguous crossing test; raise precision")
+
+
+def _interval_winding(r: RationalLength) -> int:
+    """``winding_count`` on the Interval walk of ``gamma_path``."""
     points = gamma_path(r)
-    n = len(points)
-    crossings = 0
-    for i in range(1, n - 1):
-        a, b = points[i], points[i + 1]
-        if _crosses_start_radius(a, b):
-            crossings += 1
-    return 1 + crossings
+    return 1 + sum(_crosses_start_radius(a, b) for a, b in zip(points[1:-1], points[2:]))
 
 
 def _sign_certain(value: Interval) -> int:

@@ -25,8 +25,9 @@ naming its seed, pair, step or k; the other rows still run.
 one is built; its ``samples``, ``violations`` and ``inconclusive`` counts
 are read off the rows.  Every suite takes only the keyword arguments in its
 signature; ``run_suite`` rejects, up front, a size below its ``LEAST``
-value, where the suite would make no check.  Randomized suites parallelize
-over samples; each sample owns its seed and returns its finished rows.
+value, where the suite would make no check, or above its ``MOST`` value.
+Randomized suites parallelize over samples; each sample owns its seed and
+returns its finished rows.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ _ARC_HI = 130416
 
 #: the least value of each size parameter that still yields a check
 LEAST = {"samples": 1, "circuits_per_cap": 1, "k_max": 1, "m_max": 0, "max_n": 3}
+
+#: the most of each size parameter, and of ``bounds --m``: at its default
+#: precision, every suite and command that takes one ran in at most 15 s at
+#: the ceiling on a 2-CPU x86-64 host under CPython 3.11 (README table).
+#: ``m`` also keeps the edge count 6*2^m within Python's 4300-digit
+#: int-to-str limit
+MOST = {"samples": 10_000, "circuits_per_cap": 1_000, "k_max": 1_024,
+        "m_max": 10_000, "max_n": 256, "m": 10_000}
 
 #: the most worker processes a suite may be asked for; it starts at most one
 #: per sample and per CPU
@@ -549,6 +558,8 @@ def run_suite(name: str, **kwargs) -> SuiteResult:
     for key, value in kwargs.items():
         if key in LEAST and value < LEAST[key]:
             raise ValueError(f"{key} must be at least {LEAST[key]}, got {value}")
+        if key in MOST and value > MOST[key]:
+            raise ValueError(f"{key} must be at most {MOST[key]}, got {value}")
         if key == "jobs" and not 1 <= value <= MAX_JOBS:
             raise ValueError(f"jobs must lie in 1..{MAX_JOBS}, got {value}")
     return SuiteResult(name, list(SUITES[name](**kwargs)))

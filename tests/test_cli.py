@@ -305,6 +305,37 @@ def test_precision_above_the_ceiling_exits_2_before_work(args, body, source,
         run(ceiling)
 
 
+#: each size flag, its ``suites.MOST`` key, and the first call of the body
+_SIZE_CASES = [
+    (["verify", "chord-compare", "--samples"], "samples", "run_suite"),
+    (["verify", "area-sandwich", "--circuits-per-cap"], "circuits_per_cap", "run_suite"),
+    (["verify", "trig-sandwich", "--k-max"], "k_max", "run_suite"),
+    (["verify", "identities", "--m-max"], "m_max", "run_suite"),
+    (["verify", "rational", "--max-n"], "max_n", "run_suite"),
+    (["trig", "--k-max"], "k_max", "sandwich_report"),
+    (["archimedes", "--m-max"], "m_max", "iter_scheme_measures"),
+    (["sweep-rational", "--max-n"], "max_n", "coprime_pairs"),
+    (["bounds", "--n", "6", "--m"], "m", "scheme_measures"),
+]
+
+
+@pytest.mark.parametrize("args, key, body", _SIZE_CASES,
+                         ids=[" ".join(args) for args, _, _ in _SIZE_CASES])
+def test_size_above_the_ceiling_exits_2_before_work(args, key, body, monkeypatch, capsys):
+    # as for precision, only the stub runs, and only at the ceiling itself
+    monkeypatch.setattr(cli, body, _reached)
+    ceiling = cli.MOST[key]
+    assert main([*args, str(ceiling + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {args[-1]} must be at most {ceiling}, got {ceiling + 1}\n"
+    with pytest.raises(_Reached):
+        main([*args, str(ceiling)])
+
+
+def test_every_size_flag_has_a_ceiling():
+    assert {key for _, key, _ in _SIZE_CASES} == set(cli.MOST) == {*cli.LEAST, "m"}
+
+
 def test_bounds_precision_floor_has_message(capsys):
     code, err = run_cli_err(["bounds", "--n", "6", "--m", "2", "--precision", "8"], capsys)
     assert code == 2

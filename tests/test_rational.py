@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from archpi.dyadic import Dyadic
 from archpi.errors import (
     SHORTFALLS,
     AmbiguousCrossing,
     ChordTooLong,
+    ClosureFailure,
     HypothesisUnordered,
     NonCoprime,
     PreconditionViolation,
@@ -13,7 +17,10 @@ from archpi.errors import (
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import seed_edge, two_pi_enclosure
 from archpi.rational import (
+    RationalLength,
+    _ball_crosses,
     _crosses_start_radius,
+    _interval_winding,
     _sign_certain,
     coprime_pairs,
     gamma_path,
@@ -156,3 +163,123 @@ def test_crossing_shortcut_matches_the_full_test(prec):
     assert edges > 1000
     if prec == 20:
         assert outcomes > 0  # the ambiguous branch is exercised too
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the shortfall that stopped it."""
+    try:
+        return fn(*args)
+    except SHORTFALLS as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("prec", [16, 20, 24, 32])
+def test_ball_winding_settles_wherever_the_interval_walk_does(prec):
+    settled = 0
+    for k, N in coprime_pairs(30):
+        r = _outcome(realize_rational, k, N, prec)
+        if not isinstance(r, RationalLength):
+            continue
+        interval = _outcome(_interval_winding, r)
+        winding = _outcome(winding_count, r)
+        if isinstance(interval, int):
+            assert winding == interval == k, (k, N)
+        if isinstance(winding, int):
+            assert winding == k, (k, N)
+            settled += 1
+    assert settled > 20
+
+
+@given(st.sampled_from(coprime_pairs(30)), st.sampled_from([24, 32, 64]),
+       st.integers(min_value=4, max_value=12), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_a_chord_beyond_its_enclosure_fails_to_close(pair, prec, e, up):
+    # 2^e ulps beyond the certified chord, e <= prec/2: each step turns at
+    # least 2^e ulps too far or too short, far more than the ball grows,
+    # and N steps stay well under a turn
+    k, N = pair
+    chord = realize_rational(k, N, prec).chord
+    offset = Dyadic(1, e - prec)
+    end = chord.hi + offset if up else chord.lo - offset
+    with pytest.raises(ClosureFailure):
+        winding_count(RationalLength(k, N, Interval.exact(end, prec)))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _exact_crosses(a, b):
+    """The crossing rule on the exact signs of true points a and b: True,
+    False, or None where a zero sign leaves it undecided."""
+    sa, sb = _sign(a[1]), _sign(b[1])
+    if sa and sa == sb:
+        return False
+    cross = b[0] * a[1] - b[1] * a[0]
+    so, su = _sign(cross), _sign(cross + b[1] - a[1])
+    if so and so == su:
+        return False
+    if sa and sb and so and su:
+        return True
+    return None
+
+
+#: offsets of true points from a ball's center, in units of its radius:
+#: the center, and points on its rim
+_RIM = [(Fraction(0), Fraction(0))] + [
+    (Fraction(sx * u, 5), Fraction(sy * v, 5))
+    for u, v in ((5, 0), (0, 5), (3, 4), (4, 3))
+    for sx in (1, -1) for sy in (1, -1)]
+
+_W = 4
+_coord = st.integers(min_value=-40, max_value=40)
+_radius = st.integers(min_value=0, max_value=6)
+
+
+@given(_coord, _coord, _radius, _coord, _coord, _radius)
+# the center's sign equals its radius, and a rim point has exact sign 0:
+# cross_origin at +radius and -radius, then Y at +R and -R
+@example(2, 8, 1, 0, -8, 0)
+@example(-2, 8, 1, 0, -8, 0)
+@example(8, 1, 1, 8, -8, 0)
+@example(8, -1, 1, 8, 8, 0)
+@settings(max_examples=300, deadline=None)
+def test_ball_crossing_agrees_with_exact_points_in_its_balls(ax, ay, ra, bx, by, rb):
+    try:
+        verdict = _ball_crosses((ax, ay, ra), (bx, by, rb), _W)
+    except AmbiguousCrossing:
+        return
+    scale = 2**_W
+    for dax, day in _RIM:
+        a = ((ax + dax * ra) / scale, (ay + day * ra) / scale)
+        for dbx, dby in _RIM:
+            b = ((bx + dbx * rb) / scale, (by + dby * rb) / scale)
+            assert _exact_crosses(a, b) is verdict, (a, b)
+
+
+def _documented_radii(a, b, w):
+    """The two cross products' radii, as ``_ball_crosses`` states them."""
+    (ax, ay, ra), (bx, by, rb) = a, b
+    origin = (abs(bx) + abs(by)) * ra + (abs(ax) + abs(ay)) * rb + ra * rb
+    return origin, origin + (ra + rb) * 2**w
+
+
+@pytest.mark.parametrize("a, b, product, sign", [
+    ((2, 6, 1), (0, -9, 1), "origin", 1),
+    ((-2, 6, 1), (0, -9, 1), "origin", -1),
+    ((101, 2, 1), (0, -2, 1), "unit", 1),
+    ((101, -2, 1), (0, 2, 1), "unit", -1),
+])
+def test_ball_crossing_at_its_radius_is_ambiguous(a, b, product, sign):
+    # both radii positive, every other sign certain: a cross product whose
+    # center is exactly at its radius must not certify, whichever term of
+    # the radius is left out
+    (ax, ay, _), (bx, by, _) = a, b
+    cross = bx * ay - by * ax
+    origin, unit = _documented_radii(a, b, _W)
+    if product == "origin":
+        assert cross == sign * origin
+    else:
+        assert cross + (by - ay) * 2**_W == sign * unit
+    with pytest.raises(AmbiguousCrossing):
+        _ball_crosses(a, b, _W)

@@ -1,7 +1,11 @@
-"""The fenced ``python`` blocks of README.md run as written."""
+"""The fenced ``python`` blocks of README.md run as written, and its ceiling
+tables list the ceilings the code enforces."""
 
 import re
 from pathlib import Path
+
+from archpi.cli import PRECISION_CEILING
+from archpi.suites import MOST
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +15,23 @@ def test_readme_python_blocks_run(capsys):
     assert blocks
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
+
+
+def _table(header):
+    """{first cell without backticks: second cell as an int} of the table
+    under the given header row."""
+    lines = README.read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = int(cells[1].replace(",", ""))
+    return rows
+
+
+def test_readme_ceiling_tables_match_the_code():
+    assert _table("| Command | Ceiling (bits) | Time at the ceiling |") == PRECISION_CEILING
+    sizes = _table("| Flag | Ceiling | Time at the ceiling |")
+    assert {flag[2:].replace("-", "_"): value for flag, value in sizes.items()} == MOST

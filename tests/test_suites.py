@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from archpi import polygons, suites
+from archpi import polygons, rational, suites
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, DivByZeroInterval, HypothesisUnordered
@@ -264,6 +264,25 @@ def test_run_suite_rejects_sizes_without_checks(name, kwargs):
         run_suite(name, **kwargs)
 
 
+@pytest.mark.parametrize("name, key", [
+    ("chord-compare", "samples"),
+    ("circuit-sandwich", "circuits_per_cap"),
+    ("trig-sandwich", "k_max"),
+    ("bounds", "m_max"),
+    ("rational", "max_n"),
+])
+def test_run_suite_rejects_sizes_above_their_ceiling(name, key, monkeypatch):
+    # the suite is a stub: no size near a ceiling runs here
+    calls = []
+    monkeypatch.setitem(SUITES, name, lambda **kwargs: calls.append(kwargs) or iter(()))
+    ceiling = suites.MOST[key]
+    with pytest.raises(ValueError, match=f"{key} must be at most {ceiling}, got {ceiling + 1}"):
+        run_suite(name, **{key: ceiling + 1})
+    assert calls == []
+    run_suite(name, **{key: ceiling})
+    assert calls == [{key: ceiling}]
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The ``max_workers`` of each pool a suite makes; no process starts."""
@@ -405,8 +424,11 @@ PINNED_REPORTS = [
 PINNED_SHORTFALL_REPORTS = [
     (["verify", "h-ratio", "--m-max", "12", "--precision", "16"],
      "a0ae65ac9ab1160b08f6a0b15c566f1faaa2829df088357ee9865e70dc13186a"),
+    # the winding check runs on the ball walk first, so (3, 7) and (4, 11)
+    # no longer fall short on an ambiguous crossing at 20 bits; repinned
+    # once the Interval walk became its fallback
     (["verify", "rational", "--max-n", "12", "--precision", "20"],
-     "de5ff2b596eb523b3c7cc2b4ab0fb00990a04574ac3894aaba9b67319a272371"),
+     "d2f7e67c435d9db6ced6b64847c35ee280abe2a1d2e44d7c762e149072992d3e"),
     (["verify", "trig-sandwich", "--k-max", "20", "--precision", "16"],
      "ebfa8dc0cbaa3edbb94b18fef651eedb975cc211210d650e57d22b6174899eb7"),
     (["verify", "tangent-profile", "--samples", "3", "--precision", "16"],
@@ -426,3 +448,21 @@ def test_pinned_shortfall_reports(args, digest, capsys):
     assert main(args + ["--format", "json"]) == 3
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ball_winding_settles_two_rows_of_the_20_bit_rational_pin(monkeypatch):
+    # the repinned report against the same suite with the Interval-only
+    # winding check: only (3, 7) and (4, 11) move, from an ambiguous
+    # crossing to a checked winding
+    shipped = run_suite("rational", max_n=12, precision=20)
+    monkeypatch.setattr(suites, "winding_count", rational._interval_winding)
+    interval_only = run_suite("rational", max_n=12, precision=20)
+    changed = [(old, new) for old, new in zip(interval_only.rows, shipped.rows, strict=True)
+               if old != new]
+    assert [(new["k"], new["N"]) for _, new in changed] == [(3, 7), (4, 11)]
+    for old, new in changed:
+        assert (old["verdict"], old["error"]) == ("shortfall", "AmbiguousCrossing")
+        assert (new["status"], new["winding_checked"]) == ("ok", True)
+    assert (interval_only.samples, interval_only.violations, interval_only.inconclusive) == (
+        shipped.samples, 0, 6)
+    assert (shipped.violations, shipped.inconclusive) == (0, 4)
