@@ -11,9 +11,11 @@ inscribed half perimeter s^2 = N^2 sin^2(pi/N) is a power series in
 h = 1/N^2 with constant term pi^2, so a Richardson-Romberg extrapolation
 of s^2 at k + 1 successive depths, widened by an exact bound on its
 truncation error that falls superlinearly in k, brackets pi^2
-(``romberg_bounds``).  That chain carries Q = 4^m ell^2 on each end as a
-plain integer at scale 2^-F, with one integer square root per end per
-halving; ``pi_digits`` certifies digits from its integer ends.
+(``romberg_bounds``).  That chain carries s = sqrt(4 - ell^2) =
+2 cos(pi/N), the nested radical of Viete's formula, as an integer ball at
+scale 2^-G, with one integer square root per halving; only the k + 1
+nodes square it into integer brackets of Q = 4^m ell^2 = 4^m (4 - s^2).
+``pi_digits`` certifies digits from the integer ends of pi.
 """
 
 from __future__ import annotations
@@ -216,37 +218,29 @@ def romberg_error_bound(m0: int, k: int) -> Fraction:
     )
 
 
-def _halve_squared(lo: int, hi: int, m: int, frac_bits: int) -> tuple:
-    """One halving of Q_m = 4^m ell_m^2, bracketed by integers at scale 2^-F:
-    Q_(m+1) = 4 Q_m/(2 + sqrt(4 - Q_m 4^-m)), the square of
-    ell/sqrt(2 + sqrt(4 - ell^2)) times 4^(m+1).
-
-    q/(2 + sqrt(4 - q)) increases on (0, 4), so each end steps on its own:
-    the lower end with ell^2 floored, its root ceiled and the quotient
-    floored, the upper end the other way round.  One square root per end.
+def _cosine_chain(bits: int) -> Iterator[tuple]:
+    """Balls (S, r), |2^G s_m - S| <= r, around the half-angle cosines
+    s_m = sqrt(4 - ell_m^2) = 2 cos(pi/(3 2^m)) of the triangle's bisected
+    edges at scale 2^-G: s_0 = 1 exactly, then s_(m+1) = sqrt(2 + s_m), one
+    integer square root per halving.  sqrt(2 + s) is 1/(2 sqrt 2)-Lipschitz
+    for s >= 0 and ``isqrt`` floors by less than one unit, so
+    r' = ceil(r/2) + 1 holds the new value; r never exceeds 2.
     """
-    four = 4 << frac_bits
-    two = 2 << frac_bits
-    # ceil(sqrt(s)) = isqrt(s - 1) + 1 for s >= 1
-    root = isqrt((four - (lo >> 2 * m) << frac_bits) - 1) + 1
-    new_lo = (lo << frac_bits + 2) // (two + root)
-    root = isqrt(four + (-hi >> 2 * m) << frac_bits)
-    new_hi = -(-(hi << frac_bits + 2) // (two + root))
-    return new_lo, new_hi
-
-
-def _squared_edge_chain(frac_bits: int) -> Iterator[tuple]:
-    """Integer brackets (lo, hi) of Q_m = 4^m ell_m^2 at scale 2^-F for the
-    triangle's bisected edges, m = 0, 1, ...: Q_0 = 3 exactly, then
-    ``_halve_squared``.  Q lies in [3, 4 pi^2/9), so F fraction bits keep
-    about F significant bits at every depth.
-    """
-    lo = hi = 3 << frac_bits
-    m = 0
+    center, radius = 1 << bits, 0
     while True:
-        yield lo, hi
-        lo, hi = _halve_squared(lo, hi, m, frac_bits)
-        m += 1
+        yield center, radius
+        center, radius = isqrt((2 << bits) + center << bits), (radius + 1 >> 1) + 1
+
+
+def _squared_edge_ends(center: int, radius: int, m: int, bits: int, frac_bits: int) -> tuple:
+    """Integers lo <= 2^F Q_m <= hi, Q_m = 4^m ell_m^2 = 4^m (4 - s_m^2),
+    from the ``_cosine_chain`` ball (S, r) at depth m, if 2G >= F + 2m: two
+    squarings, floored and ceiled by shifts.  Before rounding the bracket
+    spans 4^(m+1) S r 2^(F-2G) < 2^(4+2m+F-G) units (S < 2^(G+1), r <= 2).
+    """
+    four = 4 << 2 * bits
+    shift = 2 * bits - frac_bits - 2 * m
+    return four - (center + radius) ** 2 >> shift, -((center - radius) ** 2 - four >> shift)
 
 
 def _romberg_ends(m0: int, k: int, frac_bits: int, bound: Fraction) -> tuple:
@@ -254,15 +248,19 @@ def _romberg_ends(m0: int, k: int, frac_bits: int, bound: Fraction) -> tuple:
     of the squared half perimeters s_i^2 = 9 Q_i/4 at depths m0 .. m0 + k,
     widened by ``bound`` (at least ``romberg_error_bound(m0, k)``).
 
+    The cosine chain runs at G = F + 2(m0 + k) + 8 bits, so each node's
+    bracket of Q_m spans under 2^-4 units before rounding, at most 2 after.
     pi^2 lies within the bound of 9 sum W_i Q_i/(4D); the sum takes each
-    chain end by the sign of W_i, so it brackets the exact weighted sum.
+    node end by the sign of W_i, so it brackets the exact weighted sum.
     The lower end of pi^2 is clamped at 0 (it is negative at m0 = 0,
     k = 0), and each end's square root is rounded outward.
     """
     weights, denom = _romberg_weights(k)
+    bits = frac_bits + 2 * (m0 + k) + 8
     low = high = 0
-    chain = islice(_squared_edge_chain(frac_bits), m0, m0 + k + 1)
-    for weight, (lo, hi) in zip(weights, chain):
+    chain = islice(_cosine_chain(bits), m0, m0 + k + 1)
+    for m, (weight, ball) in enumerate(zip(weights, chain), m0):
+        lo, hi = _squared_edge_ends(*ball, m, bits, frac_bits)
         if weight > 0:
             low += weight * lo
             high += weight * hi

@@ -226,7 +226,8 @@ def run_identities(
     The inscribed 2N-gon's area a_2N is the N-gon's half perimeter p_N/2,
     and the circumscribed area A_N is a_N*4/(4 - ell_N^2).  An identity
     holds when its two enclosures overlap (they cannot be separated) and
-    are narrow relative to the working precision.
+    are narrow relative to the working precision; it is violated when they
+    are separated, and inconclusive when they overlap but are too wide.
     """
     width_cap = Dyadic(1, 8 - precision)
     for n in n_values:
@@ -246,7 +247,12 @@ def run_identities(
                     "identity": name,
                     "width_ok": width_ok,
                 }
-                yield checked(row, lhs.overlaps(rhs), width_ok)
+                overlaps = lhs.overlaps(rhs)
+                if overlaps and not width_ok:
+                    # too wide to confirm, yet not separated
+                    yield checked(row, (Verdict.OVERLAP, Verdict.OVERLAP))
+                else:
+                    yield checked(row, overlaps, width_ok)
     # cross-scheme agreement of the [p/2, P/2] brackets at high depth
     brackets = {n: pi_bounds(RegularScheme(n, limit_m), precision) for n in n_values}
     names = sorted(brackets)

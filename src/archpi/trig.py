@@ -85,16 +85,17 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
 
     while level < depth:
         mid_index = 2 * index + 1
-        mid_point = rotations[level + 1](point)
-        boundary = arc_at(mid_index, level + 1)
-        verdict = compare_certain(theta, boundary)
-        if verdict is Verdict.OVERLAP:
-            slack = _theta_slack(theta, boundary)
-            return _inflate(mid_point, slack)
         level += 1
-        index = mid_index - 1 if verdict is Verdict.CERTAINLY_LESS else mid_index
-        if verdict is Verdict.CERTAINLY_GREATER:
-            point = mid_point
+        boundary = arc_at(mid_index, level)
+        verdict = compare_certain(theta, boundary)
+        if verdict is Verdict.CERTAINLY_LESS:
+            index = mid_index - 1
+        else:
+            # theta is at or past the midpoint: only then rotate to it
+            point = rotations[level](point)
+            if verdict is Verdict.OVERLAP:
+                return _inflate(point, _theta_slack(theta, boundary))
+            index = mid_index
         if chords[level].hi < tol:
             break
 

@@ -122,12 +122,24 @@ def test_pi_digits_against_machin():
         assert pi_digits(count) == machin_pi_digits(count)
 
 
-def test_pi_digits_every_count_against_machin():
-    # every count to 600, and each count of the Feynman point's six 9s
-    reference = machin_pi_digits(800)
-    for count in [*range(1, 601), *range(762, 768)]:
+def test_pi_digits_every_count_against_machin(monkeypatch):
+    # every count to 800, the Feynman point's six 9s (762-767) among them,
+    # then 1000 and 2000, each from the starting order and precision: one
+    # kernel call, no retry
+    calls = []
+    kernel = polygons._romberg_ends
+
+    def recording(m0, k, frac_bits, bound):
+        calls.append(frac_bits)
+        return kernel(m0, k, frac_bits, bound)
+
+    monkeypatch.setattr(polygons, "_romberg_ends", recording)
+    reference = machin_pi_digits(2000)
+    for count in [*range(1, 801), 1000, 2000]:
         expected = reference[: count + 1] if count > 1 else "3"
+        calls.clear()
         assert pi_digits(count) == expected, count
+        assert len(calls) == 1, count
 
 
 @pytest.mark.parametrize("count", [12, 44, 63, 128, 257, 391, 500, 767])
@@ -240,56 +252,39 @@ def test_romberg_error_is_within_its_bound(m0):
             assert abs(total - pi_squared) <= mpmath.mpf(bound.numerator) / bound.denominator
 
 
-@st.composite
-def _chain_steps(draw):
-    """(m, F, lo, hi): a bracket of Q_m = 4^m ell^2 at scale 2^-F, with
-    Q in [3, 4.4] and ell^2 = Q 4^-m < 4 (at m = 0 the chain holds only 3)."""
-    m = draw(st.integers(0, 40))
-    frac_bits = draw(st.sampled_from((64, 65, 127, 1024, 2048)) | st.integers(64, 2048))
-    top = (44 << frac_bits) // 10 if m else (39 << frac_bits) // 10
-    lo = draw(st.integers(3 << frac_bits, top))
-    return m, frac_bits, lo, lo + draw(st.integers(0, 1 << 20))
-
-
-def _below_step(value, q, m):
-    """value <= 4q/(2 + sqrt(4 - q 4^-m)), decided in Fraction."""
-    reach = 4 * q / value - 2
-    return reach >= 0 and reach * reach >= 4 - q / 4**m
-
-
-def _above_step(value, q, m):
-    """value >= 4q/(2 + sqrt(4 - q 4^-m)), decided in Fraction."""
-    reach = 4 * q / value - 2
-    return reach <= 0 or reach * reach <= 4 - q / 4**m
-
-
-@given(_chain_steps())
-@example((0, 64, 3 << 64, 3 << 64))           # the exact seed
-@example((40, 2048, (44 << 2048) // 10, (44 << 2048) // 10 + 1))   # deepest and widest
-# steps where ell^2 rounded the wrong way moves the end's rounded root
-# across the true root: the lower end at m = 17, the upper end at m = 38
-@example((17, 64, 62856763148368315029, 62856763148368315029))
-@example((38, 64, 74928129666138836393, 74928129666138836393))
+@given(st.integers(0, 40), st.sampled_from((64, 65, 127, 1024, 2048)) | st.integers(64, 2048))
+@example(0, 64)        # the exact seed s_0 = 1
+@example(0, 2048)
+@example(40, 2048)     # the deepest, at the most bits
 @settings(max_examples=300, deadline=None)
-def test_halve_squared_encloses_the_exact_step(step):
-    m, frac_bits, lo, hi = step
-    new_lo, new_hi = polygons._halve_squared(lo, hi, m, frac_bits)
-    one = 1 << frac_bits
-    assert new_lo <= new_hi
-    assert _below_step(Fraction(new_lo, one), Fraction(lo, one), m)
-    assert _above_step(Fraction(new_hi, one), Fraction(hi, one), m)
+def test_cosine_step_keeps_the_root_of_both_ends_in_its_ball(m, bits):
+    # one step s -> sqrt(2 + s) of the chain's own ball: for s at either
+    # end of the ball at depth m, sqrt(2 + s) lies within r' of S'
+    (center, radius), (new_center, new_radius) = islice(polygons._cosine_chain(bits), m, m + 2)
+    one = 1 << bits
+    assert 0 <= radius <= 2 and new_center >= new_radius
+    for end in (center - radius, center + radius):
+        value = 2 + Fraction(end, one)
+        assert Fraction(new_center - new_radius, one) ** 2 <= value
+        assert value <= Fraction(new_center + new_radius, one) ** 2
 
 
-def test_squared_edge_chain_encloses_the_exact_squares():
-    # Q_m = 4^m ell_m^2 = 4^(m+1) sin^2(pi/(3 2^m)), against mpmath at 600 bits
-    for frac_bits in (64, 100, 512):
-        chain = islice(polygons._squared_edge_chain(frac_bits), 41)
-        with mpmath.workprec(600):
-            for m, (lo, hi) in enumerate(chain):
+def test_cosine_chain_and_its_nodes_enclose_the_exact_values():
+    # s_m = 2 cos(pi/(3 2^m)) in every ball at G bits, and
+    # Q_m = 4^(m+1) sin^2(pi/(3 2^m)) in every node bracket at F bits, with
+    # the chain at G = F + 2 * 40 + 8 as _romberg_ends runs it to depth 40
+    with mpmath.workprec(600):
+        for bits in (64, 100, 512):
+            for m, (center, radius) in enumerate(islice(polygons._cosine_chain(bits), 41)):
+                exact = 2 * mpmath.cos(mpmath.pi / (3 << m))
+                assert mpmath.ldexp(center - radius, -bits) <= exact
+                assert exact <= mpmath.ldexp(center + radius, -bits)
+            frac_bits, bits = bits, bits + 2 * 40 + 8
+            for m, ball in enumerate(islice(polygons._cosine_chain(bits), 41)):
+                lo, hi = polygons._squared_edge_ends(*ball, m, bits, frac_bits)
                 exact = 4 ** (m + 1) * mpmath.sin(mpmath.pi / (3 << m)) ** 2
                 assert mpmath.ldexp(lo, -frac_bits) <= exact <= mpmath.ldexp(hi, -frac_bits)
-                # a few units of 2^-F at every depth
-                assert hi - lo <= 4 * (m + 1)
+                assert hi - lo <= 2
 
 
 def test_pi_digits_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 
 import pytest
@@ -110,6 +111,18 @@ def test_identities_catch_a_wrong_halving(monkeypatch):
         if "identity" in row:
             status.setdefault(row["identity"], set()).add(row["status"])
     assert status == {"a": {"violated"}, "A": {"ok"}}
+
+
+def test_identities_too_wide_to_confirm_exit_3(capsys):
+    # past m = 64 at 256 bits the two sides of an identity outgrow the
+    # width cap but still overlap: inconclusive rows, not violations
+    assert main(["verify", "identities", "--m-max", "100", "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["violations"], report["inconclusive"]) == (0, 180)
+    wide = [row for row in report["rows"] if row["status"] != "ok"]
+    assert (wide[0]["n"], wide[0]["m"], wide[0]["identity"]) == (3, 65, "a")
+    assert all(row["status"] == "inconclusive" and row["width_ok"] is False
+               and row["verdict"] == "overlap" for row in wide)
 
 
 def test_check_overlap_wins_over_failure():
