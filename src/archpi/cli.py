@@ -138,9 +138,10 @@ def _check_output(output: Optional[str]) -> None:
         raise ValueError(f"--output: no such directory: {parent!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--precision", type=int, default=None,
-                        help="working precision in bits")
+def _add_common(parser: argparse.ArgumentParser, precision: bool = True) -> None:
+    if precision:
+        parser.add_argument("--precision", type=int, default=None,
+                            help="working precision in bits")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
     parser.add_argument("--output", default=None, help="write report to file")
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digits", help="certified decimal digits of pi")
     p.add_argument("--count", type=int, required=True)
-    _add_common(p)
+    _add_common(p, precision=False)
     p.set_defaults(func=_cmd_digits)
 
     p = sub.add_parser("archimedes", help="refinement table for one base polygon")

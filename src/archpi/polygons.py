@@ -13,8 +13,8 @@ of s^2 at k + 1 successive depths, widened by an exact bound on its
 truncation error that falls superlinearly in k, brackets pi^2
 (``romberg_bounds``).  That chain carries s = sqrt(4 - ell^2) =
 2 cos(pi/N), the nested radical of Viete's formula, as an integer ball at
-scale 2^-G, with one integer square root per halving; only the k + 1
-nodes square it into integer brackets of Q = 4^m ell^2 = 4^m (4 - s^2).
+scale 2^-G, with one integer square root per halving; as s_m^2 = 2 + s_(m-1),
+each node reads Q_m = 4^m ell_m^2 = 4^m (2 - s_(m-1)) off it unsquared.
 ``pi_digits`` certifies digits from the integer ends of pi.
 """
 
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from typing import Iterator
 
@@ -232,15 +232,17 @@ def _cosine_chain(bits: int) -> Iterator[tuple]:
         center, radius = isqrt((2 << bits) + center << bits), (radius + 1 >> 1) + 1
 
 
-def _squared_edge_ends(center: int, radius: int, m: int, bits: int, frac_bits: int) -> tuple:
-    """Integers lo <= 2^F Q_m <= hi, Q_m = 4^m ell_m^2 = 4^m (4 - s_m^2),
-    from the ``_cosine_chain`` ball (S, r) at depth m, if 2G >= F + 2m: two
-    squarings, floored and ceiled by shifts.  Before rounding the bracket
-    spans 4^(m+1) S r 2^(F-2G) < 2^(4+2m+F-G) units (S < 2^(G+1), r <= 2).
+def _node_brackets(bits: int, frac_bits: int) -> Iterator[tuple]:
+    """Integers lo <= 2^F Q_m <= hi for m = 0, 1, ... while G >= F + 2m:
+    as s_m^2 = 2 + s_(m-1), Q_m = 4^m (4 - s_m^2) = 4^m (2 - s_(m-1)), so
+    node m reads the ``_cosine_chain`` ball (S, r) of s_(m-1), led by the
+    exact s_(-1) = -1 (ell_0^2 = 3), as floor(4^m (2 2^G - S - r)/2^(G-F))
+    and ceil(4^m (2 2^G - S + r)/2^(G-F)), with no squaring.  Before
+    rounding that spans 2r 4^m 2^(F-G) <= 2^(2+2m+F-G) units (r <= 2).
     """
-    four = 4 << 2 * bits
-    shift = 2 * bits - frac_bits - 2 * m
-    return four - (center + radius) ** 2 >> shift, -((center - radius) ** 2 - four >> shift)
+    two, balls = 2 << bits, chain([(-1 << bits, 0)], _cosine_chain(bits))
+    for shift, (center, radius) in zip(range(bits - frac_bits, -1, -2), balls):
+        yield two - center - radius >> shift, -(center - radius - two >> shift)
 
 
 def _romberg_ends(m0: int, k: int, frac_bits: int, bound: Fraction) -> tuple:
@@ -248,30 +250,27 @@ def _romberg_ends(m0: int, k: int, frac_bits: int, bound: Fraction) -> tuple:
     of the squared half perimeters s_i^2 = 9 Q_i/4 at depths m0 .. m0 + k,
     widened by ``bound`` (at least ``romberg_error_bound(m0, k)``).
 
-    The cosine chain runs at G = F + 2(m0 + k) + 8 bits, so each node's
-    bracket of Q_m spans under 2^-4 units before rounding, at most 2 after.
-    pi^2 lies within the bound of 9 sum W_i Q_i/(4D); the sum takes each
-    node end by the sign of W_i, so it brackets the exact weighted sum.
-    The lower end of pi^2 is clamped at 0 (it is negative at m0 = 0,
-    k = 0), and each end's square root is rounded outward.
+    The nodes come from ``_node_brackets`` at G = F + 2(m0 + k) + 8 bits,
+    each at most 2^-6 units wide before rounding, 2 after; the chain takes
+    m0 + k - 1 halvings.  pi^2 lies within the bound of 9 sum W_i Q_i/(4D):
+    from base = sum W_i lo_i, the W_i < 0 times (hi_i - lo_i) lower it and
+    the W_i > 0 raise it, k + 1 large products.  The lower end of pi^2 is
+    clamped at 0 (negative at m0 = 0, k = 0); each root is rounded outward.
     """
     weights, denom = _romberg_weights(k)
-    bits = frac_bits + 2 * (m0 + k) + 8
-    low = high = 0
-    chain = islice(_cosine_chain(bits), m0, m0 + k + 1)
-    for m, (weight, ball) in enumerate(zip(weights, chain), m0):
-        lo, hi = _squared_edge_ends(*ball, m, bits, frac_bits)
-        if weight > 0:
-            low += weight * lo
-            high += weight * hi
+    nodes = islice(_node_brackets(frac_bits + 2 * (m0 + k) + 8, frac_bits), m0, None)
+    base = low = high = 0
+    for weight, (lo, hi) in zip(weights, nodes):
+        base += weight * lo
+        if weight < 0:
+            low += weight * (hi - lo)
         else:
-            low += weight * hi
-            high += weight * lo
+            high += weight * (hi - lo)
     # pi^2 at scale 2^-2F; the slack is the bound rounded up
     scale = denom << 2
     slack = -((-bound.numerator << 2 * frac_bits) // bound.denominator)
-    square_lo = (9 * low << frac_bits) // scale - slack
-    square_hi = -(-(9 * high << frac_bits) // scale) + slack
+    square_lo = (9 * (base + low) << frac_bits) // scale - slack
+    square_hi = -(-(9 * (base + high) << frac_bits) // scale) + slack
     return isqrt(max(square_lo, 0)), isqrt(square_hi - 1) + 1
 
 

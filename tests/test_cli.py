@@ -225,6 +225,21 @@ def test_digits_above_cap_exits_2(capsys):
     assert "--count" in err
 
 
+@pytest.mark.parametrize("precision", ["8", "99999999"])
+def test_digits_takes_no_precision(precision, capsys):
+    # pi_digits sets its own bits from --count, so the flag is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["digits", "--count", "5", "--precision", precision])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_digits_does_not_read_archpi_precision(monkeypatch, capsys):
+    monkeypatch.setenv("ARCHPI_PRECISION", "abc")
+    code, out = run_cli(["digits", "--count", "5", "--format", "text"], capsys)
+    assert (code, out) == (0, "3.1415\n")
+
+
 @pytest.mark.parametrize("count", [4301, 5000])
 def test_digits_beyond_the_int_str_limit(count, capsys):
     code, out = run_cli(["digits", "--count", str(count), "--format", "text"], capsys)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -236,6 +237,15 @@ def test_romberg_bounds_contain_pi_and_beat_archimedes(m0, k, prec):
     _contains_pi_and_beats_archimedes(m0, k, prec)
 
 
+def _extrapolated(m0, k):
+    """The unrounded extrapolation sum w_i s_i^2, at mpmath's precision."""
+    weights, denom = polygons._romberg_weights(k)
+    return mpmath.fsum(
+        weight * (mpmath.mpf(3 << m0 + i) * mpmath.sin(mpmath.pi / (3 << m0 + i))) ** 2
+        for i, weight in enumerate(weights)
+    ) / denom
+
+
 @pytest.mark.parametrize("m0", [0, 1, 3, 5, 8])
 def test_romberg_error_is_within_its_bound(m0):
     # the unrounded extrapolation sum w_i s_i^2 against pi^2, both at 6000
@@ -243,11 +253,7 @@ def test_romberg_error_is_within_its_bound(m0):
     with mpmath.workprec(6000):
         pi_squared = mpmath.pi ** 2
         for k in range(9):
-            weights, denom = polygons._romberg_weights(k)
-            total = mpmath.fsum(
-                weight * (mpmath.mpf(3 << m0 + i) * mpmath.sin(mpmath.pi / (3 << m0 + i))) ** 2
-                for i, weight in enumerate(weights)
-            ) / denom
+            total = _extrapolated(m0, k)
             bound = romberg_error_bound(m0, k)
             assert abs(total - pi_squared) <= mpmath.mpf(bound.numerator) / bound.denominator
 
@@ -279,12 +285,46 @@ def test_cosine_chain_and_its_nodes_enclose_the_exact_values():
                 exact = 2 * mpmath.cos(mpmath.pi / (3 << m))
                 assert mpmath.ldexp(center - radius, -bits) <= exact
                 assert exact <= mpmath.ldexp(center + radius, -bits)
+            # node 0 reads s_(-1) = -1, so Q_0 = 3
             frac_bits, bits = bits, bits + 2 * 40 + 8
-            for m, ball in enumerate(islice(polygons._cosine_chain(bits), 41)):
-                lo, hi = polygons._squared_edge_ends(*ball, m, bits, frac_bits)
+            for m, (lo, hi) in enumerate(islice(polygons._node_brackets(bits, frac_bits), 41)):
                 exact = 4 ** (m + 1) * mpmath.sin(mpmath.pi / (3 << m)) ** 2
                 assert mpmath.ldexp(lo, -frac_bits) <= exact <= mpmath.ldexp(hi, -frac_bits)
                 assert hi - lo <= 2
+
+
+@given(st.integers(0, 40), st.integers(64, 1024), st.integers(0, 90))
+@example(0, 64, 0)      # s_(-1) = -1, no shift
+@example(0, 64, 8)
+@example(40, 64, 0)     # no shift: the radius shows unrounded
+@example(40, 1024, 8)
+@example(7, 100, 1)
+@settings(max_examples=300, deadline=None)
+def test_node_brackets_round_the_ball_outward(m, frac_bits, spare):
+    # node m maps the ball of s_(m-1), with s_(-1) = -1 exactly, through
+    # 4^m (2 - s) and rounds its two ends outward to 2^-F, in Fraction
+    bits = frac_bits + 2 * m + spare
+    nodes = list(polygons._node_brackets(bits, frac_bits))
+    # one node for each m with G >= F + 2m
+    assert len(nodes) == m + spare // 2 + 1
+    lo, hi = nodes[m]
+    center, radius = next(islice(polygons._cosine_chain(bits), m - 1, None)) if m else (-1 << bits, 0)
+    scale = Fraction(4 ** m << frac_bits, 1 << bits)
+    assert lo == math.floor(scale * ((2 << bits) - center - radius))
+    assert hi == math.ceil(scale * ((2 << bits) - center + radius))
+
+
+@pytest.mark.parametrize("m0", [0, 2, 5])
+def test_romberg_ends_without_slack_enclose_the_extrapolation(m0):
+    # with a zero bound the ends bracket the root of sum w_i s_i^2 itself,
+    # so the weighted sum must take each node end by the sign of its weight
+    with mpmath.workprec(3000):
+        for k in range(13):
+            total = _extrapolated(m0, k)
+            for frac_bits in (64, 65, 100, 127, 256, 512):
+                lo, hi = polygons._romberg_ends(m0, k, frac_bits, Fraction(0))
+                assert mpmath.ldexp(lo, -frac_bits) ** 2 <= total
+                assert total <= mpmath.ldexp(hi, -frac_bits) ** 2
 
 
 def test_pi_digits_validation():
