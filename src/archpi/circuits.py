@@ -12,11 +12,12 @@ with it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator, List, Sequence, Tuple
+from itertools import accumulate, islice
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .dyadic import Dyadic
 from .errors import AntipodalTangents, NegativeSqrt, PreconditionViolation
@@ -217,12 +218,12 @@ def tangent_intersection(p: CirclePoint, q: CirclePoint) -> Tuple[Interval, Inte
 class Circuit:
     """Closed counterclockwise circuit through vertices of the 3*2^m-gon ring.
 
-    Only ``from_regular_indices`` builds one.  It keeps the ring depth
-    ``ring_m``, the sorted vertex ``indices`` and the per-edge step counts
-    ``gaps``, checks the circuit conditions (at least 3 points, every
-    adjacent arc under half the circle) with integer gap bookkeeping, and
-    builds no ring.  ``vertices`` is the open vertex list: the indexed
-    points of one ``ring_walk``.
+    It keeps the ring depth ``ring_m``, the sorted vertex ``indices`` and
+    the per-edge step counts ``gaps``, and builds no ring.  Both
+    ``from_regular_indices`` and ``random_circuit`` build one through
+    ``_checked_circuit``, which checks the circuit conditions (at least 3
+    points, every adjacent arc under half the circle) on the gaps.
+    ``vertices`` is the open vertex list: the points of one ``ring_walk``.
     """
 
     ring_m: int
@@ -247,13 +248,18 @@ class Circuit:
                 f"ring depth must lie in 0..{MAX_RING_DEPTH}, got {m}")
         n = 3 << m
         idx = sorted(set(i % n for i in indices))
-        if len(idx) < 3:
-            raise PreconditionViolation("a circuit needs at least 3 points")
-        gaps = [idx[j + 1] - idx[j] for j in range(len(idx) - 1)]
-        gaps.append(n - idx[-1] + idx[0])
-        if max(gaps) * 2 >= n:
-            raise PreconditionViolation("adjacent arc spans at least half the circle")
-        return Circuit(m, tuple(idx), gaps, prec)
+        gaps = [(b - a) % n for a, b in zip(idx, idx[1:] + idx[:1])]
+        return _checked_circuit(m, idx, gaps, prec)
+
+
+def _checked_circuit(m: int, indices: List[int], gaps: List[int], prec: int) -> Circuit:
+    """The circuit with these ring indices and cyclic gaps, if it has at
+    least 3 points and every adjacent arc is under half the circle."""
+    if len(indices) < 3:
+        raise PreconditionViolation("a circuit needs at least 3 points")
+    if max(gaps) * 2 >= 3 << m:
+        raise PreconditionViolation("adjacent arc spans at least half the circle")
+    return Circuit(m, tuple(indices), gaps, prec)
 
 
 @dataclass(frozen=True)
@@ -336,8 +342,8 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
 
     Returns (m, gmax): gmax steps of the ring edge are certainly shorter
     than the cap, gmax*k fits in the ring, and arcs stay under half circle.
-    Prefers a depth where gmax >= 4 so generated circuits actually vary.
-    Rejects a cap whose search would pass ``MAX_RING_DEPTH``.
+    Prefers a depth where gmax >= 4 so circuits vary, else the first with
+    gmax >= 1; rejects a cap or k no depth to ``MAX_RING_DEPTH`` supports.
     """
     if mesh_cap.lo.sign <= 0:
         raise PreconditionViolation("mesh cap must be certifiably positive")
@@ -360,26 +366,39 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
                 fallback = (m, gmax)
             if fallback is not None and m - fallback[0] >= 4:
                 return fallback
+    if fallback is not None:
+        return fallback
     raise PreconditionViolation(
         f"mesh cap too small for ring depth at most {MAX_RING_DEPTH} "
         f"({3 << MAX_RING_DEPTH} vertices): lower --mesh-cap-exp or --points"
     )
 
 
-def _gap_draws(seed: int, gmax: int) -> Iterator[int]:
-    """The successive ``randint(1, gmax)`` of ``random.Random(seed)``.
+@lru_cache(maxsize=256)
+def _draw_table(gmax: int) -> Tuple[bytes, bytes]:
+    """``_gap_draws``' translate table and rejected top bytes, gmax <= 255."""
+    shift = 8 - gmax.bit_length()
+    return (bytes((v >> shift) + 1 & 255 for v in range(256)),
+            bytes(range(gmax << shift, 256)))
 
-    randint rejects getrandbits(gmax.bit_length()) draws until one is below
-    gmax; doing that here skips its argument handling, several times the
-    cost of the draw itself.
+
+def _gap_draws(draw: Callable[[int], int], gmax: int, words: int) -> Sequence[int]:
+    """The ``randint(1, gmax)`` draws that the next ``words`` 32-bit words
+    of ``draw``, a ``random.Random.getrandbits``, give, in order.
+
+    randint(1, gmax) is 1 + r, r = getrandbits(b), b = gmax.bit_length(),
+    redrawn while r >= gmax; getrandbits(b <= 32) is the top b bits of one
+    32-bit word, and getrandbits(32*j) packs the next j words
+    little-endian.  So for gmax <= 255 the j tries are bytes 3, 7, 11, ...
+    of getrandbits(32*j).to_bytes(4*j, "little"), shifted right by 8 - b,
+    and one ``bytes.translate`` drops the rejected ones and maps the rest,
+    in C.  A wider gmax (below 2^32) reads one word per getrandbits(b).
     """
-    draw = random.Random(seed).getrandbits
+    if gmax <= 255:
+        top = draw(32 * words).to_bytes(4 * words, "little")[3::4]
+        return top.translate(*_draw_table(gmax))
     bits = gmax.bit_length()
-    while True:
-        r = draw(bits)
-        while r >= gmax:
-            r = draw(bits)
-        yield r + 1
+    return [r + 1 for r in (draw(bits) for _ in range(words)) if r < gmax]
 
 
 def random_circuit(
@@ -389,20 +408,25 @@ def random_circuit(
 
     Every edge chord is certified below the cap (via the subadditive bound
     gap * ring_edge), every arc is under half a circle, and at least k
-    points appear.
+    points appear.  The gaps are ``random.Random(seed)``'s draws of
+    randint(1, gmax), read in chunks sized to the arc left; the vertices
+    are their prefix sums up to the first at or past n - gmax, and the
+    closing gap is at most gmax.
     """
     if k < 3:
         raise PreconditionViolation("need at least 3 points")
     m, gmax = _refinement_for_cap(k, mesh_cap, prec)
     n = 3 << m
-    draws = _gap_draws(seed, gmax)
-    indices = [0]
-    position = 0
-    while True:
-        remaining = n - position
-        if remaining <= gmax:
-            break
-        gap = min(next(draws), remaining - 1)
-        position += gap
-        indices.append(position)
-    return Circuit.from_regular_indices(m, indices, prec)
+    last = n - gmax
+    draw = random.Random(seed).getrandbits
+    indices, gaps = [0], []
+    while indices[-1] < last:
+        # a draw steps (gmax + 1)/2 and takes 2^b/gmax words, on average
+        words = ((last - indices[-1]) * 2 << gmax.bit_length()) // ((gmax + 1) * gmax)
+        chunk = _gap_draws(draw, gmax, words + 16)
+        sums = list(accumulate(chunk, initial=indices[-1]))
+        cut = bisect_left(sums, last)
+        indices += sums[1:cut + 1]
+        gaps += chunk[:cut]
+    gaps.append(n - indices[-1])
+    return _checked_circuit(m, indices, gaps, prec)

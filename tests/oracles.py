@@ -11,10 +11,12 @@ are the ``Interval`` expressions that ``circuits.distance`` and
 ``circuits.tangent_intersection`` fuse; ``explicit_circuit_measures``
 measures a circuit edge by edge in ``Interval`` expressions, the reference
 for ``circuits.circuit_measures``, which measures one chord per distinct
-gap.  These five are the only oracles built on archpi.  Nothing here is
-imported by the library.
+gap.  These five are the only oracles built on archpi.  ``per_draw_circuit``
+is ``random_circuit``'s former loop, one ``randint`` per vertex, the
+reference for its bulk gap draws.  Nothing here is imported by the library.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -156,3 +158,17 @@ def explicit_circuit_measures(vertices, prec):
         mesh=Interval(max(c.lo for c in chords), max(c.hi for c in chords), prec),
         min_edge=Interval(min(c.lo for c in chords), min(c.hi for c in chords), prec),
     )
+
+
+def per_draw_circuit(m: int, gmax: int, seed: int):
+    """(indices, gaps) of the circuit that steps round the 3*2^m-gon ring
+    from vertex 0 by ``random.Random(seed).randint(1, gmax)`` vertices at a
+    time, each step clamped to stay short of a full turn, until at most
+    gmax steps are left; the last gap closes the circuit."""
+    n = 3 << m
+    rng = random.Random(seed)
+    indices, position = [0], 0
+    while n - position > gmax:
+        position += min(rng.randint(1, gmax), n - position - 1)
+        indices.append(position)
+    return indices, [b - a for a, b in zip(indices, indices[1:])] + [n - position]

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import pytest
@@ -37,7 +38,7 @@ from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import edge_chain, pi_enclosure, seed_edge
 
 from oracles import (contains, explicit_circuit_measures, interval_distance,
-                     interval_tangent_meet)
+                     interval_tangent_meet, per_draw_circuit)
 
 PREC = 64
 
@@ -227,7 +228,52 @@ def test_gap_draws_are_the_randint_draws(gmax):
     for seed in (0, 1, 7, 42, 2**40 + 3):
         rng = random.Random(seed)
         expected = [rng.randint(1, gmax) for _ in range(300)]
-        assert list(islice(circuits._gap_draws(seed, gmax), 300)) == expected
+        # chunks of 1, 7 and 1000 words read one stream of words
+        draw = random.Random(seed).getrandbits
+        draws = [g for words in (1, 7, 1000) for g in circuits._gap_draws(draw, gmax, words)]
+        assert draws[:300] == expected
+
+
+_per_draw = lru_cache(maxsize=64)(per_draw_circuit)
+
+
+def test_random_circuit_is_the_per_draw_loop():
+    cases = [(k, cap_exp, seed, prec) for prec in (16, 64) for k in (3, 4, 7, 50, 1000)
+             for cap_exp in range(1, 13) for seed in (0, 1, 2**40 + 3)]
+    cases.append((200_000, 1, 5, PREC))   # a fallback depth, gmax 3
+    for k, cap_exp, seed, prec in cases:
+        cap = Interval.exact(Dyadic(1, -cap_exp), prec)
+        m, gmax = _refinement_for_cap(k, cap, prec)
+        circuit = random_circuit(k, cap, seed, prec)
+        assert (circuit.ring_m, list(circuit.indices), circuit.gaps) == (
+            m, *_per_draw(m, gmax, seed)), (k, cap_exp, seed, prec)
+
+
+@pytest.mark.parametrize("k, cap_exp, depth, gmax", [
+    (3, 15, 17, 1), (3, 16, 18, 1), (200_000, 1, 18, 3)])
+def test_deepest_caps_fall_back_to_small_gaps(k, cap_exp, depth, gmax):
+    # no depth up to the limit has gmax >= 4, but these depths carry the cap
+    cap = Interval.exact(Dyadic(1, -cap_exp), PREC)
+    assert _refinement_for_cap(k, cap, PREC) == (depth, gmax)
+    circuit = random_circuit(k, cap, seed=1, prec=PREC)
+    assert len(circuit) >= k and max(circuit.gaps) <= gmax
+    m = circuit_measures(circuit)
+    two_pi = pi_enclosure(PREC) * 2
+    assert compare_certain(m.mesh, cap) is Verdict.CERTAINLY_LESS
+    assert compare_certain(m.perimeter_in, two_pi) is Verdict.CERTAINLY_LESS
+    assert compare_certain(two_pi, m.perimeter_circ) is Verdict.CERTAINLY_LESS
+
+
+@pytest.mark.parametrize("prec", [16, 64])
+def test_refinement_certifies_gmax_steps_under_a_cap_inside_the_hull(prec):
+    # the cap sits at the upper end of ell*(g + 1), inside its hull: only
+    # that upper end shows that g + 1 steps are not certainly under it
+    chords = lattice_ladder(prec)[0]
+    for m in range(2, 15):
+        for g in (4, 5, 6, 7):
+            cap = Interval.exact((chords[m] * (g + 1)).hi, prec)
+            depth, gmax = _refinement_for_cap(3, cap, prec)
+            assert (chords[depth] * gmax).hi < cap.lo, (m, g)
 
 
 def test_random_circuit_validation():
