@@ -37,10 +37,8 @@ from .circuits import (
 )
 from .chords import (
     ArcSpec,
-    AngleProfile,
     CompareResult,
     PartitionProfile,
-    angle_profile,
     chord_compare,
     partition_profile,
     solve_regular_chord,
@@ -100,12 +98,10 @@ __all__ = [
     "ArcSpec",
     "PartitionProfile",
     "CompareResult",
-    "AngleProfile",
     "solve_regular_chord",
     "partition_profile",
     "chord_compare",
     "tangent_compare",
-    "angle_profile",
     "RationalLength",
     "realize_rational",
     "gamma_path",

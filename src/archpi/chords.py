@@ -54,7 +54,6 @@ from .dyadic import Dyadic, _rounded
 from .errors import (
     ArchpiError,
     BisectionStall,
-    DomainViolation,
     PreconditionViolation,
     PrecisionCeiling,
     SHORTFALLS,
@@ -403,32 +402,3 @@ def tangent_compare(arc: ArcSpec, m: int, n: int, prec: int) -> CompareResult:
     if not 1 <= m < n:
         raise PreconditionViolation("need 1 <= m < n")
     return _compare_adaptive(_tangent_sides, arc, m, n, prec)
-
-
-@dataclass(frozen=True)
-class AngleProfile:
-    outer_apex: Interval
-    base_angles: Interval
-    inner_apex: Interval
-    degenerate_inner: bool
-
-
-def angle_profile(n: int, theta_degrees: Fraction, prec: int = 64) -> AngleProfile:
-    """Degree measures of the outer tangent triangle over an n-step arc.
-
-    theta_degrees is the central angle per step.  Requires n*theta < 180.
-    """
-    if n < 2:
-        raise PreconditionViolation("need at least 2 steps")
-    if theta_degrees <= 0 or n * theta_degrees >= 180:
-        raise DomainViolation("arc must stay under half the circle")
-    outer = Interval.from_fraction(180 - n * theta_degrees, prec)
-    base = Interval.from_fraction((n - 1) * theta_degrees, prec)
-    inner_exact = 180 - (n - 2) * theta_degrees
-    inner = Interval.from_fraction(inner_exact, prec)
-    return AngleProfile(
-        outer_apex=outer,
-        base_angles=base,
-        inner_apex=inner,
-        degenerate_inner=(inner_exact == 180),
-    )

@@ -8,11 +8,11 @@ count outside 1..256, a precision above
 the command's ceiling in ``PRECISION_CEILING`` or above what the chord solver
 takes, and an ``--output`` that cannot be written),
 3 inconclusive (interval
-overlap persisting at the precision cap, an ambiguous winding crossing,
-chords that cannot be ordered at this precision, tangents that cannot be
-certified to meet, or an operand too wide for a square root, a division or
-a chord at this precision).  The
-sampled suites, ``rational``, ``h-ratio``, ``trig-sandwich``, ``trig`` and
+overlap persisting at the precision cap, a winding whose crossings stay
+ambiguous on pieces of the chord enclosure one unit wide or disagree
+between pieces, chords that cannot be ordered at this precision, tangents
+that cannot be certified to meet, or an operand too wide for a square
+root, a division or a chord at this precision).  The sampled suites, ``rational``, ``h-ratio``, ``trig-sandwich``, ``trig`` and
 ``sweep-rational`` turn such a shortfall into one row, print the report and
 exit 3; ``main`` maps every other error to its exit code by type.
 Reports are deterministic for identical argv and seed.

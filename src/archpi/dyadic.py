@@ -200,4 +200,3 @@ def _rounded(man: int, exp: int, prec: int, up: bool) -> Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)

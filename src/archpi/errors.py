@@ -61,10 +61,6 @@ class ThetaOutOfRange(ArchpiError):
     """Arclength argument outside the supported range."""
 
 
-class DomainViolation(ArchpiError):
-    """Angle-profile arguments describe an arc of at least half a circle."""
-
-
 class PreconditionViolation(ArchpiError):
     """Operation called with arguments violating a stated precondition."""
 

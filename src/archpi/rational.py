@@ -2,7 +2,9 @@
 
 The pair (k, N) with gcd(k, N) = 1 is the source of truth for the closure
 count N and winding number k; the geometric closure and crossing checks are
-a verification pass, not the definition.
+a verification pass, not the definition.  ``winding_count`` makes that pass
+on one code path, the integer ball walk of ``circuits``, run over pieces of
+the chord enclosure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import List, Tuple
 
 from .chords import ArcSpec, solve_regular_chord
 from .circuits import CirclePoint, Rotation, _ball_walk, distance, unit_start, walk
+from .dyadic import Dyadic
 from .errors import (
     AmbiguousCrossing,
     ChordTooLong,
@@ -88,35 +91,46 @@ def winding_count(r: RationalLength) -> int:
     contributes exactly one crossing and the opening edge none, so the count
     is 1 plus the certified interior-edge crossings.
 
-    The count is taken on the ball walk (``_ball_winding``).  Where a
-    crossing there is ambiguous, and only there, it is taken again on the
-    Interval walk (``_interval_winding``): a Euclidean ball cannot follow the
-    one-sided error of a wide chord interval, which the Interval box keeps.
-    """
-    try:
-        return _ball_winding(r)
-    except AmbiguousCrossing:
-        return _interval_winding(r)
-
-
-def _ball_winding(r: RationalLength) -> int:
-    """``winding_count`` on the integer ball walk at scale 2^-w, w the
-    chord's precision.
-
-    Every ball holds its vertex for every chord in ``r.chord``, the exact
-    chord 2 sin(pi k/N) among them, whose path closes on (1, 0); so a final
-    ball that misses the exact start (2^w, 0) certifies a failed closure.
+    The count is taken on the integer ball walk at scale 2^-w, w the chord's
+    precision, over pieces of the chord enclosure.  Every ball of a piece's
+    walk holds its vertex for every chord in the piece; the exact chord
+    2 sin(pi k/N) lies in some piece, and its path closes on (1, 0).  So a
+    piece whose final ball misses (2^w, 0) is dropped, and a piece with an
+    ambiguous crossing is halved, down to one unit 2^-w wide.  The winding
+    is certified only when every piece left gives the same count: a wide
+    enclosure can also hold the exact chords of (k - 1, N) and (k + 1, N),
+    whose paths close too.  If no piece is left, the path certifiably fails
+    to close.
     """
     w = r.chord.prec
-    balls = list(_ball_walk(Rotation.of_chord(r.chord), r.N, w))
-    x, y, radius = balls[-1]
-    x -= 1 << w
-    if x * x + y * y > radius * radius:
+    unit = Dyadic(1, -w)
+    counts = set()
+    pieces = [r.chord]
+    while pieces:
+        piece = pieces.pop()
+        balls = list(_ball_walk(Rotation.of_chord(piece), r.N, w))
+        x, y, radius = balls[-1]
+        x -= 1 << w
+        if x * x + y * y > radius * radius:
+            continue
+        try:
+            # balls[j] holds vertex j + 1; the interior edges join vertices 1 .. N-1
+            counts.add(1 + sum(_ball_crosses(a, b, w)
+                               for a, b in zip(balls[:-2], balls[1:-1])))
+        except AmbiguousCrossing:
+            if piece.width() <= unit:
+                raise
+            mid = piece.mid()
+            pieces += [Interval(piece.lo, mid, w), Interval(mid, piece.hi, w)]
+        if len(counts) > 1:
+            raise AmbiguousCrossing(
+                f"pieces of the chord enclosure of ({r.k}, {r.N}) give crossing "
+                f"counts {sorted(counts)}; raise precision")
+    if not counts:
         raise ClosureFailure(
             f"path for ({r.k}, {r.N}) certifiably misses its start"
         )
-    # balls[j] holds vertex j + 1; the interior edges join vertices 1 .. N-1
-    return 1 + sum(_ball_crosses(a, b, w) for a, b in zip(balls[:-2], balls[1:-1]))
+    return counts.pop()
 
 
 def _ball_sign(value: int, radius: int) -> int:
@@ -129,9 +143,13 @@ def _ball_sign(value: int, radius: int) -> int:
 
 
 def _ball_crosses(a: Tuple[int, int, int], b: Tuple[int, int, int], w: int) -> bool:
-    """``_crosses_start_radius`` on balls (X, Y, R) at scale 2^-w.
+    """Does segment ab cross the radius from the origin to (1, 0)?  a and b
+    are balls (X, Y, R) at scale 2^-w.
 
-    The same straddle tests with the same rules, on integers.  With A, B
+    Certified by two straddle tests: of the x-axis by the edge ends, and of
+    the edge line by the origin and (1, 0).  An ambiguous verdict on one
+    test is only accepted when the other certifies non-crossing (the
+    antipodal vertex sits on the line but never on the segment).  With A, B
     the centers, Ra, Rb the radii and a = A + da, b = B + db the true points
     (|da| <= Ra, |db| <= Rb), all at scale 2^-w:
 
@@ -160,48 +178,6 @@ def _ball_crosses(a: Tuple[int, int, int], b: Tuple[int, int, int], w: int) -> b
         return False
     if sa != 0 and sb != 0 and so != 0 and su != 0:
         return True
-    raise AmbiguousCrossing("ambiguous crossing test; raise precision")
-
-
-def _interval_winding(r: RationalLength) -> int:
-    """``winding_count`` on the Interval walk of ``gamma_path``."""
-    points = gamma_path(r)
-    return 1 + sum(_crosses_start_radius(a, b) for a, b in zip(points[1:-1], points[2:]))
-
-
-def _sign_certain(value: Interval) -> int:
-    if value.lo.sign > 0:
-        return 1
-    if value.hi.sign < 0:
-        return -1
-    return 0
-
-
-def _crosses_start_radius(a: CirclePoint, b: CirclePoint) -> bool:
-    """Does segment ab cross the radius from the origin to (1, 0)?
-
-    Certified by two straddle tests; an ambiguous verdict on one test is
-    only accepted when the other certifies non-crossing (the antipodal
-    vertex sits on the line but never on the segment).
-    """
-    # straddle of the x-axis line by the edge endpoints, tested first: an
-    # edge certainly on one side of it needs no cross products
-    sa = _sign_certain(a.y)
-    sb = _sign_certain(b.y)
-    if sa != 0 and sa == sb:
-        return False
-    # straddle of the edge line by origin and (1, 0)
-    ex = b.x - a.x
-    ey = b.y - a.y
-    ex_ay = ex * a.y
-    cross_origin = ex_ay - ey * a.x  # ~ cross(b - a, O - a), negated sign pair
-    cross_unit = ex_ay - ey * (a.x - 1)
-    so = _sign_certain(cross_origin)
-    su = _sign_certain(cross_unit)
-    if so != 0 and so == su:
-        return False
-    if sa != 0 and sb != 0 and so != 0 and su != 0:
-        return True  # here sa != sb and so != su: both straddles certain
     raise AmbiguousCrossing("ambiguous crossing test; raise precision")
 
 

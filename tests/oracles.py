@@ -11,9 +11,14 @@ are the ``Interval`` expressions that ``circuits.distance`` and
 ``circuits.tangent_intersection`` fuse; ``explicit_circuit_measures``
 measures a circuit edge by edge in ``Interval`` expressions, the reference
 for ``circuits.circuit_measures``, which measures one chord per distinct
-gap.  These five are the only oracles built on archpi.  ``per_draw_circuit``
-is ``random_circuit``'s former loop, one ``randint`` per vertex, the
-reference for its bulk gap draws.  Nothing here is imported by the library.
+gap; ``ball_winding`` counts a winding on one ball walk of the whole chord
+enclosure, with no split, and ``interval_winding`` on the ``Interval`` walk
+of ``gamma_path``; ``two_path_winding``, the first with the second as its
+fallback, is ``rational.winding_count`` as it was before it split the
+enclosure.  These eight are the only oracles built on archpi.
+``per_draw_circuit`` is ``random_circuit``'s former loop, one ``randint``
+per vertex, the reference for its bulk gap draws.  Nothing here is imported
+by the library.
 """
 
 import random
@@ -21,9 +26,10 @@ from fractions import Fraction
 
 import mpmath
 
-from archpi.circuits import CircuitMeasures, Rotation, unit_start, walk
-from archpi.errors import AntipodalTangents
+from archpi.circuits import CircuitMeasures, Rotation, _ball_walk, unit_start, walk
+from archpi.errors import AmbiguousCrossing, AntipodalTangents, ClosureFailure
 from archpi.interval import Interval, Verdict, compare_certain
+from archpi.rational import _ball_crosses, gamma_path
 
 
 def machin_pi_digits(count: int) -> str:
@@ -158,6 +164,60 @@ def explicit_circuit_measures(vertices, prec):
         mesh=Interval(max(c.lo for c in chords), max(c.hi for c in chords), prec),
         min_edge=Interval(min(c.lo for c in chords), min(c.hi for c in chords), prec),
     )
+
+
+def sign_certain(value) -> int:
+    """The sign of every number in the interval, else 0."""
+    if value.lo.sign > 0:
+        return 1
+    if value.hi.sign < 0:
+        return -1
+    return 0
+
+
+def crosses_start_radius(a, b) -> bool:
+    """Does segment ab, of ``Interval`` points, cross the radius from the
+    origin to (1, 0)?  ``rational._ball_crosses`` on boxes: the same two
+    straddle tests with the same rules."""
+    sa = sign_certain(a.y)
+    sb = sign_certain(b.y)
+    if sa != 0 and sa == sb:
+        return False
+    ex = b.x - a.x
+    ey = b.y - a.y
+    ex_ay = ex * a.y
+    so = sign_certain(ex_ay - ey * a.x)
+    su = sign_certain(ex_ay - ey * (a.x - 1))
+    if so != 0 and so == su:
+        return False
+    if sa != 0 and sb != 0 and so != 0 and su != 0:
+        return True
+    raise AmbiguousCrossing("ambiguous crossing test; raise precision")
+
+
+def interval_winding(r) -> int:
+    """The winding of ``r`` on the ``Interval`` walk of ``gamma_path``."""
+    points = gamma_path(r)
+    return 1 + sum(crosses_start_radius(a, b) for a, b in zip(points[1:-1], points[2:]))
+
+
+def ball_winding(r) -> int:
+    """The winding of ``r`` on one ball walk of its whole chord enclosure."""
+    w = r.chord.prec
+    balls = list(_ball_walk(Rotation.of_chord(r.chord), r.N, w))
+    x, y, radius = balls[-1]
+    if (x - (1 << w)) ** 2 + y * y > radius * radius:
+        raise ClosureFailure(f"path for ({r.k}, {r.N}) certifiably misses its start")
+    return 1 + sum(_ball_crosses(a, b, w) for a, b in zip(balls[:-2], balls[1:-1]))
+
+
+def two_path_winding(r) -> int:
+    """``ball_winding``, taken again by ``interval_winding`` where a crossing
+    on the balls is ambiguous."""
+    try:
+        return ball_winding(r)
+    except AmbiguousCrossing:
+        return interval_winding(r)
 
 
 def per_draw_circuit(m: int, gmax: int, seed: int):

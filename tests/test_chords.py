@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from archpi import chords
 from archpi.chords import (
     ArcSpec,
-    angle_profile,
     chord_compare,
     partition_profile,
     solve_regular_chord,
@@ -16,8 +15,8 @@ from archpi.chords import (
 )
 from archpi.circuits import Rotation
 from archpi.dyadic import Dyadic
-from archpi.errors import (SHORTFALLS, BisectionStall, DomainViolation,
-                           InvalidChord, PreconditionViolation)
+from archpi.errors import (SHORTFALLS, BisectionStall, InvalidChord,
+                           PreconditionViolation)
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import seed_edge
 
@@ -483,67 +482,3 @@ def test_compare_validation():
     with pytest.raises(PreconditionViolation):
         partition_profile(quarter_arc(), 1, PREC)
 
-
-def test_angle_profile_closed_forms():
-    prof = angle_profile(4, Fraction(20), PREC)
-    assert prof.outer_apex.contains(100)   # 180 - 4*20
-    assert prof.base_angles.contains(60)   # 3*20
-    assert prof.inner_apex.contains(140)   # 180 - 2*20
-    assert not prof.degenerate_inner
-    # angles of the isoceles tangent triangle sum to 180 with the bases
-    total = prof.outer_apex + prof.base_angles * 2
-    assert total.contains(Fraction(220))   # outer + 2*(n-1)theta = 180 + (n-2)theta
-
-
-def test_angle_profile_degenerate():
-    prof = angle_profile(2, Fraction(45), PREC)
-    assert prof.degenerate_inner
-    assert prof.inner_apex.contains(180)
-
-
-def test_angle_profile_domain():
-    with pytest.raises(DomainViolation):
-        angle_profile(4, Fraction(45), PREC)
-    with pytest.raises(DomainViolation):
-        angle_profile(3, Fraction(0), PREC)
-    with pytest.raises(PreconditionViolation):
-        angle_profile(1, Fraction(10), PREC)
-
-
-def test_angle_profile_arccos_cross_check():
-    # independent coordinate-geometry check: the three degree measures are
-    # angles of the quadrilateral of tangent-line meets over an n-step arc
-    # (apex over the full arc, shoulders one step in, inner two steps in),
-    # recovered via arccos of normalized dot products
-    import mpmath
-
-    n, theta_deg = 5, Fraction(12)
-    prof = angle_profile(n, theta_deg, PREC)
-    with mpmath.workdps(40):
-        th = mpmath.radians(mpmath.mpf(theta_deg.numerator) / theta_deg.denominator)
-
-        def point(i):
-            return mpmath.matrix([mpmath.cos((i - 1) * th), mpmath.sin((i - 1) * th)])
-
-        def meet(a, b):
-            return (a + b) / (1 + (a.T * b)[0])
-
-        def angle_at(v, a, b):
-            u, w = a - v, b - v
-            c = (u.T * w)[0] / (mpmath.norm(u) * mpmath.norm(w))
-            return mpmath.degrees(mpmath.acos(c))
-
-        apex = meet(point(1), point(n + 1))
-        sh1 = meet(point(1), point(n))
-        sh2 = meet(point(2), point(n + 1))
-        inner = meet(point(2), point(n))
-        tol = mpmath.mpf("1e-25")
-        for enclosure, measured in (
-            (prof.outer_apex, angle_at(apex, sh1, sh2)),
-            (prof.base_angles, angle_at(sh1, inner, apex)),
-            (prof.base_angles, angle_at(sh2, inner, apex)),
-            (prof.inner_apex, angle_at(inner, sh1, sh2)),
-        ):
-            lo = mpmath.mpf(enclosure.lo.man) * mpmath.power(2, enclosure.lo.exp)
-            hi = mpmath.mpf(enclosure.hi.man) * mpmath.power(2, enclosure.hi.exp)
-            assert lo - tol <= measured <= hi + tol

@@ -390,7 +390,7 @@ def test_verify_rational_overlap_exits_3(monkeypatch, capsys):
 
 
 def test_ambiguous_crossing_exits_3(capsys):
-    code, err = run_cli_err(["verify", "rational", "--max-n", "12", "--precision", "20"], capsys)
+    code, err = run_cli_err(["verify", "rational", "--max-n", "24", "--precision", "16"], capsys)
     assert code == 3
     assert err.startswith("inconclusive:") and "crossing" in err
 
@@ -461,14 +461,20 @@ def _shortfall_lines(err, rows, label):
 
 
 def test_rational_shortfall_keeps_the_other_rows(capsys):
-    code = main(["verify", "rational", "--max-n", "12", "--precision", "20"])
+    code = main(["verify", "rational", "--max-n", "24", "--precision", "16"])
     captured = capsys.readouterr()
     assert code == 3
     report = json.loads(captured.out)
-    short = _shortfall_lines(captured.err, report["rows"],
-                             lambda row: f"k {row['k']}, N {row['N']}")
-    assert {row["error"] for row in short} == {"AmbiguousCrossing"}
-    # one more row is inconclusive by an overlap, not a shortfall
+    short = _shortfall_lines(
+        captured.err, report["rows"],
+        lambda row: (f"k {row['k']}, N {row['N']}" if "k" in row
+                     else f"mode {row['mode']}, pair {row['pair']}"))
+    # at 16 bits wide chords also reach 2 or cannot be ordered
+    assert {row["error"] for row in short} == {
+        "AmbiguousCrossing", "InvalidChord", "HypothesisUnordered"}
+    assert [(row["k"], row["N"]) for row in short
+            if row["error"] == "AmbiguousCrossing"] == [(7, 18), (8, 21)]
+    # more rows are inconclusive by an overlap, not a shortfall
     assert len(short) < report["inconclusive"] < report["samples"]
     assert report["violations"] == 0
 
@@ -497,14 +503,14 @@ def test_trig_shortfall_keeps_the_other_rows(capsys):
 
 
 def test_sweep_rational_shortfall_keeps_the_other_rows(capsys):
-    code = main(["sweep-rational", "--max-n", "24", "--precision", "24"])
+    code = main(["sweep-rational", "--max-n", "24", "--precision", "16"])
     captured = capsys.readouterr()
     assert code == 3
     rows = json.loads(captured.out)["rows"]
     assert len(rows) == len(coprime_pairs(24))
     short = _shortfall_lines(captured.err, rows,
                              lambda row: f"k {row['k']}, N {row['N']}")
-    assert {row["error"] for row in short} == {"AmbiguousCrossing"}
+    assert {row["error"] for row in short} == {"AmbiguousCrossing", "InvalidChord"}
     assert all(row["winding"] == row["k"] for row in rows if "error" not in row)
 
 

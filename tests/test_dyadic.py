@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archpi.dyadic import Dyadic, ZERO, ONE
+from archpi.dyadic import Dyadic, ZERO
 from archpi.interval import Interval
 
 
@@ -28,8 +28,8 @@ def test_exact_ring_ops():
 
 
 def test_comparisons():
-    assert Dyadic(1, -1) < Dyadic(3, -2) < ONE
-    assert Dyadic(-1) < ZERO < ONE
+    assert Dyadic(1, -1) < Dyadic(3, -2) < Dyadic(1)
+    assert Dyadic(-1) < ZERO < Dyadic(1)
     assert Dyadic(1, 10) == Dyadic(1024)
     assert Dyadic(7, -3).sign == 1 and Dyadic(-7, -3).sign == -1 and ZERO.sign == 0
 

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from archpi import rational
+from archpi.circuits import Rotation, _ball_walk
 from archpi.dyadic import Dyadic
 from archpi.errors import (
     SHORTFALLS,
@@ -19,9 +22,6 @@ from archpi.polygons import seed_edge, two_pi_enclosure
 from archpi.rational import (
     RationalLength,
     _ball_crosses,
-    _crosses_start_radius,
-    _interval_winding,
-    _sign_certain,
     coprime_pairs,
     gamma_path,
     normalized_compare,
@@ -30,7 +30,7 @@ from archpi.rational import (
     winding_count,
 )
 
-from oracles import contains, trig_chord
+from oracles import ball_winding, contains, interval_winding, trig_chord
 
 PREC = 64
 
@@ -122,15 +122,20 @@ def test_coprime_pairs():
     assert pairs == sorted(pairs, key=lambda p: (p[1], p[0]))
 
 
-def _reference_crosses(a, b):
-    """The crossing test as written before the same-side shortcut: both
-    cross products first, then the x-axis straddle."""
-    sa = _sign_certain(a.y)
-    sb = _sign_certain(b.y)
-    ex = b.x - a.x
-    ey = b.y - a.y
-    so = _sign_certain(ex * a.y - ey * a.x)
-    su = _sign_certain(ex * a.y - ey * (a.x - 1))
+def _reference_sign(value, radius):
+    return 1 if value > radius else -1 if value < -radius else 0
+
+
+def _reference_crosses(a, b, w):
+    """The crossing test on balls as written without the same-side
+    shortcut: all four signs first, then the x-axis straddle."""
+    (ax, ay, ra), (bx, by, rb) = a, b
+    sa = _reference_sign(ay, ra)
+    sb = _reference_sign(by, rb)
+    cross = bx * ay - by * ax
+    radius = (abs(bx) + abs(by)) * ra + (abs(ax) + abs(ay)) * rb + ra * rb
+    so = _reference_sign(cross, radius)
+    su = _reference_sign(cross + (by - ay) * 2**w, radius + (ra + rb) * 2**w)
     if so != 0 and su != 0 and so == su:
         return False
     if sa != 0 and sb != 0 and sa == sb:
@@ -140,9 +145,9 @@ def _reference_crosses(a, b):
     raise AmbiguousCrossing("ambiguous crossing test; raise precision")
 
 
-def _crossing_outcome(fn, a, b):
+def _crossing_outcome(fn, a, b, w):
     try:
-        return fn(a, b)
+        return fn(a, b, w)
     except AmbiguousCrossing:
         return AmbiguousCrossing
 
@@ -152,12 +157,13 @@ def test_crossing_shortcut_matches_the_full_test(prec):
     edges = outcomes = 0
     for k, N in coprime_pairs(24):
         try:
-            points = gamma_path(realize_rational(k, N, prec))
+            chord = realize_rational(k, N, prec).chord
+            balls = list(_ball_walk(Rotation.of_chord(chord), N, prec))
         except SHORTFALLS:
             continue
-        for a, b in zip(points[1:-1], points[2:]):
-            expected = _crossing_outcome(_reference_crosses, a, b)
-            assert _crossing_outcome(_crosses_start_radius, a, b) is expected, (k, N)
+        for a, b in zip(balls[:-2], balls[1:-1]):
+            expected = _crossing_outcome(_reference_crosses, a, b, prec)
+            assert _crossing_outcome(_ball_crosses, a, b, prec) is expected, (k, N)
             edges += 1
             outcomes += expected is AmbiguousCrossing
     assert edges > 1000
@@ -173,21 +179,83 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("prec", [16, 20, 24, 32])
+#: the windings settled over ``coprime_pairs(40)``, at least, by precision
+_SETTLED = {16: 153, 20: 226, 24: 244, 32: 244}
+
+
+@pytest.mark.parametrize("prec", sorted(_SETTLED))
 def test_ball_winding_settles_wherever_the_interval_walk_does(prec):
-    settled = 0
-    for k, N in coprime_pairs(30):
+    # splitting the chord enclosure settles every winding that the
+    # Interval walk or one ball walk of the whole enclosure settles, and
+    # more below 32 bits; no path that closes is taken to miss its start
+    settled = gained = 0
+    for k, N in coprime_pairs(40):
         r = _outcome(realize_rational, k, N, prec)
         if not isinstance(r, RationalLength):
             continue
-        interval = _outcome(_interval_winding, r)
+        before = [w for w in (_outcome(ball_winding, r), _outcome(interval_winding, r))
+                  if isinstance(w, int)]
         winding = _outcome(winding_count, r)
-        if isinstance(interval, int):
-            assert winding == interval == k, (k, N)
+        assert before == [k] * len(before), (k, N)
+        assert winding is not ClosureFailure, (k, N)
+        if before:
+            assert winding == k, (k, N)
         if isinstance(winding, int):
             assert winding == k, (k, N)
             settled += 1
-    assert settled > 20
+            gained += not before
+    assert settled >= _SETTLED[prec]
+    assert (gained > 0) is (prec < 32)
+
+
+def test_pieces_that_close_must_agree():
+    # at 20 bits the chord enclosure of (25, 59) is 0.059 wide: it holds the
+    # exact chords of (24, 59) and (26, 59) too, and their paths close as
+    # well, so pieces that close give different counts and none is certified
+    r = realize_rational(25, 59, 20)
+    for k in (24, 25, 26):
+        assert contains(r.chord, trig_chord(Fraction(k, 59)))
+    with pytest.raises(AmbiguousCrossing):
+        winding_count(r)
+
+
+@pytest.mark.parametrize("k, N", [(4, 9), (5, 11)])
+def test_a_piece_that_misses_its_start_is_dropped(k, N, monkeypatch):
+    # the 20-bit enclosure is ambiguous as a whole, and some of its pieces
+    # certifiably miss (1, 0): they hold no exact chord, and the pieces that
+    # close settle the winding
+    r = realize_rational(k, N, 20)
+    assert _outcome(ball_winding, r) is AmbiguousCrossing
+    missed = []
+
+    def closing_balls(rotation, n, w):
+        balls = list(_ball_walk(rotation, n, w))
+        x, y, radius = balls[-1]
+        missed.append((x - 2**w) ** 2 + y * y > radius * radius)
+        return balls
+
+    monkeypatch.setattr(rational, "_ball_walk", closing_balls)
+    assert winding_count(r) == k
+    assert any(missed) and not all(missed)
+
+
+def test_splitting_stops_at_one_unit(monkeypatch):
+    # (7, 18) at 16 bits stays ambiguous down to pieces one unit 2^-16
+    # wide, the ball walk's own scale, and is split no further: every piece
+    # walked is wider than half a unit, and the split reaches one unit
+    r = realize_rational(7, 18, 16)
+    unit = Dyadic(1, -16)
+    walked = []
+
+    def of_chord(c):
+        assert c.width().scale2(1) > unit, c
+        walked.append(c.width())
+        return Rotation.of_chord(c)
+
+    monkeypatch.setattr(rational, "Rotation", SimpleNamespace(of_chord=of_chord))
+    with pytest.raises(AmbiguousCrossing):
+        winding_count(r)
+    assert min(walked) <= unit
 
 
 @given(st.sampled_from(coprime_pairs(30)), st.sampled_from([24, 32, 64]),

@@ -5,12 +5,14 @@ import os
 
 import pytest
 
-from archpi import polygons, rational, suites
+from archpi import polygons, suites
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, DivByZeroInterval, HypothesisUnordered
 from archpi.interval import Verdict
 from archpi.suites import SUITES, SuiteResult, checked, run_suite
+
+from oracles import two_path_winding
 
 LESS = Verdict.CERTAINLY_LESS
 GREATER = Verdict.CERTAINLY_GREATER
@@ -437,11 +439,12 @@ PINNED_REPORTS = [
 PINNED_SHORTFALL_REPORTS = [
     (["verify", "h-ratio", "--m-max", "12", "--precision", "16"],
      "a0ae65ac9ab1160b08f6a0b15c566f1faaa2829df088357ee9865e70dc13186a"),
-    # the winding check runs on the ball walk first, so (3, 7) and (4, 11)
-    # no longer fall short on an ambiguous crossing at 20 bits; repinned
-    # once the Interval walk became its fallback
+    # the winding check splits the chord enclosure on the ball walk, so no
+    # row falls short at 20 bits: (4, 9), (5, 11) and (5, 12) settle, and
+    # the one inconclusive row is a circumscribed overlap; repinned once
+    # the split replaced the Interval fallback
     (["verify", "rational", "--max-n", "12", "--precision", "20"],
-     "d2f7e67c435d9db6ced6b64847c35ee280abe2a1d2e44d7c762e149072992d3e"),
+     "68dc853cc39abfe23bbd315b88b9d04bef191fc33b6530b01074b0d50f9df97d"),
     (["verify", "trig-sandwich", "--k-max", "20", "--precision", "16"],
      "ebfa8dc0cbaa3edbb94b18fef651eedb975cc211210d650e57d22b6174899eb7"),
     (["verify", "tangent-profile", "--samples", "3", "--precision", "16"],
@@ -464,18 +467,19 @@ def test_pinned_shortfall_reports(args, digest, capsys):
 
 
 def test_ball_winding_settles_two_rows_of_the_20_bit_rational_pin(monkeypatch):
-    # the repinned report against the same suite with the Interval-only
-    # winding check: only (3, 7) and (4, 11) move, from an ambiguous
-    # crossing to a checked winding
+    # the repinned report against the same suite with the winding check it
+    # replaced, one ball walk of the whole enclosure with the Interval walk
+    # as its fallback: exactly (4, 9), (5, 11) and (5, 12) move, from an
+    # ambiguous crossing to a checked winding
     shipped = run_suite("rational", max_n=12, precision=20)
-    monkeypatch.setattr(suites, "winding_count", rational._interval_winding)
-    interval_only = run_suite("rational", max_n=12, precision=20)
-    changed = [(old, new) for old, new in zip(interval_only.rows, shipped.rows, strict=True)
+    monkeypatch.setattr(suites, "winding_count", two_path_winding)
+    two_path = run_suite("rational", max_n=12, precision=20)
+    changed = [(old, new) for old, new in zip(two_path.rows, shipped.rows, strict=True)
                if old != new]
-    assert [(new["k"], new["N"]) for _, new in changed] == [(3, 7), (4, 11)]
+    assert [(new["k"], new["N"]) for _, new in changed] == [(4, 9), (5, 11), (5, 12)]
     for old, new in changed:
         assert (old["verdict"], old["error"]) == ("shortfall", "AmbiguousCrossing")
         assert (new["status"], new["winding_checked"]) == ("ok", True)
-    assert (interval_only.samples, interval_only.violations, interval_only.inconclusive) == (
-        shipped.samples, 0, 6)
-    assert (shipped.violations, shipped.inconclusive) == (0, 4)
+    assert (two_path.samples, two_path.violations, two_path.inconclusive) == (
+        shipped.samples, 0, 4)
+    assert (shipped.violations, shipped.inconclusive) == (0, 1)
