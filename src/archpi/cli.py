@@ -16,6 +16,15 @@ root, a division or a chord at this precision).  The sampled suites, ``rational`
 ``sweep-rational`` turn such a shortfall into one row, print the report and
 exit 3; ``main`` maps every other error to its exit code by type.
 Reports are deterministic for identical argv and seed.
+
+``main`` hands a request whose first word names a command straight to that
+command's parser, which is all the full parser would do with it; every other
+request (no words, an unknown or abbreviated command, an option before the
+command, or words the command's parser leaves over) goes through the full
+parser, so its usage message and exit code are the ones argparse gives.  A
+JSON report is ``json.dumps(report, indent=2, default=str)``, joined by
+``_json`` rather than by the standard library's pure-Python indenting
+encoder.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .chords import MAX_PRECISION as SOLVER_CEILING
@@ -91,9 +101,45 @@ def _require_jobs(source: str, jobs: int) -> None:
         raise ValueError(f"{source} must lie in 1..{MAX_JOBS}, got {jobs}")
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, default=str)``, with ``indent`` before
+    every line but the first.
+
+    With an indent the standard library encodes in pure Python; here
+    strings go through its C escaper, ints, bools and None are written as
+    it writes them, and containers are joined.  Any other value, or a dict
+    with a key that is not a str, is left to ``json.dumps``: JSON text holds
+    no raw newline inside a string, so indenting its lines is exact.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[\n" + inner
+                + (",\n" + inner).join([_json(item, inner) for item in value])
+                + "\n" + indent + "]")
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        return ("{\n" + inner + (",\n" + inner).join([
+            encode_basestring_ascii(key) + ": " + _json(item, inner)
+            for key, item in value.items()]) + "\n" + indent + "}")
+    return json.dumps(value, indent=2, default=str).replace("\n", "\n" + indent)
+
+
 def _emit(report: dict, fmt: str, output: Optional[str]) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, default=str) + "\n"
+        text = _json(report) + "\n"
     elif fmt == "csv":
         rows = report.get("rows", [report])
         buf = io.StringIO()
@@ -240,10 +286,17 @@ def _cmd_archimedes(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
+def _suite_keywords() -> dict:
+    """Each suite's keyword parameter names, in signature order, read once."""
+    return {name: tuple(inspect.signature(suite).parameters)
+            for name, suite in SUITES.items()}
+
+
 def _cmd_verify(args) -> int:
     # the flags the user set become the suite's keyword arguments; a suite
     # picks its own default for every flag left unset
-    takes = inspect.signature(SUITES[args.suite]).parameters
+    takes = _suite_keywords()[args.suite]
     given = {key: getattr(args, key) for key in _VERIFY_KEYS
              if getattr(args, key) is not None}
     for key, value in given.items():
@@ -419,8 +472,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsing a request that starts with a
+    command name by that command's parser alone."""
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv:
+        commands = next(action.choices for action in parser._actions
+                        if action.dest == "command")
+        command = commands.get(argv[0])
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+            if not rest:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_output(args.output)
         return args.func(args)

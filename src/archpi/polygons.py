@@ -21,6 +21,7 @@ each node reads Q_m = 4^m ell_m^2 = 4^m (2 - s_(m-1)) off it unsquared.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -307,11 +308,18 @@ def _romberg_order(count: int) -> int:
     """
     log2 = math.log10(2)
     log_h0 = -math.log10(9 << 2 * ROMBERG_BASE_DEPTH)
-    k = 0
-    while (log_h0 * (k + 1) - log2 * k * (k + 1) + log2 * (6 * k + 11)
-           - math.lgamma(2 * k + 5) / math.log(10)) >= -(count + 2):
-        k += 1
-    return k
+    ln10 = math.log(10)
+    target = -(count + 2)
+
+    def below(k: int) -> bool:
+        return (log_h0 * (k + 1) - log2 * k * (k + 1) + log2 * (6 * k + 11)
+                - math.lgamma(2 * k + 5) / ln10) < target
+
+    # the estimate falls monotonically in k: double k, then bisect
+    k = 1
+    while not below(k):
+        k *= 2
+    return bisect_left(range(k), True, lo=k // 2, key=below)
 
 
 def _decimal(n: int) -> str:

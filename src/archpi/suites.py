@@ -156,7 +156,8 @@ def _dec(x: Interval) -> List[str]:
 
 
 def _map_samples(fn: Callable, args: List, jobs: int) -> List:
-    workers = min(jobs, len(args), os.cpu_count() or 1)
+    workers = (min(jobs, len(args), os.cpu_count() or 1)
+               if jobs > 1 and len(args) > 1 else 1)
     if workers <= 1:
         return [fn(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -17,10 +17,12 @@ of ``gamma_path``; ``two_path_winding``, the first with the second as its
 fallback, is ``rational.winding_count`` as it was before it split the
 enclosure.  These eight are the only oracles built on archpi.
 ``per_draw_circuit`` is ``random_circuit``'s former loop, one ``randint``
-per vertex, the reference for its bulk gap draws.  Nothing here is imported
-by the library.
+per vertex, the reference for its bulk gap draws.  ``scanned_romberg_order``
+is ``polygons._romberg_order``'s former scan, one k at a time, the
+reference for its search.  Nothing here is imported by the library.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ import mpmath
 from archpi.circuits import CircuitMeasures, Rotation, _ball_walk, unit_start, walk
 from archpi.errors import AmbiguousCrossing, AntipodalTangents, ClosureFailure
 from archpi.interval import Interval, Verdict, compare_certain
+from archpi.polygons import ROMBERG_BASE_DEPTH
 from archpi.rational import _ball_crosses, gamma_path
 
 
@@ -232,3 +235,15 @@ def per_draw_circuit(m: int, gmax: int, seed: int):
         position += min(rng.randint(1, gmax), n - position - 1)
         indices.append(position)
     return indices, [b - a for a, b in zip(indices, indices[1:])] + [n - position]
+
+
+def scanned_romberg_order(count: int) -> int:
+    """The least k whose float estimate of the Romberg error bound is below
+    10^-(count+2), found by trying k = 0, 1, 2, ... in turn."""
+    log2 = math.log10(2)
+    log_h0 = -math.log10(9 << 2 * ROMBERG_BASE_DEPTH)
+    k = 0
+    while (log_h0 * (k + 1) - log2 * k * (k + 1) + log2 * (6 * k + 11)
+           - math.lgamma(2 * k + 5) / math.log(10)) >= -(count + 2):
+        k += 1
+    return k

@@ -1,0 +1,180 @@
+"""The per-request path of ``cli.main``: dispatch to a command's parser, the
+suite keyword table and the JSON joiner give what the full parser, a fresh
+``inspect.signature`` and ``json.dumps(..., indent=2, default=str)`` give."""
+
+import argparse
+import inspect
+import json
+import math
+import re
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from archpi import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: per command, a cheap request and one value for each flag it takes
+_COMMANDS = {
+    "bounds": (["--n", "6", "--m", "2"], {"--precision": "64"}),
+    "digits": (["--count", "20"], {}),
+    "archimedes": (["--m-max", "2"], {"--n": "4", "--m-max": "1", "--precision": "48"}),
+    "circuit": ([], {"--points": "4", "--mesh-cap-exp": "3", "--seed": "2",
+                     "--include-points": None, "--precision": "64"}),
+    "trig": (["--k-max", "2"], {"--theta": "1/8", "--k-max": "3", "--precision": "48"}),
+    "sweep-rational": (["--max-n", "5"], {"--max-n": "4", "--precision": "32"}),
+}
+_VERIFY = [
+    ["monotone", "--m-max", "1"],
+    ["chord-compare", "--samples", "1"],
+    ["chord-compare", "--samples", "1", "--seed", "3"],
+    ["chord-compare", "--samples", "2", "--jobs", "1"],
+    ["chord-compare", "--samples", "1", "--precision", "32"],
+    ["circuit-sandwich", "--circuits-per-cap", "1"],
+    ["trig-sandwich", "--k-max", "1"],
+    ["rational", "--max-n", "3"],
+    ["monotone", "--samples", "1"],       # a flag the suite does not take
+]
+_ODD = [
+    [], ["-h"], ["digits", "-h"], ["nope"], ["dig", "--count", "5"],
+    ["--cou", "4"], ["--format", "json", "digits"],
+    ["digits", "--count", "x"], ["digits", "--count", "5", "--bogus"],
+    ["digits", "--cou", "5"], ["digits"], ["verify"], ["verify", "nope"],
+    ["digits", "--count", "5", "--precision", "64"],
+    ["digits", "--count", "5", "--", "x"],
+    ["bounds", "--n", "6", "--m", "2", "extra"],
+]
+
+
+def _flag_corpus(output):
+    corpus = []
+    for command, (base, flags) in _COMMANDS.items():
+        corpus.append([command, *base])
+        for flag, value in flags.items():
+            corpus.append([command, *base, flag] + ([] if value is None else [value]))
+        corpus += [[command, *base, "--format", fmt] for fmt in ("csv", "text")]
+        corpus.append([command, *base, "--output", output])
+    for request in _VERIFY:
+        corpus.append(["verify", *request])
+    corpus += [["verify", *_VERIFY[1], "--format", fmt] for fmt in ("csv", "text")]
+    corpus.append(["verify", *_VERIFY[1], "--output", output])
+    return corpus
+
+
+def _readme_corpus():
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("archpi ")]
+
+
+def _outcome(argv, output, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    written = None
+    if Path(output).exists():
+        written = Path(output).read_text()
+        Path(output).unlink()
+    return code, out, err, written
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ARCHPI_PRECISION", raising=False)
+    monkeypatch.delenv("ARCHPI_JOBS", raising=False)
+    output = str(tmp_path / "report.out")
+    corpus = _flag_corpus(output) + _readme_corpus() + _ODD
+
+    # the corpus sets every flag of every command
+    commands = next(a.choices for a in cli._parser()._actions if a.dest == "command")
+    assert set(commands) == set(_COMMANDS) | {"verify"}
+    for name, parser in commands.items():
+        flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        used = {word for argv in corpus if argv[:1] == [name] for word in argv}
+        assert flags - {"--help"} <= used, name
+    assert len(_readme_corpus()) >= 8
+
+    fast = [_outcome(argv, output, capsys) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+    full = [_outcome(argv, output, capsys) for argv in corpus]
+    for argv, got, expected in zip(corpus, fast, full):
+        assert got == expected, argv
+    # the corpus reaches every outcome: success, a usage exit from argparse,
+    # a usage exit from the command, help, and a written report
+    codes = {outcome[0] for outcome in full}
+    assert {0, 2, ("SystemExit", 0), ("SystemExit", 2)} <= codes
+    assert any(outcome[3] for outcome in full)
+
+
+def test_a_request_parses_once_and_reads_no_signature(monkeypatch, capsys):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    signatures = []
+    signature = inspect.signature
+
+    def counting(*args, **kwargs):
+        signatures.append(args)
+        return signature(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    monkeypatch.setattr(inspect, "signature", counting)
+    cli._suite_keywords.cache_clear()
+    assert cli.main(["verify", "chord-compare", "--samples", "1"]) == 0
+    assert parsed == ["archpi verify"]
+    assert len(signatures) == len(cli.SUITES)
+    parsed.clear()
+    signatures.clear()
+    for argv in (["digits", "--count", "5"],
+                 ["verify", "monotone", "--m-max", "1"],
+                 ["verify", "chord-compare", "--samples", "1", "--seed", "2"]):
+        assert cli.main(argv) == 0
+        assert parsed == ["archpi " + argv[0]], argv
+        parsed.clear()
+    assert signatures == []
+    capsys.readouterr()
+
+
+class _OnlyStr:
+    """Encodable only through ``default=str``, as a string with escapes."""
+
+    def __str__(self):
+        return 'odd "value"\n\\ é'
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(),
+    st.builds(Fraction, st.integers(), st.integers(min_value=1)),
+    st.just(_OnlyStr()),
+)
+_KEYS = st.one_of(st.text(), st.integers())
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=4),
+                     st.lists(children, max_size=4).map(tuple),
+                     st.dictionaries(st.text(), children, max_size=4),
+                     st.dictionaries(_KEYS, children, max_size=4))
+
+
+@settings(deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=24))
+@example({})
+@example([])
+@example(())
+@example({"a": [], "b": {}, "c": ()})
+@example('quote " backslash \\ tab \t nul \x00 bell \x07 é ∞ \U0001f600')
+@example([math.inf, -math.inf, math.nan, 0.1, -0.0, 10 ** 40])
+@example({1: "int key", "s": [True, False, None]})
+@example([{"k": _OnlyStr()}, Fraction(1, 3), (1, (2, ()))])
+def test_json_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, default=str)

@@ -14,6 +14,7 @@ from archpi.errors import InvalidChord, InvalidEdge, IterationCapExceeded, Unsup
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi import polygons
 from archpi.polygons import (
+    DEFAULT_DIGIT_CAP,
     RegularScheme,
     circumscribed_edge,
     edge_chain,
@@ -30,7 +31,7 @@ from archpi.polygons import (
     vertex_gap,
 )
 
-from oracles import contains, machin_pi_digits, trig_chord
+from oracles import contains, machin_pi_digits, scanned_romberg_order, trig_chord
 
 PREC = 96
 
@@ -175,6 +176,12 @@ def test_pi_digits_retries_with_a_higher_order_and_twice_the_bits(monkeypatch):
     assert m0 == m0_again == polygons.ROMBERG_BASE_DEPTH
     assert (k_again, bits_again) == (k + 4, 2 * bits)
     assert bound == romberg_error_bound(m0, k + 4)
+
+
+def test_romberg_order_search_matches_the_scan():
+    orders = [polygons._romberg_order(count) for count in range(1, DEFAULT_DIGIT_CAP + 1)]
+    assert orders == [scanned_romberg_order(count)
+                      for count in range(1, DEFAULT_DIGIT_CAP + 1)]
 
 
 def test_romberg_weights_are_the_lagrange_weights_at_zero():
