@@ -374,7 +374,7 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
     )
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _draw_table(gmax: int) -> Tuple[bytes, bytes]:
     """``_gap_draws``' translate table and rejected top bytes, gmax <= 255."""
     shift = 8 - gmax.bit_length()
@@ -382,7 +382,7 @@ def _draw_table(gmax: int) -> Tuple[bytes, bytes]:
             bytes(range(gmax << shift, 256)))
 
 
-def _gap_draws(draw: Callable[[int], int], gmax: int, words: int) -> Sequence[int]:
+def _gap_draws(draw: Callable[[int], int], gmax: int, words: int) -> bytes:
     """The ``randint(1, gmax)`` draws that the next ``words`` 32-bit words
     of ``draw``, a ``random.Random.getrandbits``, give, in order.
 
@@ -392,13 +392,12 @@ def _gap_draws(draw: Callable[[int], int], gmax: int, words: int) -> Sequence[in
     little-endian.  So for gmax <= 255 the j tries are bytes 3, 7, 11, ...
     of getrandbits(32*j).to_bytes(4*j, "little"), shifted right by 8 - b,
     and one ``bytes.translate`` drops the rejected ones and maps the rest,
-    in C.  A wider gmax (below 2^32) reads one word per getrandbits(b).
+    in C.  ``_refinement_for_cap`` returns gmax <= 7: the first depth with
+    gmax >= 4 follows one with gmax <= 3, and one level deeper at most
+    doubles gmax + 1.
     """
-    if gmax <= 255:
-        top = draw(32 * words).to_bytes(4 * words, "little")[3::4]
-        return top.translate(*_draw_table(gmax))
-    bits = gmax.bit_length()
-    return [r + 1 for r in (draw(bits) for _ in range(words)) if r < gmax]
+    top = draw(32 * words).to_bytes(4 * words, "little")[3::4]
+    return top.translate(*_draw_table(gmax))
 
 
 def random_circuit(

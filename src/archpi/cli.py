@@ -13,8 +13,13 @@ ambiguous on pieces of the chord enclosure one unit wide or disagree
 between pieces, chords that cannot be ordered at this precision, tangents
 that cannot be certified to meet, or an operand too wide for a square
 root, a division or a chord at this precision).  The sampled suites, ``rational``, ``h-ratio``, ``trig-sandwich``, ``trig`` and
-``sweep-rational`` turn such a shortfall into one row, print the report and
-exit 3; ``main`` maps every other error to its exit code by type.
+``sweep-rational`` turn such a shortfall into one row; ``main`` maps every
+other error to its exit code by type.  ``verify``, ``trig`` and
+``sweep-rational`` hand their rows' statuses to ``_finish``, the one place
+that writes such a report, names its shortfall rows on stderr and picks the
+exit code: 1 if a row is violated, else 3 if a row is inconclusive (a
+shortfall, or a ``trig`` row whose sandwich verdicts overlap, by
+``suites.checked``'s rule), else 0.
 Reports are deterministic for identical argv and seed.
 
 ``main`` hands a request whose first word names a command straight to that
@@ -49,8 +54,8 @@ from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, scheme_measures)
 from .rational import coprime_pairs, realize_rational, normalized_length, winding_count
-from .suites import (DEFAULT_SEED, LEAST, MAX_JOBS, MOST, SUITES, run_suite,
-                     shortfall_row)
+from .suites import (DEFAULT_SEED, LEAST, LESS, MAX_JOBS, MOST, SUITES, checked,
+                     run_suite, shortfall_row)
 from .trig import sandwich_report
 
 EXIT_OK = 0
@@ -223,17 +228,23 @@ def _require_size(key: str, value: int) -> None:
         raise ValueError(f"{_flag(key)} must be at most {MOST[key]}, got {value}")
 
 
-def _report_shortfalls(rows) -> int:
-    """One ``inconclusive:`` stderr line per shortfall row; their count."""
-    short = [row for row in rows if "error" in row]
-    for row in short:
+def _finish(report: dict, statuses, args) -> int:
+    """Write ``report``, name its shortfall rows on stderr, and return the
+    exit code of its rows' ``statuses``: 1 if one is violated, else 3 if one
+    is inconclusive, else 0."""
+    _emit(report, args.format, args.output)
+    for row in [row for row in report["rows"] if "error" in row]:
         subject = ", ".join(
             f"{'sample' if key == 'sample_seed' else key} {value}"
             for key, value in row.items() if key not in _NOT_SUBJECT
         )
         print(f"inconclusive: {subject} at {row['precision']} bits: "
               f"{row['error']}: {row['message']}", file=sys.stderr)
-    return len(short)
+    if "violated" in statuses:
+        return EXIT_VIOLATED
+    if "inconclusive" in statuses:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
@@ -325,13 +336,7 @@ def _cmd_verify(args) -> int:
         "inconclusive": result.inconclusive,
         "rows": result.rows,
     }
-    _emit(report, args.format, args.output)
-    _report_shortfalls(result.rows)
-    if result.violations:
-        return EXIT_VIOLATED
-    if result.inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _finish(report, [row["status"] for row in result.rows], args)
 
 
 def _cmd_circuit(args) -> int:
@@ -365,19 +370,24 @@ def _cmd_trig(args) -> int:
         _require_size("k_max", args.k_max)
         thetas = [Interval.exact(Dyadic(1, -k), prec) for k in
                   range(1, args.k_max + 1)]
-    rows = []
+    rows, statuses = [], []
     for theta in thetas:
         try:
-            rows.append(sandwich_report(theta, prec).serialize())
+            sandwich = sandwich_report(theta, prec)
         except SHORTFALLS as exc:
             rows.append(shortfall_row({"theta": list(theta.decimal_pair(17))}, prec, exc))
+            statuses.append("inconclusive")
+            continue
+        rows.append(sandwich.serialize())
+        # the suites' rule on the two verdicts, kept off the row
+        statuses.append(checked({}, (LESS, sandwich.lower_verdict),
+                                (LESS, sandwich.upper_verdict))["status"])
     report = {
         "command": "trig",
         "precision": prec,
         "rows": rows,
     }
-    _emit(report, args.format, args.output)
-    return EXIT_INCONCLUSIVE if _report_shortfalls(rows) else EXIT_OK
+    return _finish(report, statuses, args)
 
 
 def _cmd_sweep_rational(args) -> int:
@@ -406,8 +416,8 @@ def _cmd_sweep_rational(args) -> int:
         "precision": prec,
         "rows": rows,
     }
-    _emit(report, args.format, args.output)
-    return EXIT_INCONCLUSIVE if _report_shortfalls(rows) else EXIT_OK
+    return _finish(report, ["inconclusive" if "error" in row else "ok" for row in rows],
+                   args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -44,11 +44,7 @@ class Interval:
 
     @staticmethod
     def from_fraction(value: Fraction, prec: int) -> "Interval":
-        return Interval(
-            Dyadic.from_fraction(value, prec, up=False),
-            Dyadic.from_fraction(value, prec, up=True),
-            prec,
-        )
+        return Interval.from_endpoints(value, value, prec)
 
     @staticmethod
     def from_endpoints(lo: Fraction, hi: Fraction, prec: int) -> "Interval":

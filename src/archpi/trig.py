@@ -1,9 +1,10 @@
 """Arclength, sector area, and sine/cosine grounded in the polygon scheme.
 
 The point at a given arclength is found by inverting the certified
-arclength map: bisection on the circle fraction over the vertex lattice of
-the refined triangle, never through a series.  Signed arguments reflect
-across the x-axis.
+arclength map: one bisection on the circle fraction over the vertex lattice
+of the refined triangle, a loop over the levels of
+``circuits.lattice_ladder``, never through a series.  Signed arguments
+reflect across the x-axis.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ def arc_measure(fraction: Union[Fraction, Interval], prec: int) -> ArcMeasure:
 def geometric_point(theta: Interval, prec: int) -> CirclePoint:
     """Point whose counterclockwise arc from (1, 0) has length theta.
 
-    Bisects the circle fraction on the lattice a/(3*2^j), advancing the
-    candidate point by one rotation of the cached lattice ladder per
-    refinement.
+    One bisection of the circle fraction on the lattice a/(3*2^j), a loop
+    over the levels of the cached lattice ladder: each boundary theta
+    reaches advances the candidate point by that level's rotation.  It
+    stops once the level's chord is below 2^(8 - prec).
     """
     if theta.lo.sign < 0:
         if theta.hi.sign > 0:
@@ -57,46 +59,29 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
     if theta.hi.sign == 0:
         return unit_start(prec)
 
-    depth = prec + 8
     # chords[j] spans the circle fraction 1/(3*2^j), rotations[j] steps by it
     chords, rotations = lattice_ladder(prec)
     tol = Dyadic(1, 8 - prec)
 
-    # bracket state: point at fraction a/(3*2^level); invariant theta lies
-    # in [arc(a), arc(a+1)] at the current level
-    level = 0
+    # bracket state: point at fraction index/(3*2^level); invariant theta
+    # lies in [arc(index), arc(index + 1)] at the current level.  Level 0
+    # tests the three thirds, each later level the bracket's midpoint
     index = 0
     point = unit_start(prec)
-
-    def arc_at(idx: int, lvl: int) -> Interval:
-        return (two_pi * idx) / (3 << lvl)
-
-    # initial coarse placement among the three thirds
-    for third in range(3):
-        boundary = arc_at(third + 1, 0)
-        verdict = compare_certain(theta, boundary)
-        if verdict is Verdict.CERTAINLY_LESS:
-            break
-        point = rotations[0](point)
-        if verdict is Verdict.OVERLAP:
-            # theta sits on a lattice boundary: pin to it directly
-            return _inflate(point, _theta_slack(theta, boundary))
-        index = third + 1
-
-    while level < depth:
-        mid_index = 2 * index + 1
-        level += 1
-        boundary = arc_at(mid_index, level)
-        verdict = compare_certain(theta, boundary)
-        if verdict is Verdict.CERTAINLY_LESS:
-            index = mid_index - 1
-        else:
-            # theta is at or past the midpoint: only then rotate to it
+    for level in range(len(chords)):
+        index *= 2
+        for _ in range(3 if level == 0 else 1):
+            boundary = (two_pi * (index + 1)) / (3 << level)
+            verdict = compare_certain(theta, boundary)
+            if verdict is Verdict.CERTAINLY_LESS:
+                break
+            # theta is at or past the boundary: only then rotate to it
             point = rotations[level](point)
             if verdict is Verdict.OVERLAP:
+                # theta sits on a lattice boundary: pin to it directly
                 return _inflate(point, _theta_slack(theta, boundary))
-            index = mid_index
-        if chords[level].hi < tol:
+            index += 1
+        if level and chords[level].hi < tol:
             break
 
     # true point lies on the arc from point to point advanced one chord;
@@ -110,8 +95,6 @@ def _theta_slack(theta: Interval, boundary: Interval) -> Dyadic:
 
 
 def _inflate(point: CirclePoint, slack: Dyadic) -> CirclePoint:
-    if slack.sign < 0:
-        slack = Dyadic(0)
     return CirclePoint(point.x.widen(slack), point.y.widen(slack))
 
 

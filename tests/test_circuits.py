@@ -223,7 +223,7 @@ def test_random_circuit_contract():
     )
 
 
-@pytest.mark.parametrize("gmax", [1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 1000])
+@pytest.mark.parametrize("gmax", [1, 2, 3, 4, 5, 7, 8, 9, 31, 64])
 def test_gap_draws_are_the_randint_draws(gmax):
     for seed in (0, 1, 7, 42, 2**40 + 3):
         rng = random.Random(seed)
@@ -232,6 +232,21 @@ def test_gap_draws_are_the_randint_draws(gmax):
         draw = random.Random(seed).getrandbits
         draws = [g for words in (1, 7, 1000) for g in circuits._gap_draws(draw, gmax, words)]
         assert draws[:300] == expected
+
+
+def test_refinement_gmax_fits_the_draw_tables():
+    # _gap_draws reads one byte per try; the first depth with gmax >= 4
+    # follows one with gmax <= 3, and a level deeper at most doubles gmax + 1
+    ks = [*range(3, 64), 1000, 10**4, 10**5, 393_216]
+    for prec in (16, 64):
+        for cap_exp in range(21):
+            cap = Interval.exact(Dyadic(1, -cap_exp), prec)
+            for k in ks:
+                try:
+                    _, gmax = _refinement_for_cap(k, cap, prec)
+                except PreconditionViolation:
+                    continue
+                assert 1 <= gmax <= 7, (k, cap_exp, prec)
 
 
 _per_draw = lru_cache(maxsize=64)(per_draw_circuit)

@@ -514,6 +514,35 @@ def test_sweep_rational_shortfall_keeps_the_other_rows(capsys):
     assert all(row["winding"] == row["k"] for row in rows if "error" not in row)
 
 
+def _row_status(row):
+    """A report row's status: its own, inconclusive for a shortfall, else
+    ``suites.checked``'s rule on a trig row's two sandwich verdicts."""
+    if "status" in row:
+        return row["status"]
+    if "error" in row:
+        return "inconclusive"
+    verdicts = [row[key] for key in ("lower_verdict", "upper_verdict") if key in row]
+    if "overlap" in verdicts:
+        return "inconclusive"
+    return "ok" if all(v == "certainly_less" for v in verdicts) else "violated"
+
+
+@pytest.mark.parametrize("args, code", [
+    (["trig", "--k-max", "40"], 3),
+    (["trig", "--precision", "48"], 3),
+    (["trig"], 0),
+    (["sweep-rational", "--max-n", "24", "--precision", "16"], 3),
+    (["verify", "rational", "--max-n", "12", "--precision", "20"], 3),
+    (["verify", "chord-compare", "--samples", "2"], 0),
+])
+def test_exit_code_is_the_rule_on_the_rows(args, code, capsys):
+    # 1 if a row is violated, else 3 if a row is inconclusive, else 0
+    got, out = run_cli(args, capsys)
+    statuses = [_row_status(row) for row in json.loads(out)["rows"]]
+    rule = 1 if "violated" in statuses else 3 if "inconclusive" in statuses else 0
+    assert got == rule == code
+
+
 def test_h_ratio_shortfall_keeps_the_other_rows(capsys):
     code = main(["verify", "h-ratio", "--precision", "32"])
     captured = capsys.readouterr()

@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from archpi.circuits import step_by_chord, unit_start
+from archpi.circuits import lattice_ladder, step_by_chord, unit_start
 from archpi.dyadic import Dyadic
 from archpi.errors import FractionOutOfRange, ThetaOutOfRange
 from archpi.interval import Interval, Verdict, compare_certain
@@ -101,6 +103,32 @@ def test_enclosure_width_tracks_precision():
         assert p.y.width() < Dyadic(1, 10 - prec)
 
 
+@pytest.mark.parametrize("prec", [16, 17, 32, 64, 128, 256, 1024])
+def test_tolerance_break_is_the_ladders_level_prec_minus_6(prec):
+    # geometric_point stops at the first level above 0 whose chord is below
+    # 2^(8-prec); the ladder has that level, so it alone bounds the loop
+    chords = lattice_ladder(prec)[0]
+    tol = Dyadic(1, 8 - prec)
+    stop = next(level for level in range(1, len(chords)) if chords[level].hi < tol)
+    assert stop == prec - 6 < len(chords)
+
+
+@given(st.integers(min_value=0, max_value=20), st.data())
+@settings(max_examples=80)
+def test_theta_slack_is_never_negative_on_an_overlap(level, data):
+    # _inflate widens by this slack, so it must not shrink a pinned point
+    prec = data.draw(st.sampled_from([16, 32, 64]))
+    index = data.draw(st.integers(min_value=1, max_value=(3 << level) - 1))
+    boundary = (two_pi_enclosure(prec) * index) / (3 << level)
+    # theta's ends step by half the boundary's width, so most draws overlap
+    step = boundary.width().as_fraction() / 2
+    lo = boundary.lo.as_fraction() + data.draw(st.integers(-6, 4)) * step
+    hi = lo + data.draw(st.integers(0, 4)) * step
+    theta = Interval.from_endpoints(lo, hi, prec)
+    if compare_certain(theta, boundary) is Verdict.OVERLAP:
+        assert _theta_slack(theta, boundary).sign >= 0
+
+
 def test_sandwich_at_tenth():
     rep = sandwich_report(exact("0.1"), PREC)
     assert contains(rep.mid, "1.0016686131634776648706352542076549559538")
@@ -194,7 +222,7 @@ def _point_bits(p):
     return tuple((v.lo.man, v.lo.exp, v.hi.man, v.hi.exp, v.prec) for v in (p.x, p.y))
 
 
-@pytest.mark.parametrize("prec", [32, 64, 128])
+@pytest.mark.parametrize("prec", [32, 64, 128, 256])
 def test_geometric_point_matches_the_stepwise_reference(prec):
     thetas = [exact(s, prec) for s in ("0.001", "0.5", "1", "-1", "-2.5", "3", "4.75",
                                        "6.2", "-0.125")]
