@@ -16,14 +16,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Iterator, List, Sequence, Tuple
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, _rounded
 from .errors import AntipodalTangents, NegativeSqrt, PreconditionViolation
 from .interval import (Interval, _interval, _product, _quotient, _raw_sum,
                        _sum)
-from .polygons import edge_chain, require_chord
+from .polygons import _chord_root, _halved, _tangent_edge, require_chord, seed_edge
 
 #: deepest ring a circuit may sit on: 3*2^18 = 786,432 vertices
 MAX_RING_DEPTH = 18
@@ -96,8 +96,7 @@ class Rotation:
         the enclosure instead of shrinking it.
         """
         require_chord(c, "step chord")
-        c_sq = c * c
-        return Rotation(1 - c_sq / 2, (c * (4 - c_sq).sqrt()) / 2)
+        return _rotation(c, _chord_root(c))
 
     def __call__(self, p: CirclePoint) -> CirclePoint:
         """(x cos - y sin, x sin + y cos), bit-identical to that Interval
@@ -128,6 +127,18 @@ class Rotation:
         new_y = _interval(_sum(am, ae, cm, ce, q, False),
                           _sum(bm, be, dm, de, q, True), q)
         return CirclePoint(new_x, new_y)
+
+
+def _rotation(c: Interval, terms: tuple) -> Rotation:
+    """``Rotation.of_chord(c)`` from ``polygons._chord_root(c)``, for a
+    chord c > 0: the cosine 1 - c_sq/2 and the sine (c * root)/2,
+    bit-identical to those Interval expressions."""
+    lm, le, hm, he, root = terms
+    p, a, b, r, s = c.prec, c.lo, c.hi, root.lo, root.hi
+    return Rotation(
+        _interval(_sum(1, 0, -hm, he - 1, p, False), _sum(1, 0, -lm, le - 1, p, True), p),
+        _interval(_rounded(a.man * r.man, a.exp + r.exp - 1, p, False),
+                  _rounded(b.man * s.man, b.exp + s.exp - 1, p, True), p))
 
 
 def walk(start: CirclePoint, rotation: Rotation, k: int) -> Iterator[CirclePoint]:
@@ -282,8 +293,8 @@ def _edge_terms(chord: Interval) -> Tuple[Interval, Interval]:
     The two tangent legs at an edge of chord c each measure c/sqrt(4-c^2);
     the inscribed triangle has area (c/4)*sqrt(4-c^2) (Heron form).
     """
-    root = (4 - chord * chord).sqrt()
-    return (chord * 2) / root, (chord * root) / 4
+    root = _chord_root(chord)[4]
+    return _tangent_edge(chord, root), (chord * root) / 4
 
 
 def circuit_measures(circuit: Circuit) -> CircuitMeasures:
@@ -332,9 +343,19 @@ def lattice_ladder(prec: int) -> Tuple[Tuple[Interval, ...], Tuple[Rotation, ...
 
     The depth, max(prec, MAX_RING_DEPTH) + 8, covers every ring depth and
     every level of the arclength bisection in ``trig.geometric_point``.
+    The chords are ``polygons.edge_chain``'s; each level forms its root
+    sqrt(4 - c^2) once, for its rotation and for the next level's halving.
     """
-    chords = tuple(islice(edge_chain(3, prec), max(prec, MAX_RING_DEPTH) + 9))
-    return chords, tuple(Rotation.of_chord(c) for c in chords)
+    depth = max(prec, MAX_RING_DEPTH) + 9
+    ell, chords, rotations = seed_edge(3, prec), [], []
+    while True:
+        require_chord(ell, "chord")
+        terms = _chord_root(ell)
+        chords.append(ell)
+        rotations.append(_rotation(ell, terms))
+        if len(chords) == depth:
+            return tuple(chords), tuple(rotations)
+        ell = _halved(ell, terms[4])
 
 
 def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int]:

@@ -16,10 +16,10 @@ root, a division or a chord at this precision).  The sampled suites, ``rational`
 ``sweep-rational`` turn such a shortfall into one row; ``main`` maps every
 other error to its exit code by type.  ``verify``, ``trig`` and
 ``sweep-rational`` hand their rows' statuses to ``_finish``, the one place
-that writes such a report, names its shortfall rows on stderr and picks the
-exit code: 1 if a row is violated, else 3 if a row is inconclusive (a
-shortfall, or a ``trig`` row whose sandwich verdicts overlap, by
-``suites.checked``'s rule), else 0.
+that writes such a report, names its inconclusive rows on stderr and picks
+the exit code: 1 if a row is violated, else 3 if a row is inconclusive (a
+shortfall, or a row whose verdicts overlap, by ``suites.checked``'s rule),
+else 0.
 Reports are deterministic for identical argv and seed.
 
 ``main`` hands a request whose first word names a command straight to that
@@ -65,8 +65,10 @@ EXIT_INCONCLUSIVE = 3
 
 #: the ``verify`` flags besides ``--precision``, each a suite keyword argument
 _VERIFY_KEYS = (*LEAST, "seed", "jobs")
-#: shortfall row keys that do not name the row
-_NOT_SUBJECT = {"suite", "precision", "error", "message", "verdict", "status"}
+#: the keys that name a ``verify`` or ``sweep-rational`` row; a ``trig`` row
+#: is named by its theta
+_SUBJECT = frozenset({"sample_seed", "n", "m", "measure", "check", "identity", "index",
+                      "k", "N", "mode", "pair", "mesh_cap_exp"})
 
 #: the most bits each command takes at ``--precision`` or ARCHPI_PRECISION,
 #: checked before any work.  At its ceiling each command, at its default
@@ -228,18 +230,24 @@ def _require_size(key: str, value: int) -> None:
         raise ValueError(f"{_flag(key)} must be at most {MOST[key]}, got {value}")
 
 
-def _finish(report: dict, statuses, args) -> int:
-    """Write ``report``, name its shortfall rows on stderr, and return the
+def _finish(report: dict, statuses, args, precision: int, subject=_SUBJECT) -> int:
+    """Write ``report``, name its inconclusive rows on stderr, and return the
     exit code of its rows' ``statuses``: 1 if one is violated, else 3 if one
-    is inconclusive, else 0."""
+    is inconclusive, else 0.
+
+    A line names the row by its keys in ``subject``, the ``precision`` its
+    checks ran at, and why: the shortfall that stopped it, why it was
+    skipped, or else the overlap of a verdict.
+    """
     _emit(report, args.format, args.output)
-    for row in [row for row in report["rows"] if "error" in row]:
-        subject = ", ".join(
-            f"{'sample' if key == 'sample_seed' else key} {value}"
-            for key, value in row.items() if key not in _NOT_SUBJECT
-        )
-        print(f"inconclusive: {subject} at {row['precision']} bits: "
-              f"{row['error']}: {row['message']}", file=sys.stderr)
+    for row, status in zip(report["rows"], statuses):
+        if status != "inconclusive":
+            continue
+        name = ", ".join(f"{'sample' if key == 'sample_seed' else key} {value}"
+                         for key, value in row.items() if key in subject)
+        reason = (f"{row['error']}: {row['message']}" if "error" in row
+                  else row.get("skipped", "overlap"))
+        print(f"inconclusive: {name} at {precision} bits: {reason}", file=sys.stderr)
     if "violated" in statuses:
         return EXIT_VIOLATED
     if "inconclusive" in statuses:
@@ -299,9 +307,8 @@ def _cmd_archimedes(args) -> int:
 
 @lru_cache(maxsize=1)
 def _suite_keywords() -> dict:
-    """Each suite's keyword parameter names, in signature order, read once."""
-    return {name: tuple(inspect.signature(suite).parameters)
-            for name, suite in SUITES.items()}
+    """Each suite's keyword parameters, by name in signature order, read once."""
+    return {name: inspect.signature(suite).parameters for name, suite in SUITES.items()}
 
 
 def _cmd_verify(args) -> int:
@@ -326,6 +333,7 @@ def _cmd_verify(args) -> int:
         _require_jobs("ARCHPI_JOBS", given["jobs"])
     if args.precision is not None or "ARCHPI_PRECISION" in os.environ:
         given["precision"] = _precision(args)
+    precision = given.get("precision", takes["precision"].default)
     result = run_suite(args.suite, **given)
     report = {
         "command": "verify",
@@ -336,7 +344,7 @@ def _cmd_verify(args) -> int:
         "inconclusive": result.inconclusive,
         "rows": result.rows,
     }
-    return _finish(report, [row["status"] for row in result.rows], args)
+    return _finish(report, [row["status"] for row in result.rows], args, precision)
 
 
 def _cmd_circuit(args) -> int:
@@ -387,7 +395,7 @@ def _cmd_trig(args) -> int:
         "precision": prec,
         "rows": rows,
     }
-    return _finish(report, statuses, args)
+    return _finish(report, statuses, args, prec, subject={"theta"})
 
 
 def _cmd_sweep_rational(args) -> int:
@@ -417,7 +425,7 @@ def _cmd_sweep_rational(args) -> int:
         "rows": rows,
     }
     return _finish(report, ["inconclusive" if "error" in row else "ok" for row in rows],
-                   args)
+                   args, prec)
 
 
 def build_parser() -> argparse.ArgumentParser:

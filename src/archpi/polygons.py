@@ -29,12 +29,15 @@ from itertools import chain, islice
 from math import isqrt
 from typing import Iterator
 
-from .dyadic import Dyadic
-from .errors import InvalidChord, InvalidEdge, IterationCapExceeded, UnsupportedSeed
-from .interval import Interval
+from .dyadic import Dyadic, _rounded
+from .errors import (DivByZeroInterval, InvalidChord, InvalidEdge, IterationCapExceeded,
+                     NegativeSqrt, UnsupportedSeed)
+from .interval import Interval, _interval, _product, _quotient, _sum
 
 #: squared inscribed edge of the supported seed polygons in the unit circle
 _SEED_SQUARED = {3: 3, 4: 2, 6: 1}
+
+_TWO = Dyadic(2)
 
 DEFAULT_DIGIT_CAP = 10_000
 
@@ -85,8 +88,45 @@ def seed_edge(n: int, prec: int) -> Interval:
 
 def require_chord(c: Interval, noun: str) -> None:
     """Raise ``InvalidChord``, naming ``noun``, unless c lies certifiably in (0, 2)."""
-    if c.lo.sign <= 0 or c.hi >= Dyadic(2):
+    if c.lo.man <= 0 or c.hi._cmp(_TWO) >= 0:
         raise InvalidChord(f"{noun} must lie certifiably in (0, 2): {c}")
+
+
+def _chord_root(c: Interval) -> tuple:
+    """(lo man, lo exp, hi man, hi exp) of c*c and the Interval
+    (4 - c*c).sqrt(), the one square root every chord needs.
+
+    Bit-identical to those Interval expressions at c's precision: c*c is
+    formed once, as raw endpoints maybe even, and rounded no further; the
+    root is formed once, and a rotation, a halving and a tangent edge of c
+    all read it.
+    """
+    a, b, p = c.lo, c.hi, c.prec
+    lm, le, hm, he = _product(a.man, a.exp, b.man, b.exp, a.man, a.exp, b.man, b.exp, p)
+    lo = _sum(4, 0, -hm, he, p, False)
+    hi = _sum(4, 0, -lm, le, p, True)
+    if lo.man < 0:
+        raise NegativeSqrt(f"sqrt of {_interval(lo, hi, p)}")
+    return lm, le, hm, he, _interval(lo.sqrt(p, up=False), hi.sqrt(p, up=True), p)
+
+
+def _halved(ell: Interval, root: Interval) -> Interval:
+    """ell / (2 + root).sqrt() for ell's ``_chord_root`` root,
+    bit-identical to that Interval expression."""
+    p, r, s = ell.prec, root.lo, root.hi
+    lo = _sum(r.man, r.exp, 2, 0, p, False).sqrt(p, up=False)
+    hi = _sum(s.man, s.exp, 2, 0, p, True).sqrt(p, up=True)
+    return _quotient(ell.lo, ell.hi, lo, hi, p)
+
+
+def _tangent_edge(ell: Interval, root: Interval) -> Interval:
+    """(ell * 2) / root for ell's ``_chord_root`` root, bit-identical to
+    that Interval expression."""
+    if root.lo.man <= 0:
+        raise DivByZeroInterval(f"division by {root}")
+    p, a, b = ell.prec, ell.lo, ell.hi
+    return _quotient(_rounded(a.man, a.exp + 1, p, False), _rounded(b.man, b.exp + 1, p, True),
+                     root.lo, root.hi, p)
 
 
 def halve_edge(ell: Interval) -> Interval:
@@ -96,7 +136,7 @@ def halve_edge(ell: Interval) -> Interval:
     the cancellation that destroys relative precision for small chords.
     """
     require_chord(ell, "chord")
-    return ell / (2 + (4 - ell * ell).sqrt()).sqrt()
+    return _halved(ell, _chord_root(ell)[4])
 
 
 def edge_chain(n: int, prec: int) -> Iterator[Interval]:
@@ -110,7 +150,7 @@ def edge_chain(n: int, prec: int) -> Iterator[Interval]:
 def circumscribed_edge(ell: Interval) -> Interval:
     """Tangent edge with matching arc: 2*ell / sqrt(4 - ell^2)."""
     require_chord(ell, "chord")
-    return (ell * 2) / (4 - ell * ell).sqrt()
+    return _tangent_edge(ell, _chord_root(ell)[4])
 
 
 def vertex_gap(L: Interval) -> Interval:
@@ -122,10 +162,12 @@ def vertex_gap(L: Interval) -> Interval:
 
 def _measures_from_edge(scheme: RegularScheme, ell: Interval) -> SchemeMeasures:
     count = scheme.edge_count
-    L = circumscribed_edge(ell)
+    require_chord(ell, "chord")
+    root = _chord_root(ell)[4]
+    L = _tangent_edge(ell, root)
     p = ell * count
     P = L * count
-    a = (p * (4 - ell * ell).sqrt()) / 4   # (1/2) p sqrt(1 - ell^2/4)
+    a = (p * root) / 4   # (1/2) p sqrt(1 - ell^2/4)
     A = P / 2
     h = vertex_gap(L)
     return SchemeMeasures(scheme, ell, L, p, P, a, A, h)

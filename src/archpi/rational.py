@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 from .chords import ArcSpec, solve_regular_chord
-from .circuits import CirclePoint, Rotation, _ball_walk, distance, unit_start, walk
+from .circuits import (CirclePoint, Rotation, _ball_walk, _rotation, distance, unit_start,
+                       walk)
 from .dyadic import Dyadic
 from .errors import (
     AmbiguousCrossing,
@@ -26,16 +27,36 @@ from .errors import (
     PreconditionViolation,
 )
 from .interval import Interval, Verdict, compare_certain
-from .polygons import circumscribed_edge, seed_edge
+from .polygons import _chord_root, _tangent_edge, require_chord, seed_edge
 
 
 @dataclass(frozen=True)
 class RationalLength:
-    """Chord spanning k steps of a regular N-gon, gcd(k, N) = 1."""
+    """Chord spanning k steps of a regular N-gon, gcd(k, N) = 1.
+
+    The chord's square root sqrt(4 - chord^2) is formed once, when its
+    rotation or its root is first read, and kept with both.
+    """
 
     k: int
     N: int
     chord: Interval
+
+    @cached_property
+    def _terms(self) -> tuple:
+        return _chord_root(self.chord)
+
+    @cached_property
+    def rotation(self) -> Rotation:
+        """``Rotation.of_chord(chord)``."""
+        require_chord(self.chord, "step chord")
+        return _rotation(self.chord, self._terms)
+
+    @property
+    def root(self) -> Interval:
+        """sqrt(4 - chord^2), for a chord certifiably in (0, 2)."""
+        require_chord(self.chord, "chord")
+        return self._terms[4]
 
     @property
     def numerator(self) -> int:
@@ -74,7 +95,7 @@ def realize_rational(k: int, N: int, prec: int) -> RationalLength:
 
 def gamma_path(r: RationalLength) -> List[CirclePoint]:
     """The N stepped vertices of the closed path; verifies closure."""
-    points = list(walk(unit_start(r.chord.prec), Rotation.of_chord(r.chord), r.N))
+    points = list(walk(unit_start(r.chord.prec), r.rotation, r.N))
     final = points.pop()
     start = points[0]
     if not (final.x.overlaps(start.x) and final.y.overlaps(start.y)):
@@ -108,15 +129,15 @@ def winding_count(r: RationalLength) -> int:
     pieces = [r.chord]
     while pieces:
         piece = pieces.pop()
-        balls = list(_ball_walk(Rotation.of_chord(piece), r.N, w))
+        rotation = r.rotation if piece is r.chord else Rotation.of_chord(piece)
+        balls = list(_ball_walk(rotation, r.N, w))
         x, y, radius = balls[-1]
         x -= 1 << w
         if x * x + y * y > radius * radius:
             continue
         try:
             # balls[j] holds vertex j + 1; the interior edges join vertices 1 .. N-1
-            counts.add(1 + sum(_ball_crosses(a, b, w)
-                               for a, b in zip(balls[:-2], balls[1:-1])))
+            counts.add(1 + _crossings(balls[:-1], w))
         except AmbiguousCrossing:
             if piece.width() <= unit:
                 raise
@@ -131,6 +152,16 @@ def winding_count(r: RationalLength) -> int:
             f"path for ({r.k}, {r.N}) certifiably misses its start"
         )
     return counts.pop()
+
+
+def _crossings(balls: List[Tuple[int, int, int]], w: int) -> int:
+    """The sum of ``_ball_crosses`` over the edges between consecutive
+    balls, each ball's y sign taken once: an edge whose two ends lie
+    certainly on one side of the x-axis, where ``_ball_crosses`` returns
+    False at once, is not tested."""
+    signs = [(y > r) - (y < -r) for _, y, r in balls]
+    return sum(_ball_crosses(balls[j], balls[j + 1], w)
+               for j, (s, t) in enumerate(zip(signs, signs[1:])) if s != t or not s)
 
 
 def _ball_sign(value: int, radius: int) -> int:
@@ -209,7 +240,7 @@ def normalized_length(r: RationalLength, mode: str = "inscribed") -> Interval:
     if mode == "inscribed":
         edge = r.chord
     elif mode == "circumscribed":
-        edge = circumscribed_edge(r.chord)
+        edge = _tangent_edge(r.chord, r.root)
     else:
         raise PreconditionViolation(f"unknown mode {mode!r}")
     return (edge * r.N) / r.k

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple, Union
 
@@ -160,6 +159,8 @@ def _map_samples(fn: Callable, args: List, jobs: int) -> List:
                if jobs > 1 and len(args) > 1 else 1)
     if workers <= 1:
         return [fn(a) for a in args]
+    # only --jobs > 1 gets here: the pool's import stays off every other run
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args, chunksize=8))
 

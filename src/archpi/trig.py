@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .circuits import CirclePoint, lattice_ladder, unit_start
-from .dyadic import Dyadic
+from .dyadic import Dyadic, _rounded
 from .errors import FractionOutOfRange, ThetaOutOfRange
 from .interval import Interval, Verdict, compare_certain
 from .polygons import two_pi_enclosure
@@ -71,14 +71,14 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
     for level in range(len(chords)):
         index *= 2
         for _ in range(3 if level == 0 else 1):
-            boundary = (two_pi * (index + 1)) / (3 << level)
-            verdict = compare_certain(theta, boundary)
+            verdict = _lattice_verdict(theta, two_pi, index + 1, level)
             if verdict is Verdict.CERTAINLY_LESS:
                 break
             # theta is at or past the boundary: only then rotate to it
             point = rotations[level](point)
             if verdict is Verdict.OVERLAP:
                 # theta sits on a lattice boundary: pin to it directly
+                boundary = (two_pi * (index + 1)) / (3 << level)
                 return _inflate(point, _theta_slack(theta, boundary))
             index += 1
         if level and chords[level].hi < tol:
@@ -87,6 +87,34 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
     # true point lies on the arc from point to point advanced one chord;
     # every coordinate is within the bracket chord of the lower endpoint
     return _inflate(point, chords[level].hi)
+
+
+def _lattice_verdict(theta: Interval, two_pi: Interval, count: int, level: int) -> Verdict:
+    """``compare_certain(theta, (two_pi * count) / (3 << level))`` for
+    count > 0, on the boundary's raw ends: the upper end is formed only
+    when the lower end does not settle the test."""
+    p, lo = two_pi.prec, two_pi.lo
+    if theta.hi._cmp(_boundary_end(lo.man, lo.exp, count, level, p, False)) < 0:
+        return Verdict.CERTAINLY_LESS
+    hi = two_pi.hi
+    if theta.lo._cmp(_boundary_end(hi.man, hi.exp, count, level, p, True)) > 0:
+        return Verdict.CERTAINLY_GREATER
+    return Verdict.OVERLAP
+
+
+def _boundary_end(man: int, exp: int, count: int, level: int, prec: int, up: bool) -> Dyadic:
+    """The lower (upper) end of (two_pi * count) / (3 << level) from the
+    lower (upper) end man * 2^exp > 0 of two_pi, rounded as that Interval
+    expression rounds it: the product to ``prec`` bits, then the quotient
+    as ``Dyadic.div`` forms it, prec + 2 or prec + 3 bits rounded once."""
+    man *= count
+    drop = man.bit_length() - prec
+    if drop > 0:
+        man = -(-man >> drop) if up else man >> drop
+        exp += drop
+    shift = prec + 4 - man.bit_length()
+    man <<= shift
+    return _rounded(-(-man // 3) if up else man // 3, exp - level - shift, prec, up)
 
 
 def _theta_slack(theta: Interval, boundary: Interval) -> Dyadic:

@@ -15,7 +15,15 @@ gap; ``ball_winding`` counts a winding on one ball walk of the whole chord
 enclosure, with no split, and ``interval_winding`` on the ``Interval`` walk
 of ``gamma_path``; ``two_path_winding``, the first with the second as its
 fallback, is ``rational.winding_count`` as it was before it split the
-enclosure.  These eight are the only oracles built on archpi.
+enclosure.  ``interval_chord_root``, ``interval_rotation``,
+``interval_halve_edge``, ``interval_circumscribed_edge``,
+``interval_edge_terms``, ``interval_scheme_measures`` and
+``interval_ladder`` are the ``Interval`` expressions that the chord kernel
+``polygons._chord_root`` and its readers replace, each forming its own
+sqrt(4 - c^2); ``interval_lattice_verdict`` is ``trig.geometric_point``'s
+former lattice test, a whole boundary ``Interval`` and ``compare_certain``;
+``unfiltered_crossings`` is ``rational._crossings`` with every edge tested.
+These are the only oracles built on archpi.
 ``per_draw_circuit`` is ``random_circuit``'s former loop, one ``randint``
 per vertex, the reference for its bulk gap draws.  ``scanned_romberg_order``
 is ``polygons._romberg_order``'s former scan, one k at a time, the
@@ -31,7 +39,8 @@ import mpmath
 from archpi.circuits import CircuitMeasures, Rotation, _ball_walk, unit_start, walk
 from archpi.errors import AmbiguousCrossing, AntipodalTangents, ClosureFailure
 from archpi.interval import Interval, Verdict, compare_certain
-from archpi.polygons import ROMBERG_BASE_DEPTH
+from archpi.polygons import (ROMBERG_BASE_DEPTH, SchemeMeasures, require_chord, seed_edge,
+                             vertex_gap)
 from archpi.rational import _ball_crosses, gamma_path
 
 
@@ -169,6 +178,70 @@ def explicit_circuit_measures(vertices, prec):
     )
 
 
+def interval_chord_root(c):
+    """(c*c, (4 - c*c).sqrt()), as ``Interval`` expressions."""
+    c_sq = c * c
+    return c_sq, (4 - c_sq).sqrt()
+
+
+def interval_rotation(c):
+    """``Rotation.of_chord(c)``: cos 1 - c^2/2, sin c*sqrt(4 - c^2)/2."""
+    require_chord(c, "step chord")
+    c_sq = c * c
+    return Rotation(1 - c_sq / 2, (c * (4 - c_sq).sqrt()) / 2)
+
+
+def interval_halve_edge(ell):
+    """``polygons.halve_edge``: ell / sqrt(2 + sqrt(4 - ell^2))."""
+    require_chord(ell, "chord")
+    return ell / (2 + (4 - ell * ell).sqrt()).sqrt()
+
+
+def interval_circumscribed_edge(ell):
+    """``polygons.circumscribed_edge``: 2 ell / sqrt(4 - ell^2)."""
+    require_chord(ell, "chord")
+    return (ell * 2) / (4 - ell * ell).sqrt()
+
+
+def interval_edge_terms(chord):
+    """``circuits._edge_terms``: the detour 2c/sqrt(4 - c^2) and the
+    triangle area c*sqrt(4 - c^2)/4."""
+    root = (4 - chord * chord).sqrt()
+    return (chord * 2) / root, (chord * root) / 4
+
+
+def interval_scheme_measures(scheme, ell):
+    """``polygons._measures_from_edge``, its root formed twice."""
+    count = scheme.edge_count
+    L = interval_circumscribed_edge(ell)
+    p = ell * count
+    P = L * count
+    a = (p * (4 - ell * ell).sqrt()) / 4
+    return SchemeMeasures(scheme, ell, L, p, P, a, P / 2, vertex_gap(L))
+
+
+def interval_ladder(prec, depth):
+    """The first ``depth`` levels of ``circuits.lattice_ladder(prec)``: the
+    triangle's edge halved by ``interval_halve_edge``, and each chord's
+    ``interval_rotation``."""
+    chords = [seed_edge(3, prec)]
+    while len(chords) < depth:
+        chords.append(interval_halve_edge(chords[-1]))
+    return chords, [interval_rotation(c) for c in chords]
+
+
+def interval_lattice_verdict(theta, two_pi, count, level):
+    """``compare_certain`` of theta and the lattice boundary
+    (two_pi * count) / (3 * 2^level), an ``Interval``."""
+    return compare_certain(theta, (two_pi * count) / (3 << level))
+
+
+def unfiltered_crossings(balls, w) -> int:
+    """``rational._ball_crosses`` summed over every edge between
+    consecutive balls."""
+    return sum(_ball_crosses(a, b, w) for a, b in zip(balls, balls[1:]))
+
+
 def sign_certain(value) -> int:
     """The sign of every number in the interval, else 0."""
     if value.lo.sign > 0:
@@ -211,7 +284,7 @@ def ball_winding(r) -> int:
     x, y, radius = balls[-1]
     if (x - (1 << w)) ** 2 + y * y > radius * radius:
         raise ClosureFailure(f"path for ({r.k}, {r.N}) certifiably misses its start")
-    return 1 + sum(_ball_crosses(a, b, w) for a, b in zip(balls[:-2], balls[1:-1]))
+    return 1 + unfiltered_crossings(balls[:-1], w)
 
 
 def two_path_winding(r) -> int:

@@ -264,6 +264,19 @@ def test_python_dash_m_archpi():
     assert proc.stdout.strip() == "3.1415"
 
 
+def test_importing_the_cli_starts_no_process_pool():
+    # only --jobs > 1 needs a process pool; every other run skips its import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, archpi.cli; "
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_precision_above_the_solver_ceiling_exits_2(capsys):
     # 4080 bits is the most the chord solver takes; above it every solve
     # was once ambiguous and the run a false shortfall (exit 3)
@@ -450,12 +463,16 @@ def test_circuit_too_deep_exits_2_before_drawing(capsys):
     assert time.perf_counter() - start < 5
 
 
-def _shortfall_lines(err, rows, label):
+def _shortfall_lines(err, rows, label, precision):
+    """The rows that fell short, once stderr is seen to name every
+    inconclusive row in order: a shortfall by its error, any other row by
+    its overlap."""
     short = [row for row in rows if "error" in row]
-    assert short and err.splitlines() == [
-        f"inconclusive: {label(row)} at {row['precision']} bits: "
-        f"{row['error']}: {row['message']}"
-        for row in short
+    assert short and all(row["precision"] == precision for row in short)
+    assert err.splitlines() == [
+        f"inconclusive: {label(row)} at {precision} bits: "
+        + (f"{row['error']}: {row['message']}" if "error" in row else "overlap")
+        for row in rows if _row_status(row) == "inconclusive"
     ]
     return short
 
@@ -468,7 +485,7 @@ def test_rational_shortfall_keeps_the_other_rows(capsys):
     short = _shortfall_lines(
         captured.err, report["rows"],
         lambda row: (f"k {row['k']}, N {row['N']}" if "k" in row
-                     else f"mode {row['mode']}, pair {row['pair']}"))
+                     else f"mode {row['mode']}, pair {row['pair']}"), 16)
     # at 16 bits wide chords also reach 2 or cannot be ordered
     assert {row["error"] for row in short} == {
         "AmbiguousCrossing", "InvalidChord", "HypothesisUnordered"}
@@ -485,7 +502,7 @@ def test_trig_sandwich_shortfall_keeps_the_other_rows(capsys):
     assert code == 3
     rows = json.loads(captured.out)["rows"]
     assert [row["k"] for row in rows] == list(range(1, 21))
-    short = _shortfall_lines(captured.err, rows, lambda row: f"k {row['k']}")
+    short = _shortfall_lines(captured.err, rows, lambda row: f"k {row['k']}", 16)
     assert {row["error"] for row in short} == {"DivByZeroInterval"}
     assert rows[0]["status"] == "ok"
 
@@ -497,9 +514,29 @@ def test_trig_shortfall_keeps_the_other_rows(capsys):
     rows = json.loads(captured.out)["rows"]
     assert [row["theta"] for row in rows] == [
         list(Interval.exact(Dyadic(1, -k), 32).decimal_pair(17)) for k in range(1, 41)]
-    short = _shortfall_lines(captured.err, rows, lambda row: f"theta {row['theta']}")
+    short = _shortfall_lines(captured.err, rows, lambda row: f"theta {row['theta']}", 32)
     assert {row["error"] for row in short} == {"DivByZeroInterval"}
     assert rows[0]["lower_verdict"] == rows[0]["upper_verdict"] == "certainly_less"
+
+
+@pytest.mark.parametrize("args, precision, label, overlapping", [
+    (["trig", "--k-max", "40"], 64,
+     lambda row: f"theta {row['theta']}", list(range(19, 41))),
+    (["verify", "trig-sandwich", "--precision", "48"], 48,
+     lambda row: f"k {row['k']}", list(range(13, 17))),
+], ids=["trig", "trig-sandwich"])
+def test_overlap_rows_are_named_on_stderr(args, precision, label, overlapping, capsys):
+    # no row falls short, yet some rows' verdicts overlap: exit 3, and
+    # stderr names each of those rows, its precision and the overlap
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3
+    rows = json.loads(captured.out)["rows"]
+    assert not any("error" in row for row in rows)
+    inconclusive = [row for row in rows if _row_status(row) == "inconclusive"]
+    assert [rows.index(row) + 1 for row in inconclusive] == overlapping
+    assert captured.err.splitlines() == [
+        f"inconclusive: {label(row)} at {precision} bits: overlap" for row in inconclusive]
 
 
 def test_sweep_rational_shortfall_keeps_the_other_rows(capsys):
@@ -509,7 +546,7 @@ def test_sweep_rational_shortfall_keeps_the_other_rows(capsys):
     rows = json.loads(captured.out)["rows"]
     assert len(rows) == len(coprime_pairs(24))
     short = _shortfall_lines(captured.err, rows,
-                             lambda row: f"k {row['k']}, N {row['N']}")
+                             lambda row: f"k {row['k']}, N {row['N']}", 16)
     assert {row["error"] for row in short} == {"AmbiguousCrossing", "InvalidChord"}
     assert all(row["winding"] == row["k"] for row in rows if "error" not in row)
 
@@ -551,7 +588,7 @@ def test_h_ratio_shortfall_keeps_the_other_rows(capsys):
     assert [(row["n"], row["m"]) for row in rows] == [
         (n, m) for n in (3, 4, 6) for m in range(26)]
     short = _shortfall_lines(captured.err, rows,
-                             lambda row: f"n {row['n']}, m {row['m']}")
+                             lambda row: f"n {row['n']}, m {row['m']}", 32)
     assert {row["error"] for row in short} == {"DivByZeroInterval"}
     assert rows[0]["status"] == "ok"
 
@@ -567,9 +604,11 @@ def test_antipodal_tangents_are_a_shortfall(suite, capsys):
     assert report["violations"] == 0 and report["samples"] > 200
     short = [row for row in report["rows"] if "error" in row]
     assert "AntipodalTangents" in {row["error"] for row in short}
+    # stderr names every inconclusive row: a shortfall, or an overlap
     lines = captured.err.splitlines()
-    assert len(lines) == len(short)
+    assert len(lines) == report["inconclusive"]
     assert all(line.startswith("inconclusive: sample ") for line in lines)
+    assert sum(line.endswith(" at 16 bits: overlap") for line in lines) == len(lines) - len(short)
 
 
 def test_circuit_sandwich_low_precision_is_inconclusive_not_violated(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -316,7 +317,8 @@ def pools(monkeypatch):
         def map(self, fn, args, chunksize=1):
             return map(fn, args)
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    # suites imports the pool class when it makes a pool, from this module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return made
 
 
