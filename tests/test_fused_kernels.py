@@ -21,7 +21,8 @@ from archpi.dyadic import Dyadic, _rounded
 from archpi.errors import AmbiguousCrossing, ArchpiError, InvalidChord
 from archpi.interval import Interval, Verdict
 from archpi.polygons import (RegularScheme, SchemeMeasures, _chord_root, _measures_from_edge,
-                             circumscribed_edge, halve_edge, two_pi_enclosure)
+                             circumscribed_edge, halve_edge, iter_scheme_measures,
+                             require_chord, two_pi_enclosure)
 from archpi.rational import _crossings, coprime_pairs, normalized_length, realize_rational
 from archpi.trig import _lattice_verdict
 
@@ -100,12 +101,18 @@ def test_chord_root_is_the_interval_expression(c):
     assert _outcome(_kernel, c) == _outcome(interval_chord_root, c)
 
 
+def _chain_measures(c):
+    """``_measures_from_edge`` as ``edge_chain`` feeds it: c checked, then
+    its root formed."""
+    require_chord(c, "chord")
+    return _measures_from_edge(RegularScheme(3, 4), c, _chord_root(c)[4])
+
+
 @pytest.mark.parametrize("fused, expression", [
     (Rotation.of_chord, interval_rotation),
     (halve_edge, interval_halve_edge),
     (circumscribed_edge, interval_circumscribed_edge),
-    (lambda c: _measures_from_edge(RegularScheme(3, 4), c),
-     lambda c: interval_scheme_measures(RegularScheme(3, 4), c)),
+    (_chain_measures, lambda c: interval_scheme_measures(RegularScheme(3, 4), c)),
 ], ids=["of_chord", "halve_edge", "circumscribed_edge", "measures_from_edge"])
 @given(c=chords())
 @example(c=_EDGE_CHORDS[0])
@@ -138,11 +145,38 @@ def test_chord_error_paths_are_reached(c, fused, error):
     assert _outcome(fused, c)[0] == error
 
 
-@pytest.mark.parametrize("prec", [16, 64, 256])
+@pytest.mark.parametrize("prec", [16, 64, 128, 256])
 def test_ladder_is_the_interval_ladder(prec):
     chords, rotations = lattice_ladder(prec)
     expected = interval_ladder(prec, len(chords))
     assert (_bits(chords), _bits(rotations)) == (_bits(expected[0]), _bits(expected[1]))
+
+
+def _counted_roots(monkeypatch):
+    """A list that grows by one for each ``polygons._chord_root`` call."""
+    calls, real = [], polygons._chord_root
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(polygons, "_chord_root", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, m_max", [(3, 0), (4, 5), (6, 12)])
+def test_scheme_measures_form_one_root_per_level(n, m_max, monkeypatch):
+    # each level's root serves its measures and the next level's halving
+    calls = _counted_roots(monkeypatch)
+    assert len(list(iter_scheme_measures(n, m_max, 64))) == m_max + 1
+    assert len(calls) == m_max + 1
+
+
+def test_ladder_forms_one_root_per_level(monkeypatch):
+    # past the cache, so the ladder is built here whatever ran before
+    calls = _counted_roots(monkeypatch)
+    chords, _ = lattice_ladder.__wrapped__(77)
+    assert len(calls) == len(chords)
 
 
 @pytest.mark.parametrize("prec", [16, 20, 64])

@@ -105,9 +105,9 @@ def test_identities_catch_a_wrong_halving(monkeypatch):
     # a_2N and p_N/2 come from successive edges of the chain, so an edge
     # halved 2^-40 too long separates them; A_N and a_N*4/(4 - ell_N^2)
     # share one edge and still agree
-    real = polygons.halve_edge
-    monkeypatch.setattr(polygons, "halve_edge",
-                        lambda ell: real(ell) * Dyadic(2**40 + 1, -40))
+    real = polygons._halved
+    monkeypatch.setattr(polygons, "_halved",
+                        lambda ell, root: real(ell, root) * Dyadic(2**40 + 1, -40))
     res = run_suite("identities", m_max=3, precision=64)
     status = {}
     for row in res.rows:

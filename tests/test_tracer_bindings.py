@@ -1,6 +1,8 @@
-"""The benchmark tracer names archpi functions by (module, name); each must
-still resolve, or ``bench/run.py --trace 1`` breaks at install time."""
+"""The benchmark tracer names archpi functions by (module, name), and the
+kernel timings import archpi names; each must still resolve, or
+``bench/run.py --trace 1`` breaks at install time or when it times kernels."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -8,7 +10,9 @@ import pathlib
 import archpi  # noqa: F401  (imports every archpi module the tracer names)
 from archpi.interval import Interval
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+KERNELS = BENCH / "kernels.py"
 
 
 def _load_tracer():
@@ -30,3 +34,16 @@ def test_traced_bindings_resolve():
     for attrs in tracer.INTERVAL_OPS.values():
         for attr in attrs:
             assert attr in Interval.__dict__, attr
+
+
+def test_kernel_imports_resolve():
+    # read, not run: every ``from archpi.<module> import <name>`` in the
+    # kernel timings, wherever it sits in the file
+    imports = [(node.module, alias.name)
+               for node in ast.walk(ast.parse(KERNELS.read_text()))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("archpi")
+               for alias in node.names]
+    assert ("archpi.polygons", "halve_edge") in imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

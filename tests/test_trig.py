@@ -186,7 +186,7 @@ def _reference_point(theta, prec):
     if theta.hi.sign == 0:
         return unit_start(prec)
     depth = prec + 8
-    chords = list(islice(edge_chain(3, prec), depth + 1))
+    chords = [ell for ell, _ in islice(edge_chain(3, prec), depth + 1)]
     tol = Dyadic(1, 8 - prec)
     level = index = 0
     point = unit_start(prec)
