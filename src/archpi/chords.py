@@ -46,7 +46,7 @@ import math
 from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .circuits import (CirclePoint, Rotation, _ball, _ball_walk, _scaled,
                        distance, tangent_intersection, unit_start, walk)
@@ -117,20 +117,35 @@ def _half_step(step: Dyadic, prec: int) -> Rotation:
     return Rotation((1 - sb * sb).sqrt(), sb)
 
 
-def _target(chord_total: Interval) -> Interval:
-    """cos(arc/2) = sqrt(4 - c^2)/2, the x a walk to the arc end reaches."""
-    return _chord_root(chord_total)[4] / 2
+def _target(chord_total: Interval) -> Tuple[int, int]:
+    """cos(arc/2) = sqrt(4 - c^2)/2, the x a walk to the arc end reaches:
+    its ends, rounded down and up, at scale 2^-p, p the chord's precision."""
+    target = _chord_root(chord_total)[4] / 2
+    p = chord_total.prec
+    return _scaled(target.lo, p, up=False), _scaled(target.hi, p, up=True)
 
 
-def _classify(step: Dyadic, n: int, chord_total: Interval, prec: int) -> str:
+def _targets(chord_total: Interval) -> Callable[[int], Tuple[int, int]]:
+    """``_target`` of the arc chord lifted to each working precision, each
+    formed once: one solve walks many steps at a few precisions."""
+    formed = {}
+
+    def at(prec: int) -> Tuple[int, int]:
+        if prec not in formed:
+            formed[prec] = _target(chord_total.with_prec(prec))
+        return formed[prec]
+
+    return at
+
+
+def _classify(step: Dyadic, n: int, target: Tuple[int, int], prec: int) -> str:
     """Do n steps of chord ``step`` fall short of or pass the arc endpoint?
 
-    Compares cos(cumulative/2) with cos(arc/2) = sqrt(4 - c^2)/2.  Exits at
-    the first certain pass, which keeps the cumulative arc below 2*pi.
+    Compares cos(cumulative/2) with cos(arc/2) = sqrt(4 - c^2)/2, given as
+    its ``_target`` ends at ``prec`` bits.  Exits at the first certain
+    pass, which keeps the cumulative arc below 2*pi.
     """
-    target = _target(chord_total)
-    over = _scaled(target.lo, prec, up=False)
-    under = _scaled(target.hi, prec, up=True)
+    over, under = target
     for x, _, r in _ball_walk(_half_step(step, prec), n, prec):
         if x + r < over:
             return _OVER
@@ -139,16 +154,16 @@ def _classify(step: Dyadic, n: int, chord_total: Interval, prec: int) -> str:
     return _AMBIG
 
 
-def _classify_adaptive(
-    step: Dyadic, n: int, chord_total: Interval, prec: int
-) -> str:
+def _classify_adaptive(step: Dyadic, n: int, targets: Callable, prec: int) -> str:
+    """``_classify`` from prec + 16 bits, doubling while it is ambiguous;
+    ``targets`` is the solve's ``_targets``."""
     work = prec + 16
     if work > PRECISION_CAP:
         raise PrecisionCeiling(
             f"precision {prec} is above {MAX_PRECISION} bits, the most "
             "the chord solver takes")
     while work <= PRECISION_CAP:
-        result = _classify(step, n, chord_total.with_prec(work), work)
+        result = _classify(step, n, targets(work), work)
         if result is not _AMBIG:
             return result
         work *= 2
@@ -161,9 +176,10 @@ def _seed(chord_total: Interval, n: int) -> float:
 
 
 def _newton_step(
-    step: Dyadic, n: int, chord_total: Interval, prec: int
+    step: Dyadic, n: int, target: Tuple[int, int], prec: int
 ) -> Optional[Dyadic]:
-    """One Newton step on f(s) = x_n(s) - cos(arc/2), from one walk.
+    """One Newton step on f(s) = x_n(s) - cos(arc/2), from one walk;
+    ``target`` is cos(arc/2)'s ``_target`` ends at ``prec`` bits.
 
     With sin(alpha) = s/2 the walk ends at (cos n*alpha, sin n*alpha), so
     f'(s) = -n*y_n / (2 cos alpha).  None when the ball at the walk's end
@@ -174,14 +190,15 @@ def _newton_step(
     if abs(y) <= r:
         return None
     c, _ = _ball(half_step.cos, prec)
-    t, _ = _ball(_target(chord_total), prec)
+    # the center of the target's ball
+    t = sum(target) >> 1
     # (x - t) * 2c / (n y) at scale 2^-prec
     delta = Dyadic((x - t) * c * 2).div(Dyadic(y * n), prec, up=False)
     return (step + delta.scale2(-prec)).round(prec, up=False)
 
 
 def _bracket(
-    chord_total: Interval, n: int, prec: int
+    chord_total: Interval, n: int, prec: int, targets: Callable
 ) -> Optional[Tuple[Dyadic, Dyadic]]:
     """Certified a < root < b, tol/8 either side of a Newton estimate.
 
@@ -195,7 +212,7 @@ def _bracket(
         while bits < prec + 24:
             bits *= 2
             work = bits + n.bit_length() + 16
-            step = _newton_step(step, n, chord_total.with_prec(work), work)
+            step = _newton_step(step, n, targets(work), work)
             if step is None:
                 return None
     except (ArchpiError, ValueError):
@@ -205,8 +222,8 @@ def _bracket(
     b = (step + slack).round(prec + 16, up=True)
     # every mid is positive, so a <= 0 needs no test
     if (b < chord_total.hi
-            and (a.sign <= 0 or _classify_adaptive(a, n, chord_total, prec) is _UNDER)
-            and _classify_adaptive(b, n, chord_total, prec) is _OVER):
+            and (a.sign <= 0 or _classify_adaptive(a, n, targets, prec) is _UNDER)
+            and _classify_adaptive(b, n, targets, prec) is _OVER):
         return a, b
     return None
 
@@ -241,7 +258,8 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
     hi = top.man << (top.exp + S)
     tol = 1 << (S + 8 - prec)
     # without a bracket, (lo, hi) implies nothing: every mid lies strictly inside
-    a, b = _bracket(chord_total, n, prec) or (Dyadic(0), top)
+    targets = _targets(chord_total)
+    a, b = _bracket(chord_total, n, prec, targets) or (Dyadic(0), top)
     under, over = _scaled(a, S, up=False), _scaled(b, S, up=True)
     za = zb = None
     guard = 0
@@ -266,7 +284,7 @@ def solve_regular_chord(arc: ArcSpec, n: int, prec: int) -> Interval:
         elif mid >= over:
             result = _OVER
         else:
-            result = _classify_adaptive(Dyadic(mid, -S), n, chord_total, prec)
+            result = _classify_adaptive(Dyadic(mid, -S), n, targets, prec)
         if result is _AMBIG:
             za, zb = (mid, mid) if za is None else (min(za, mid), max(zb, mid))
         elif result is _UNDER and (za is None or mid < za):

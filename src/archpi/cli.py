@@ -1,7 +1,7 @@
 """Command-line surface: certified pi reports, verification suites, circuit
 and trig tabulation.
 
-Exit codes: 0 success, 1 a verification suite found a certain violation,
+Exit codes: 0 success, 1 a check found a certain violation,
 2 argument error (including a ``verify`` flag the suite does not take, a
 size that yields no rows or is above its ceiling in ``suites.MOST``, a job
 count outside 1..256, a precision above
@@ -14,12 +14,13 @@ between pieces, chords that cannot be ordered at this precision, tangents
 that cannot be certified to meet, or an operand too wide for a square
 root, a division or a chord at this precision).  The sampled suites, ``rational``, ``h-ratio``, ``trig-sandwich``, ``trig`` and
 ``sweep-rational`` turn such a shortfall into one row; ``main`` maps every
-other error to its exit code by type.  ``verify``, ``trig`` and
-``sweep-rational`` hand their rows' statuses to ``_finish``, the one place
-that writes such a report, names its inconclusive rows on stderr and picks
-the exit code: 1 if a row is violated, else 3 if a row is inconclusive (a
-shortfall, or a row whose verdicts overlap, by ``suites.checked``'s rule),
-else 0.
+other error to its exit code by type.  ``verify``, ``trig``,
+``sweep-rational`` and ``circuit`` hand their rows' statuses to ``_finish``,
+the one place that writes such a report, names its inconclusive rows on
+stderr and picks the exit code: 1 if a row is violated, else 3 if a row is
+inconclusive (a shortfall, or a row whose verdicts overlap, by
+``suites.checked``'s rule), else 0.  A ``circuit`` report is one row, judged
+by the circuit suites' sandwich rule on both of its measures.
 Reports are deterministic for identical argv and seed.
 
 ``main`` hands a request whose first word names a command straight to that
@@ -52,10 +53,10 @@ from .dyadic import Dyadic
 from .errors import SHORTFALLS, ArchpiError, PrecisionCeiling
 from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
-                       pi_digits, scheme_measures)
-from .rational import coprime_pairs, realize_rational, normalized_length, winding_count
+                       pi_digits, pi_enclosure, scheme_measures)
+from .rational import coprime_pairs, realize_rational
 from .suites import (DEFAULT_SEED, LEAST, LESS, MAX_JOBS, MOST, SUITES, checked,
-                     run_suite, shortfall_row)
+                     run_suite, sandwich_checks, shortfall_row)
 from .trig import sandwich_report
 
 EXIT_OK = 0
@@ -230,17 +231,19 @@ def _require_size(key: str, value: int) -> None:
         raise ValueError(f"{_flag(key)} must be at most {MOST[key]}, got {value}")
 
 
-def _finish(report: dict, statuses, args, precision: int, subject=_SUBJECT) -> int:
+def _finish(report: dict, statuses, args, precision: int, subject=_SUBJECT,
+            rows=None) -> int:
     """Write ``report``, name its inconclusive rows on stderr, and return the
     exit code of its rows' ``statuses``: 1 if one is violated, else 3 if one
-    is inconclusive, else 0.
+    is inconclusive, else 0.  The rows are ``report["rows"]`` unless
+    ``rows`` are given: ``[report]`` for a report that is one row itself.
 
     A line names the row by its keys in ``subject``, the ``precision`` its
     checks ran at, and why: the shortfall that stopped it, why it was
     skipped, or else the overlap of a verdict.
     """
     _emit(report, args.format, args.output)
-    for row, status in zip(report["rows"], statuses):
+    for row, status in zip(report["rows"] if rows is None else rows, statuses):
         if status != "inconclusive":
             continue
         name = ", ".join(f"{'sample' if key == 'sample_seed' else key} {value}"
@@ -362,8 +365,27 @@ def _cmd_circuit(args) -> int:
     }
     if args.include_points:
         report["vertices"] = [p.serialize() for p in circuit.vertices]
-    _emit(report, args.format, args.output)
-    return EXIT_OK
+    return _finish(report, [_circuit_status(measures, prec)], args, prec,
+                   subject={"seed", "mesh_cap_exp"}, rows=[report])
+
+
+def _circuit_status(measures, prec: int) -> str:
+    """The circuit suites' sandwich rule on both measures, kept off the report.
+
+    Any enclosure of pi certifies what it separates, so pi is taken at
+    ``min(prec, 64)`` bits first, and at ``prec`` only when that leaves a
+    check open: above 64 bits the measures stand further from 2 pi and pi
+    than a 64-bit bracket is wide (``circuit --precision 8192`` would spend
+    3 s on pi alone).
+    """
+    for bits in sorted({min(prec, 64), prec}):
+        pi = pi_enclosure(bits)
+        status = checked({},
+                         *sandwich_checks(measures.perimeter_in, pi * 2, measures.perimeter_circ),
+                         *sandwich_checks(measures.area_in, pi, measures.area_circ))["status"]
+        if status != "inconclusive":
+            break
+    return status
 
 
 def _cmd_trig(args) -> int:
@@ -409,11 +431,9 @@ def _cmd_sweep_rational(args) -> int:
                 "k": k,
                 "N": N,
                 "chord": list(r.chord.decimal_pair(17)),
-                "inscribed": list(normalized_length(r).decimal_pair(17)),
-                "circumscribed": list(
-                    normalized_length(r, "circumscribed").decimal_pair(17)
-                ),
-                "winding": winding_count(r),
+                "inscribed": list(r.inscribed.decimal_pair(17)),
+                "circumscribed": list(r.circumscribed.decimal_pair(17)),
+                "winding": r.winding,
             }
         except SHORTFALLS as exc:
             row = shortfall_row({"k": k, "N": N}, prec, exc)

@@ -5,6 +5,13 @@ count N and winding number k; the geometric closure and crossing checks are
 a verification pass, not the definition.  ``winding_count`` makes that pass
 on one code path, the integer ball walk of ``circuits``, run over pieces of
 the chord enclosure.
+
+``realize_rational`` is cached per (k, N, prec), and the ``RationalLength``
+it returns keeps each measure it forms: the chord's root and rotation, its
+two normalized lengths and its winding.  So a pair's measures are formed
+once per process, however many sweeps, suite runs and adjacent comparisons
+read them.  A measure that falls short of precision raises and is kept
+nowhere; reading it again forms it again, with the same error.
 """
 
 from __future__ import annotations
@@ -34,8 +41,10 @@ from .polygons import _chord_root, _tangent_edge, require_chord, seed_edge
 class RationalLength:
     """Chord spanning k steps of a regular N-gon, gcd(k, N) = 1.
 
-    The chord's square root sqrt(4 - chord^2) is formed once, when its
-    rotation or its root is first read, and kept with both.
+    Each measure is formed the first time it is read, and kept: the chord's
+    square root sqrt(4 - chord^2), shared by its rotation and its root; the
+    ``inscribed`` and ``circumscribed`` normalized lengths; and the
+    ``winding``.  A measure whose formation raises is not kept.
     """
 
     k: int
@@ -57,6 +66,21 @@ class RationalLength:
         """sqrt(4 - chord^2), for a chord certifiably in (0, 2)."""
         require_chord(self.chord, "chord")
         return self._terms[4]
+
+    @cached_property
+    def inscribed(self) -> Interval:
+        """``normalized_length(self)``."""
+        return normalized_length(self)
+
+    @cached_property
+    def circumscribed(self) -> Interval:
+        """``normalized_length(self, "circumscribed")``."""
+        return normalized_length(self, "circumscribed")
+
+    @cached_property
+    def winding(self) -> int:
+        """``winding_count(self)``."""
+        return winding_count(self)
 
     @property
     def numerator(self) -> int:
@@ -81,7 +105,10 @@ def _ngon_vertices(N: int, prec: int) -> Tuple[CirclePoint, ...]:
     return tuple(walk(unit_start(prec), Rotation.of_chord(small), 3 * N - 3))[::3]
 
 
+@lru_cache(maxsize=256)
 def realize_rational(k: int, N: int, prec: int) -> RationalLength:
+    """The chord of k steps of the regular N-gon at ``prec`` bits, cached:
+    256 entries hold every pair up to N = 38 at one precision."""
     if N < 3:
         raise PreconditionViolation("need N >= 3")
     if k < 1 or 2 * k >= N:
@@ -218,13 +245,16 @@ def normalized_compare(
     """Single-wrap path lengths (N/k)*length, ordered against chord order.
 
     Inscribed: the larger chord has the certainly smaller normalized length.
-    Circumscribed: the tangent counterparts reverse the inequality.
+    Circumscribed: the tangent counterparts reverse the inequality.  Each
+    side is the pair's kept ``inscribed`` or ``circumscribed`` length.
     """
     order = compare_certain(a.chord, b.chord)
     if order is Verdict.OVERLAP:
         raise HypothesisUnordered("chords cannot be certifiably ordered")
     larger, smaller = (a, b) if order is Verdict.CERTAINLY_GREATER else (b, a)
-    lhs, rhs = normalized_length(larger, mode), normalized_length(smaller, mode)
+    if mode not in ("inscribed", "circumscribed"):
+        raise PreconditionViolation(f"unknown mode {mode!r}")
+    lhs, rhs = getattr(larger, mode), getattr(smaller, mode)
     return NormalizedCompare(compare_certain(lhs, rhs), lhs, rhs)
 
 

@@ -50,13 +50,7 @@ from .polygons import (
     pi_enclosure,
     two_pi_enclosure,
 )
-from .rational import (
-    coprime_pairs,
-    normalized_compare,
-    normalized_length,
-    realize_rational,
-    winding_count,
-)
+from .rational import coprime_pairs, normalized_compare, realize_rational
 from .trig import sandwich_report
 
 DEFAULT_PRECISION = 64
@@ -399,9 +393,8 @@ def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> Iterato
         try:
             r = realize_rational(k, N, precision)
             realized.append(r)
-            inscribed = normalized_length(r)
-            circumscribed = normalized_length(r, "circumscribed")
-            winding_checked = winding_count(r) == r.k
+            inscribed, circumscribed = r.inscribed, r.circumscribed
+            winding_checked = r.winding == r.k
         except SHORTFALLS as exc:
             yield fell_short(row, precision, exc)
             continue
@@ -430,6 +423,12 @@ def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> Iterato
 # -- circuit suites ----------------------------------------------------------
 
 
+def sandwich_checks(inner: Interval, target: Interval,
+                    outer: Interval) -> Tuple[Check, Check]:
+    """The checks inner < target < outer, as ``checked`` takes them."""
+    return (LESS, compare_certain(inner, target)), (LESS, compare_certain(target, outer))
+
+
 def _circuit_sample(args) -> Tuple[dict, Dyadic]:
     """One random circuit: its sandwich row and upper gap bound."""
     seed, cap_exp, precision, suite = args
@@ -451,11 +450,7 @@ def _circuit_sample(args) -> Tuple[dict, Dyadic]:
         "outer": _dec(outer),
         "mesh": _dec(measures.mesh),
     }
-    sandwich = (
-        (LESS, compare_certain(inner, target)),
-        (LESS, compare_certain(target, outer)),
-    )
-    return checked(row, *sandwich), target.hi - inner.lo
+    return checked(row, *sandwich_checks(inner, target, outer)), target.hi - inner.lo
 
 
 def _circuit_suite(suite: str) -> Callable:

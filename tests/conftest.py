@@ -1,4 +1,9 @@
-"""Shared pytest hooks: surface acceptance pass/fail lines in the summary."""
+"""Shared pytest hooks: surface acceptance pass/fail lines in the summary,
+and a fixture that runs a test on an empty ``realize_rational`` cache."""
+
+import pytest
+
+from archpi.rational import realize_rational
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -13,3 +18,16 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def cold_rational():
+    """``realize_rational``'s cache, emptied before the test and after it.
+
+    A cached ``RationalLength`` keeps the measures it formed, so a test that
+    counts or patches what forms them must start without it, and must not
+    leave behind measures formed by a patched function.
+    """
+    realize_rational.cache_clear()
+    yield
+    realize_rational.cache_clear()

@@ -54,6 +54,7 @@ def test_solve_regular_chord_matches_oracle():
 def reference_solve(arc, n, prec):
     """The chord bisection's one loop with every mid classified by a walk."""
     chord_total = arc.chord_total
+    targets = chords._targets(chord_total)
     lo = Dyadic(0)
     hi = chord_total.hi
     tol = Dyadic(1, 8 - prec)
@@ -72,7 +73,7 @@ def reference_solve(arc, n, prec):
         mid = (a + b).half().round(prec + 16, up=False)
         if not (a < mid < b):
             break
-        result = chords._classify_adaptive(mid, n, chord_total, prec)
+        result = chords._classify_adaptive(mid, n, targets, prec)
         if result is chords._AMBIG:
             za, zb = (mid, mid) if za is None else (min(za, mid), max(zb, mid))
         elif result is chords._UNDER and (za is None or mid < za):
@@ -348,7 +349,8 @@ def test_classify_near_the_root_is_ambiguous_or_exact(prec, n):
             root = int(mpmath.floor(mpmath.ldexp(_true_step(chord, n), prec + 16)))
         for d in range(-3, 4):
             step = Dyadic(root + d, -(prec + 16))
-            verdict = chords._classify(step, n, Interval.exact(chord, prec), prec)
+            verdict = chords._classify(step, n, chords._target(Interval.exact(chord, prec)),
+                                       prec)
             # the step is below the true one exactly when d <= 0
             exact = chords._UNDER if d <= 0 else chords._OVER
             assert verdict in (chords._AMBIG, exact), (k, d)
@@ -370,7 +372,7 @@ def test_ball_and_interval_walks_agree_when_both_certify(k, n, offset, prec):
         root = int(mpmath.floor(mpmath.ldexp(_true_step(chord, n), work)))
     step = Dyadic(root + offset, -work)
     chord_total = Interval.exact(chord, work)
-    ball = chords._classify(step, n, chord_total, work)
+    ball = chords._classify(step, n, chords._target(chord_total), work)
     oracle = interval_classify(step, n, chord_total, work)
     if chords._AMBIG not in (ball, oracle):
         assert ball == oracle
@@ -482,3 +484,23 @@ def test_compare_validation():
     with pytest.raises(PreconditionViolation):
         partition_profile(quarter_arc(), 1, PREC)
 
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 32])
+def test_a_solve_forms_its_target_once_per_working_precision(n, monkeypatch):
+    # every walk at w bits compares with the arc chord's target at w bits:
+    # one root of the chord per working precision serves them all
+    roots, walks, real_root, real_walk = [], [], chords._chord_root, chords._ball_walk
+
+    def counted_root(c):
+        roots.append(c.prec)
+        return real_root(c)
+
+    def counted_walk(rotation, steps, w):
+        walks.append(w)
+        return real_walk(rotation, steps, w)
+
+    monkeypatch.setattr(chords, "_chord_root", counted_root)
+    monkeypatch.setattr(chords, "_ball_walk", counted_walk)
+    solve_regular_chord(quarter_arc(), n, PREC)
+    assert sorted(roots) == sorted(set(walks))

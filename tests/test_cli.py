@@ -13,7 +13,7 @@ from archpi import cli
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.interval import Interval
-from archpi.rational import coprime_pairs
+from archpi.rational import coprime_pairs, realize_rational
 
 from oracles import machin_pi_digits
 
@@ -90,6 +90,60 @@ def test_circuit_report(capsys):
     measures = report["measures"]
     assert float(measures["perimeter_in"][1]) < float(measures["perimeter_circ"][0])
     assert float(measures["mesh"][1]) < 0.125
+
+
+CIRCUIT_OVERLAP = ["circuit", "--points", "6", "--mesh-cap-exp", "4", "--seed", "442621",
+                   "--precision", "16"]
+
+
+def test_circuit_exit_code_is_the_sandwich_rule(monkeypatch, capsys):
+    # at 16 bits both perimeter enclosures of this circuit hold 2 pi: the
+    # report is unchanged, exit 3, and stderr names the circuit
+    code = main(CIRCUIT_OVERLAP)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    two_pi = 2 * Fraction(machin_pi_digits(30))
+    for key in ("perimeter_in", "perimeter_circ"):
+        lo, hi = map(Fraction, report["measures"][key])
+        assert lo < two_pi < hi
+    assert list(report) == ["command", "seed", "points", "mesh_cap_exp", "precision",
+                            "measures"]
+    assert code == 3
+    assert captured.err == "inconclusive: seed 442621, mesh_cap_exp 4 at 16 bits: overlap\n"
+    # at 64 bits it separates from 2 pi and pi
+    assert run_cli(CIRCUIT_OVERLAP[:-1] + ["64"], capsys)[0] == 0
+    # above 64 bits pi is taken at the report's precision only when the
+    # 64-bit bracket leaves a check open; here [3, 4] leaves all four open
+    asked, real = [], cli.pi_enclosure
+
+    def recorded(bits, wide=False):
+        asked.append(bits)
+        return Interval(Dyadic(3), Dyadic(4), bits) if wide and bits == 64 else real(bits)
+
+    monkeypatch.setattr(cli, "pi_enclosure", recorded)
+    assert run_cli(CIRCUIT_OVERLAP[:-1] + ["128"], capsys)[0] == 0
+    monkeypatch.setattr(cli, "pi_enclosure", lambda bits: recorded(bits, wide=True))
+    assert run_cli(CIRCUIT_OVERLAP[:-1] + ["128"], capsys)[0] == 0
+    assert asked == [64, 64, 128]
+    # against a wrong pi, 4, the sandwich certainly fails
+    monkeypatch.setattr(cli, "pi_enclosure", lambda prec: Interval.exact(Dyadic(4), prec))
+    assert run_cli(CIRCUIT_OVERLAP[:-1] + ["64"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-rational", "--max-n", "16"],
+    ["sweep-rational", "--max-n", "24", "--precision", "16"],
+    ["verify", "rational", "--max-n", "12", "--precision", "20"],
+], ids=["sweep", "sweep-shortfalls", "verify-overlap"])
+def test_warm_and_cold_rational_reports_are_identical(args, capsys):
+    # twice on whatever the cache holds, then once on an empty cache
+    runs = []
+    for clear in (False, False, True):
+        if clear:
+            realize_rational.cache_clear()
+        code = main(args)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_circuit_csv(capsys):

@@ -191,7 +191,7 @@ def test_rational_length_keeps_the_chords_rotation_and_root(prec):
             lambda c: (interval_circumscribed_edge(c) * N) / k, r.chord)
 
 
-def test_a_rational_sweep_forms_each_pairs_root_once(monkeypatch):
+def test_a_rational_sweep_forms_each_pairs_root_once(monkeypatch, cold_rational):
     # the per-pair checks, the winding and both modes' orderings all read
     # the one root each RationalLength keeps
     formed = {}

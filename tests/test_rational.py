@@ -1,3 +1,6 @@
+import contextlib
+import io
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -5,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from archpi import rational
+from archpi import chords, circuits, polygons, rational
+from archpi.cli import main
 from archpi.circuits import Rotation, _ball_walk
 from archpi.dyadic import Dyadic
 from archpi.errors import (
@@ -351,3 +355,60 @@ def test_ball_crossing_at_its_radius_is_ambiguous(a, b, product, sign):
         assert cross + (by - ay) * 2**_W == sign * unit
     with pytest.raises(AmbiguousCrossing):
         _ball_crosses(a, b, _W)
+
+
+# -- the measures a cached RationalLength keeps ---------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one for each call of ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _sweep(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def test_a_second_sweep_forms_no_root_and_walks_nothing(monkeypatch, cold_rational):
+    # every binding of the two kernels a pair's measures call
+    roots = [_count_calls(monkeypatch, module, "_chord_root")
+             for module in (polygons, circuits, chords, rational)]
+    walks = [_count_calls(monkeypatch, module, "_ball_walk")
+             for module in (circuits, chords, rational)]
+    argv = ["sweep-rational", "--max-n", "16"]
+    assert _sweep(argv) == 0
+    assert sum(map(len, roots)) > 0 and sum(map(len, walks)) > 0
+    for calls in roots + walks:
+        calls.clear()
+    assert _sweep(argv) == 0
+    assert sum(map(len, roots)) == sum(map(len, walks)) == 0
+
+
+def test_verify_rational_forms_each_normalized_length_once(monkeypatch, cold_rational):
+    # a pair's row and its adjacent comparisons in one mode read one length
+    calls = _count_calls(monkeypatch, rational, "normalized_length")
+    assert _sweep(["verify", "rational", "--max-n", "12"]) == 0
+    formed = Counter((r.k, r.N, *mode) for r, *mode in calls)
+    assert formed == {(k, N, *mode): 1 for k, N in coprime_pairs(12)
+                      for mode in ((), ("circumscribed",))}
+
+
+def test_a_shortfall_is_not_kept(monkeypatch, cold_rational):
+    # (7, 18) at 16 bits: its winding falls short each time it is read
+    r = realize_rational(7, 18, 16)
+    calls = _count_calls(monkeypatch, rational, "winding_count")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(AmbiguousCrossing) as raised:
+            r.winding
+        errors.append(str(raised.value))
+    assert len(calls) == 2 and errors[0] == errors[1]
+    assert realize_rational(7, 18, 16) is r

@@ -6,11 +6,12 @@ import os
 
 import pytest
 
-from archpi import polygons, suites
+from archpi import polygons, rational, suites
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, DivByZeroInterval, HypothesisUnordered
 from archpi.interval import Verdict
+from archpi.rational import realize_rational
 from archpi.suites import SUITES, SuiteResult, checked, run_suite
 
 from oracles import two_path_winding
@@ -215,8 +216,8 @@ def test_trig_sandwich_skips_the_decrease_after_a_shortfall(monkeypatch):
     assert res.rows[3]["verdict"] == res.rows[4]["verdict"] == "holds"
 
 
-def test_rational_shortfall_is_one_row_per_pair(monkeypatch):
-    real = suites.winding_count
+def test_rational_shortfall_is_one_row_per_pair(monkeypatch, cold_rational):
+    real = rational.winding_count
 
     def short_at_2_7(r):
         if (r.k, r.N) == (2, 7):
@@ -226,7 +227,7 @@ def test_rational_shortfall_is_one_row_per_pair(monkeypatch):
     def unordered(a, b, mode):
         raise HypothesisUnordered("chords cannot be certifiably ordered")
 
-    monkeypatch.setattr(suites, "winding_count", short_at_2_7)
+    monkeypatch.setattr(rational, "winding_count", short_at_2_7)
     res = run_suite("rational", max_n=7)
     short = [row for row in res.rows if row["status"] == "inconclusive"]
     assert short == [{
@@ -468,13 +469,14 @@ def test_pinned_shortfall_reports(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_ball_winding_settles_two_rows_of_the_20_bit_rational_pin(monkeypatch):
+def test_ball_winding_settles_two_rows_of_the_20_bit_rational_pin(monkeypatch, cold_rational):
     # the repinned report against the same suite with the winding check it
     # replaced, one ball walk of the whole enclosure with the Interval walk
     # as its fallback: exactly (4, 9), (5, 11) and (5, 12) move, from an
     # ambiguous crossing to a checked winding
     shipped = run_suite("rational", max_n=12, precision=20)
-    monkeypatch.setattr(suites, "winding_count", two_path_winding)
+    realize_rational.cache_clear()
+    monkeypatch.setattr(rational, "winding_count", two_path_winding)
     two_path = run_suite("rational", max_n=12, precision=20)
     changed = [(old, new) for old, new in zip(two_path.rows, shipped.rows, strict=True)
                if old != new]
