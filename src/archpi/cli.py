@@ -426,14 +426,14 @@ def _cmd_sweep_rational(args) -> int:
     rows = []
     for k, N in coprime_pairs(args.max_n):
         try:
-            r = realize_rational(k, N, prec)
+            chord, inscribed, circumscribed, winding = realize_rational(k, N, prec).sweep_row
             row = {
                 "k": k,
                 "N": N,
-                "chord": list(r.chord.decimal_pair(17)),
-                "inscribed": list(r.inscribed.decimal_pair(17)),
-                "circumscribed": list(r.circumscribed.decimal_pair(17)),
-                "winding": r.winding,
+                "chord": list(chord),
+                "inscribed": list(inscribed),
+                "circumscribed": list(circumscribed),
+                "winding": winding,
             }
         except SHORTFALLS as exc:
             row = shortfall_row({"k": k, "N": N}, prec, exc)

@@ -15,7 +15,9 @@ truncation error that falls superlinearly in k, brackets pi^2
 2 cos(pi/N), the nested radical of Viete's formula, as an integer ball at
 scale 2^-G, with one integer square root per halving; as s_m^2 = 2 + s_(m-1),
 each node reads Q_m = 4^m ell_m^2 = 4^m (2 - s_(m-1)) off it unsquared.
-``pi_digits`` certifies digits from the integer ends of pi.
+``pi_digits`` certifies digits from the integer ends of pi, and keeps the
+longest digit string it has certified in the process: a shorter count is
+that string's prefix, and is served from it.
 """
 
 from __future__ import annotations
@@ -375,8 +377,38 @@ def _decimal(n: int) -> str:
     return "".join(reversed(chunks))
 
 
+#: the longest digit string ``pi_digits`` has certified in this process,
+#: without its point: at most ``DEFAULT_DIGIT_CAP`` digits
+_digit_string = ""
+
+
 def pi_digits(count: int) -> str:
     """First ``count`` decimal digits of pi, certified by interval agreement.
+
+    Served from ``_digit_string``, the longest certified digit string made
+    so far in this process, when it holds ``count`` digits: certified
+    truncations nest, as the first c' digits of floor(pi 10^(c-1)) are
+    floor(pi 10^(c'-1)) for every c' <= c, and pi is irrational, so no
+    carry or tie can break a prefix.  Otherwise ``_romberg_digits``
+    certifies exactly ``count`` digits, and they are kept if longer.
+    """
+    global _digit_string
+    if count < 1:
+        raise ValueError("digit count must be positive")
+    if count > DEFAULT_DIGIT_CAP:
+        raise ValueError(f"digit count {count} above cap {DEFAULT_DIGIT_CAP}")
+    text = _digit_string
+    if count > len(text):
+        text = _romberg_digits(count)
+        # another thread may have kept a longer string meanwhile; a race
+        # can keep a shorter certified string, never a wrong one
+        if len(text) > len(_digit_string):
+            _digit_string = text
+    return text[0] + "." + text[1:count] if count > 1 else text[0]
+
+
+def _romberg_digits(count: int) -> str:
+    """The first ``count`` digits of pi, without the point.
 
     Starts the Romberg bracket at depth ``ROMBERG_BASE_DEPTH`` with the
     least order k whose exact error bound is below 10^-(count+2), at
@@ -384,10 +416,6 @@ def pi_digits(count: int) -> str:
     accepted when both integer ends truncate to the same string; otherwise
     k rises by 4 and the precision doubles.
     """
-    if count < 1:
-        raise ValueError("digit count must be positive")
-    if count > DEFAULT_DIGIT_CAP:
-        raise ValueError(f"digit count {count} above cap {DEFAULT_DIGIT_CAP}")
     k = _romberg_order(count)
     target = Fraction(1, 10 ** (count + 2))
     while (bound := romberg_error_bound(ROMBERG_BASE_DEPTH, k)) >= target:
@@ -399,8 +427,7 @@ def pi_digits(count: int) -> str:
         lo, hi = _romberg_ends(ROMBERG_BASE_DEPTH, k, prec, bound)
         digits = lo * scale >> prec
         if digits == hi * scale >> prec:
-            text = _decimal(digits)
-            return text[0] + "." + text[1:] if count > 1 else text
+            return _decimal(digits)
         k += 4
         prec *= 2
         bound = romberg_error_bound(ROMBERG_BASE_DEPTH, k)

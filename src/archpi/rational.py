@@ -8,10 +8,11 @@ the chord enclosure.
 
 ``realize_rational`` is cached per (k, N, prec), and the ``RationalLength``
 it returns keeps each measure it forms: the chord's root and rotation, its
-two normalized lengths and its winding.  So a pair's measures are formed
-once per process, however many sweeps, suite runs and adjacent comparisons
-read them.  A measure that falls short of precision raises and is kept
-nowhere; reading it again forms it again, with the same error.
+two normalized lengths, its winding and its sweep row's decimals.  So a
+pair's measures are formed once per process, however many sweeps, suite
+runs and adjacent comparisons read them.  A measure that falls short of
+precision raises and is kept nowhere; reading it again forms it again,
+with the same error.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ class RationalLength:
 
     Each measure is formed the first time it is read, and kept: the chord's
     square root sqrt(4 - chord^2), shared by its rotation and its root; the
-    ``inscribed`` and ``circumscribed`` normalized lengths; and the
-    ``winding``.  A measure whose formation raises is not kept.
+    ``inscribed`` and ``circumscribed`` normalized lengths; the ``winding``;
+    and the decimal ``sweep_row``.  A measure whose formation raises is not
+    kept.
     """
 
     k: int
@@ -81,6 +83,14 @@ class RationalLength:
     def winding(self) -> int:
         """``winding_count(self)``."""
         return winding_count(self)
+
+    @cached_property
+    def sweep_row(self) -> tuple:
+        """The ``sweep-rational`` row's measures: the 17-digit decimal ends
+        of the chord, ``inscribed`` and ``circumscribed``, then ``winding``,
+        in tuples that nothing can change."""
+        return (self.chord.decimal_pair(17), self.inscribed.decimal_pair(17),
+                self.circumscribed.decimal_pair(17), self.winding)
 
     @property
     def numerator(self) -> int:

@@ -1,8 +1,10 @@
 """Shared pytest hooks: surface acceptance pass/fail lines in the summary,
-and a fixture that runs a test on an empty ``realize_rational`` cache."""
+and fixtures that run a test on an empty ``realize_rational`` cache or
+without ``pi_digits``' kept digit string."""
 
 import pytest
 
+from archpi import polygons
 from archpi.rational import realize_rational
 
 ACCEPTANCE_LINES: list[str] = []
@@ -31,3 +33,16 @@ def cold_rational():
     realize_rational.cache_clear()
     yield
     realize_rational.cache_clear()
+
+
+@pytest.fixture
+def cold_digits():
+    """``pi_digits``' kept digit string, emptied before the test and after it.
+
+    A warm ``pi_digits`` serves a count its kept string holds without a
+    Romberg kernel call, so a test that counts or patches those calls must
+    start without it, and must not leave behind digits a patched kernel made.
+    """
+    polygons._digit_string = ""
+    yield
+    polygons._digit_string = ""

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from archpi import cli
+from archpi import cli, polygons
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.interval import Interval
@@ -144,6 +144,20 @@ def test_warm_and_cold_rational_reports_are_identical(args, capsys):
         code = main(args)
         runs.append((code, *capsys.readouterr()))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("count", ["1", "2", "57", "600", "0"])
+def test_warm_and_cold_digits_reports_are_identical(count, fmt, capsys):
+    # on a kept string longer than the count, then on an empty one
+    polygons.pi_digits(700)
+    runs = []
+    for clear in (False, True):
+        if clear:
+            polygons._digit_string = ""
+        code = main(["digits", "--count", count, "--format", fmt])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
 
 
 def test_circuit_csv(capsys):

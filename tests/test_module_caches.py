@@ -1,9 +1,11 @@
 """Every ``functools`` cache in the package is bounded by an explicit
-integer ``maxsize``.
+integer ``maxsize``, and the README's cache bullet names every cache the
+package keeps.
 
 A cache keeps its results for the life of the process, so one without a
 bound grows with every distinct argument a long-lived caller sends.  The
-package is read with ``ast``; nothing is imported or run.
+package is read with ``ast`` and the README as text; nothing is imported
+or run.
 """
 
 import ast
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "archpi"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "archpi"
+README = ROOT / "README.md"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 CACHES = {"lru_cache", "cache"}
@@ -75,3 +79,48 @@ def test_unbounded_caches_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_cache_has_an_integer_maxsize(path):
     assert unbounded_caches(path.read_text()) == []
+
+
+def kept_names(source):
+    """The names of what ``source`` keeps for the life of the process: its
+    functions under a ``functools`` cache, and the module-level names a
+    function rebinds through ``global``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Global):
+            names.update(node.names)
+        for use in getattr(node, "decorator_list", []):
+            if _name(use.func if isinstance(use, ast.Call) else use) in CACHES:
+                names.add(node.name)
+    return names
+
+
+def test_kept_names_are_found():
+    source = ("import functools\n"
+              "from functools import cached_property, lru_cache\n"
+              "_kept = ''\n"
+              "_constant = 3\n"
+              "@lru_cache(maxsize=64)\n"
+              "def cached(x): return x\n"
+              "@functools.cache\n"
+              "def forever(x): return x\n"
+              "def keeps(x):\n"
+              "    global _kept\n"
+              "    _kept = x\n"
+              "def plain(x): return x\n"
+              "class C:\n"
+              "    @cached_property\n"
+              "    def kept(self): return 1\n")
+    assert kept_names(source) == {"cached", "forever", "_kept"}
+
+
+def test_the_readme_names_every_kept_cache():
+    kept = {f"{path.stem}.{name}" for path in MODULES
+            for name in kept_names(path.read_text())}
+    # the digit string is found, so the search reads a rebinding
+    assert "polygons._digit_string" in kept
+    # the bullet that lists the caches, up to the next bullet
+    text = README.read_text()
+    start = text.index("- Every cache the process keeps")
+    bullet = text[start:text.index("\n- ", start)]
+    assert {name for name in kept if f"`{name}`" not in bullet} == set()

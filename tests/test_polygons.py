@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archpi.dyadic import Dyadic
-from archpi.errors import InvalidChord, InvalidEdge, UnsupportedSeed
+from archpi.errors import InvalidChord, InvalidEdge, IterationCapExceeded, UnsupportedSeed
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi import polygons
 from archpi.polygons import (
@@ -124,7 +124,7 @@ def test_pi_digits_against_machin():
         assert pi_digits(count) == machin_pi_digits(count)
 
 
-def test_pi_digits_every_count_against_machin(monkeypatch):
+def test_pi_digits_every_count_against_machin(monkeypatch, cold_digits):
     # every count to 800, the Feynman point's six 9s (762-767) among them,
     # then 1000 and 2000, each from the starting order and precision: one
     # kernel call, no retry
@@ -145,7 +145,7 @@ def test_pi_digits_every_count_against_machin(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [12, 44, 63, 128, 257, 391, 500, 767])
-def test_pi_digits_high_counts_against_machin(count, monkeypatch):
+def test_pi_digits_high_counts_against_machin(count, monkeypatch, cold_digits):
     calls = []
     kernel = polygons._romberg_ends
 
@@ -160,7 +160,7 @@ def test_pi_digits_high_counts_against_machin(count, monkeypatch):
     assert len(calls) == 1
 
 
-def test_pi_digits_retries_with_a_higher_order_and_twice_the_bits(monkeypatch):
+def test_pi_digits_retries_with_a_higher_order_and_twice_the_bits(monkeypatch, cold_digits):
     calls = []
     kernel = polygons._romberg_ends
 
@@ -340,6 +340,73 @@ def test_pi_digits_validation():
     # a count past the cap is an input error, not a precision shortfall
     with pytest.raises(ValueError, match="above cap"):
         pi_digits(10_001)
+
+
+def _kernel_calls(monkeypatch):
+    """The digit counts' Romberg kernel calls, recorded as they are made."""
+    calls = []
+    kernel = polygons._romberg_ends
+
+    def recording(m0, k, frac_bits, bound):
+        calls.append(frac_bits)
+        return kernel(m0, k, frac_bits, bound)
+
+    monkeypatch.setattr(polygons, "_romberg_ends", recording)
+    return calls
+
+
+def test_every_shorter_count_is_a_prefix_of_the_kept_digits(monkeypatch, cold_digits):
+    pi_digits(2000)
+    calls = _kernel_calls(monkeypatch)
+    reference = machin_pi_digits(2000)
+    for count in range(1, 2001):
+        assert pi_digits(count) == (reference[: count + 1] if count > 1 else "3"), count
+    assert calls == []
+
+
+def test_a_longer_count_computes_once_and_is_kept(monkeypatch, cold_digits):
+    calls = _kernel_calls(monkeypatch)
+    assert pi_digits(100) == machin_pi_digits(100) and len(calls) == 1
+    assert pi_digits(300) == machin_pi_digits(300) and len(calls) == 2
+    assert polygons._digit_string == machin_pi_digits(300).replace(".", "")
+    for count in (300, 299, 100, 1):
+        assert pi_digits(count) == machin_pi_digits(count)
+    assert len(calls) == 2
+
+
+def test_a_refinement_that_raises_keeps_nothing(monkeypatch, cold_digits):
+    pi_digits(50)
+    # ends one unit apart at every attempt: -1 and 0 never truncate alike;
+    # the exact bounds of the high orders the retries reach are not needed
+    monkeypatch.setattr(polygons, "_romberg_ends", lambda m0, k, frac_bits, bound: (-1, 0))
+    monkeypatch.setattr(polygons, "romberg_error_bound", lambda m0, k: Fraction(0))
+    with pytest.raises(IterationCapExceeded):
+        pi_digits(100)
+    assert polygons._digit_string == machin_pi_digits(50).replace(".", "")
+    calls = _kernel_calls(monkeypatch)
+    assert pi_digits(40) == machin_pi_digits(40) and calls == []
+    # the real kernel, recorded
+    monkeypatch.undo()
+    calls = _kernel_calls(monkeypatch)
+    assert pi_digits(100) == machin_pi_digits(100) and len(calls) == 1
+
+
+def test_pi_digits_validation_on_a_warm_string(monkeypatch):
+    pi_digits(2000)
+    calls = _kernel_calls(monkeypatch)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            pi_digits(count)
+    with pytest.raises(ValueError, match="above cap"):
+        pi_digits(10_001)
+    assert calls == []
+
+
+def test_the_kept_digits_never_pass_the_cap(cold_digits):
+    assert pi_digits(DEFAULT_DIGIT_CAP)[:2001] == machin_pi_digits(2000)
+    with pytest.raises(ValueError, match="above cap"):
+        pi_digits(DEFAULT_DIGIT_CAP + 1)
+    assert len(polygons._digit_string) == DEFAULT_DIGIT_CAP
 
 
 def test_precision_floor():

@@ -412,3 +412,26 @@ def test_a_shortfall_is_not_kept(monkeypatch, cold_rational):
         errors.append(str(raised.value))
     assert len(calls) == 2 and errors[0] == errors[1]
     assert realize_rational(7, 18, 16) is r
+
+
+def test_a_second_sweep_writes_no_decimal(monkeypatch, cold_rational):
+    calls = _count_calls(monkeypatch, Interval, "decimal_pair")
+    argv = ["sweep-rational", "--max-n", "16"]
+    assert _sweep(argv) == 0
+    assert len(calls) == 3 * len(coprime_pairs(16))
+    calls.clear()
+    assert _sweep(argv) == 0
+    assert calls == []
+    # the kept row is tuples, which no reader of it can change
+    row = realize_rational(1, 5, 64).sweep_row
+    assert all(type(part) is tuple for part in row[:3]) and row[3] == 1
+
+
+def test_a_shortfall_sweep_row_is_not_kept(monkeypatch, cold_rational):
+    # (7, 18) at 16 bits: its winding, the row's last measure, falls short
+    r = realize_rational(7, 18, 16)
+    calls = _count_calls(monkeypatch, Interval, "decimal_pair")
+    for _ in range(2):
+        with pytest.raises(AmbiguousCrossing):
+            r.sweep_row
+    assert len(calls) == 6 and "sweep_row" not in vars(r)
