@@ -333,21 +333,19 @@ def regular_ring(m: int, prec: int) -> List[CirclePoint]:
 
 
 def ring_walk(m: int, prec: int, k: int) -> Iterator[CirclePoint]:
-    """The first k + 1 vertices of the 3*2^m-gon ring, from (1, 0)."""
-    return walk(unit_start(prec), lattice_ladder(prec)[1][m], k)
+    """The first k + 1 vertices, from (1, 0), of the 3*2^m-gon ring, m <= MAX_RING_DEPTH."""
+    return walk(unit_start(prec), lattice_ladder(prec, MAX_RING_DEPTH)[1][m], k)
 
 
 @lru_cache(maxsize=64)
-def lattice_ladder(prec: int) -> Tuple[Tuple[Interval, ...], Tuple[Rotation, ...]]:
+def lattice_ladder(prec: int, depth: int) -> Tuple[Tuple[Interval, ...], Tuple[Rotation, ...]]:
     """Chords of 1/(3*2^j) of a turn and their rotations, j = 0..depth, cached.
 
-    The depth, max(prec, MAX_RING_DEPTH) + 8, covers every ring depth and
-    every level of the arclength bisection in ``trig.geometric_point``.
     The levels are ``polygons.edge_chain(3, prec)``'s; each rotation reads
-    its level's root.
+    its level's root.  Each reader names the depth it reads.
     """
     chords, rotations = [], []
-    for ell, terms in islice(edge_chain(3, prec), max(prec, MAX_RING_DEPTH) + 9):
+    for ell, terms in islice(edge_chain(3, prec), depth + 1):
         chords.append(ell)
         rotations.append(_rotation(ell, terms))
     return tuple(chords), tuple(rotations)
@@ -366,7 +364,7 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
     # only the cap's lower end decides "certainly shorter"
     cap_lo = mesh_cap.lo
     fallback = None
-    for m, ell in enumerate(lattice_ladder(prec)[0][: MAX_RING_DEPTH + 1]):
+    for m, ell in enumerate(lattice_ladder(prec, MAX_RING_DEPTH)[0]):
         n = 3 << m
         if n >= 2 * k:
             gmax = 0

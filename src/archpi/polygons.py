@@ -250,13 +250,13 @@ def romberg_error_bound(m0: int, k: int) -> Fraction:
 
         |T - pi^2| <= prod h_i prod (1 - 4^-i)^-1 8^(2k+4)/(2 (2k+4)!) / (1 - q).
 
-    Here prod h_i prod (1 - 4^-i)^-1 = h_0^(k+1)/D, with D from
-    ``_romberg_weights``, and h_0 = 1/(3 * 2^m0)^2.  The bound is built as
-    one fraction, so it costs one gcd.
+    Here prod h_i prod (1 - 4^-i)^-1 = h_0^(k+1)/D with D = prod_{t=1..k}
+    (4^t - 1), ``_romberg_weights``' denominator, and h_0 = 1/(3 * 2^m0)^2.
+    The bound is built as one fraction, so it costs one gcd.
     """
     base = 9 << 2 * m0   # 1/h_0
     span = (2 * k + 5) * (2 * k + 6)
-    _, denom = _romberg_weights(k)
+    denom = math.prod((1 << 2 * t) - 1 for t in range(1, k + 1))
     return Fraction(
         span * base << 6 * k + 11,
         base ** (k + 1) * denom * math.factorial(2 * k + 4) * (span * base - 64),
@@ -414,7 +414,7 @@ def _romberg_digits(count: int) -> str:
     least order k whose exact error bound is below 10^-(count+2), at
     10/3 fraction bits per digit plus 32 guard bits.  The digits are
     accepted when both integer ends truncate to the same string; otherwise
-    k rises by 4 and the precision doubles.
+    k rises by 4 and the precision doubles, for at most four attempts.
     """
     k = _romberg_order(count)
     target = Fraction(1, 10 ** (count + 2))
@@ -423,7 +423,8 @@ def _romberg_digits(count: int) -> str:
     # log2(10) < 10/3 bits per digit, and guard bits
     prec = max(64, 10 * count // 3 + 32)
     scale = 10 ** (count - 1)
-    for _ in range(64):
+    # each retry narrows the ends over 10^19-fold: a fourth miss needs some 57 nines or zeros
+    for _ in range(4):
         lo, hi = _romberg_ends(ROMBERG_BASE_DEPTH, k, prec, bound)
         digits = lo * scale >> prec
         if digits == hi * scale >> prec:

@@ -37,8 +37,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple, Union
 
-from .chords import (ArcSpec, chord_compare, partition_points, partition_profile,
-                     solve_regular_chord, tangent_compare, tangent_segments)
+from .chords import (ArcSpec, _partition, chord_compare, partition_profile, tangent_compare,
+                     tangent_segments)
 from .circuits import circuit_measures, random_circuit
 from .dyadic import Dyadic
 from .errors import SHORTFALLS
@@ -296,8 +296,7 @@ def _random_split(seed: int, precision: int) -> Tuple[ArcSpec, int]:
 def _tangent_profile_sample(seed: int, precision: int, suite: str) -> List[dict]:
     """One random arc split n ways: its tangent segments increase."""
     arc, n = _random_split(seed, precision)
-    step = solve_regular_chord(arc, n, precision)
-    segs = tangent_segments(partition_points(arc, n, step))
+    segs = tangent_segments(_partition(arc, n, precision)[1])
     return [
         checked({"suite": suite, "sample_seed": seed, "n": n, "index": i + 1,
                  "check": "increasing"},
@@ -407,7 +406,7 @@ def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> Iterato
             winding_checked,
         )
     # adjacent ordering after sorting by chord, descending
-    ordered = sorted(realized, key=lambda r: r.chord.lo.as_fraction(), reverse=True)
+    ordered = sorted(realized, key=lambda r: r.chord.lo, reverse=True)
     for mode, expected in (("inscribed", LESS), ("circumscribed", GREATER)):
         for a, b in zip(ordered, ordered[1:]):
             row = {"suite": "rational", "mode": mode, "pair": [[a.k, a.N], [b.k, b.N]]}

@@ -2,7 +2,7 @@
 
 The point at a given arclength is found by inverting the certified
 arclength map: one bisection on the circle fraction over the vertex lattice
-of the refined triangle, a loop over the levels of
+of the refined triangle, a loop over a fixed count of levels of
 ``circuits.lattice_ladder``, never through a series.  Signed arguments
 reflect across the x-axis.
 """
@@ -47,7 +47,8 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
     One bisection of the circle fraction on the lattice a/(3*2^j), a loop
     over the levels of the cached lattice ladder: each boundary theta
     reaches advances the candidate point by that level's rotation.  It
-    stops once the level's chord is below 2^(8 - prec).
+    walks levels 0 .. max(prec - 6, 1); the last is the first level above 0
+    whose chord is below 2^(8 - prec).
     """
     if theta.lo.sign < 0:
         if theta.hi.sign > 0:
@@ -60,15 +61,16 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
         return unit_start(prec)
 
     # chords[j] spans the circle fraction 1/(3*2^j), rotations[j] steps by it
-    chords, rotations = lattice_ladder(prec)
-    tol = Dyadic(1, 8 - prec)
+    depth = max(prec - 6, 1)
+    chords, rotations = lattice_ladder(prec, depth)
 
     # bracket state: point at fraction index/(3*2^level); invariant theta
     # lies in [arc(index), arc(index + 1)] at the current level.  Level 0
     # tests the three thirds, each later level the bracket's midpoint
     index = 0
     point = unit_start(prec)
-    for level in range(len(chords)):
+    # chord j >= 2 is within 1.2% below 2^(1.066 - j): depth is the first under 2^(8 - prec)
+    for level in range(depth + 1):
         index *= 2
         for _ in range(3 if level == 0 else 1):
             verdict = _lattice_verdict(theta, two_pi, index + 1, level)
@@ -81,8 +83,6 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
                 boundary = (two_pi * (index + 1)) / (3 << level)
                 return _inflate(point, _theta_slack(theta, boundary))
             index += 1
-        if level and chords[level].hi < tol:
-            break
 
     # true point lies on the arc from point to point advanced one chord;
     # every coordinate is within the bracket chord of the lower endpoint

@@ -22,6 +22,8 @@ enclosure.  ``interval_chord_root``, ``interval_rotation``,
 ``polygons._chord_root`` and its readers replace, each forming its own
 sqrt(4 - c^2); ``interval_lattice_verdict`` is ``trig.geometric_point``'s
 former lattice test, a whole boundary ``Interval`` and ``compare_certain``;
+``tolerance_geometric_point`` is ``trig.geometric_point``'s former loop,
+stopped by a chord tolerance on a ladder of the former depth;
 ``unfiltered_crossings`` is ``rational._crossings`` with every edge tested.
 These are the only oracles built on archpi.
 ``per_draw_circuit`` is ``random_circuit``'s former loop, one ``randint``
@@ -36,12 +38,15 @@ from fractions import Fraction
 
 import mpmath
 
-from archpi.circuits import CircuitMeasures, Rotation, _ball_walk, unit_start, walk
-from archpi.errors import AmbiguousCrossing, AntipodalTangents, ClosureFailure
+from archpi.circuits import (MAX_RING_DEPTH, CircuitMeasures, Rotation, _ball_walk,
+                             lattice_ladder, unit_start, walk)
+from archpi.dyadic import Dyadic
+from archpi.errors import AmbiguousCrossing, AntipodalTangents, ClosureFailure, ThetaOutOfRange
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import (ROMBERG_BASE_DEPTH, SchemeMeasures, require_chord, seed_edge,
-                             vertex_gap)
+                             two_pi_enclosure, vertex_gap)
 from archpi.rational import _ball_crosses, gamma_path
+from archpi.trig import _inflate, _lattice_verdict, _theta_slack
 
 
 def machin_pi_digits(count: int) -> str:
@@ -221,7 +226,7 @@ def interval_scheme_measures(scheme, ell):
 
 
 def interval_ladder(prec, depth):
-    """The first ``depth`` levels of ``circuits.lattice_ladder(prec)``: the
+    """The first ``depth`` levels of ``circuits.lattice_ladder``: the
     triangle's edge halved by ``interval_halve_edge``, and each chord's
     ``interval_rotation``."""
     chords = [seed_edge(3, prec)]
@@ -234,6 +239,39 @@ def interval_lattice_verdict(theta, two_pi, count, level):
     """``compare_certain`` of theta and the lattice boundary
     (two_pi * count) / (3 * 2^level), an ``Interval``."""
     return compare_certain(theta, (two_pi * count) / (3 << level))
+
+
+def tolerance_geometric_point(theta, prec):
+    """``trig.geometric_point`` with its former loop: over a ladder of depth
+    max(prec, MAX_RING_DEPTH) + 8, stopped after the first level above 0
+    whose chord is below 2^(8 - prec)."""
+    if theta.lo.sign < 0:
+        if theta.hi.sign > 0:
+            raise ThetaOutOfRange("theta interval straddles zero")
+        return tolerance_geometric_point(-theta, prec).reflect()
+    two_pi = two_pi_enclosure(prec)
+    if compare_certain(theta, two_pi) is not Verdict.CERTAINLY_LESS:
+        raise ThetaOutOfRange("theta must be certifiably below the full turn")
+    if theta.hi.sign == 0:
+        return unit_start(prec)
+    chords, rotations = lattice_ladder(prec, max(prec, MAX_RING_DEPTH) + 8)
+    tol = Dyadic(1, 8 - prec)
+    index = 0
+    point = unit_start(prec)
+    for level in range(len(chords)):
+        index *= 2
+        for _ in range(3 if level == 0 else 1):
+            verdict = _lattice_verdict(theta, two_pi, index + 1, level)
+            if verdict is Verdict.CERTAINLY_LESS:
+                break
+            point = rotations[level](point)
+            if verdict is Verdict.OVERLAP:
+                boundary = (two_pi * (index + 1)) / (3 << level)
+                return _inflate(point, _theta_slack(theta, boundary))
+            index += 1
+        if level and chords[level].hi < tol:
+            break
+    return _inflate(point, chords[level].hi)
 
 
 def unfiltered_crossings(balls, w) -> int:

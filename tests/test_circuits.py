@@ -282,7 +282,7 @@ def test_deepest_caps_fall_back_to_small_gaps(k, cap_exp, depth, gmax):
 def test_refinement_certifies_gmax_steps_under_a_cap_inside_the_hull(prec):
     # the cap sits at the upper end of ell*(g + 1), inside its hull: only
     # that upper end shows that g + 1 steps are not certainly under it
-    chords = lattice_ladder(prec)[0]
+    chords = lattice_ladder(prec, MAX_RING_DEPTH)[0]
     for m in range(2, 15):
         for g in (4, 5, 6, 7):
             cap = Interval.exact((chords[m] * (g + 1)).hi, prec)
@@ -493,9 +493,11 @@ def test_ring_circuits_build_no_ring(monkeypatch):
 
 @pytest.mark.parametrize("prec", [16, 64, 128])
 def test_ladder_matches_the_edge_chain(prec):
-    chords, rotations = lattice_ladder(prec)
-    assert len(chords) == len(rotations) == max(prec, MAX_RING_DEPTH) + 9
-    assert lattice_ladder(prec) is lattice_ladder(prec)
+    # the depths its two readers ask for: the rings and trig's bisection
+    for depth in (MAX_RING_DEPTH, prec - 6):
+        chords, rotations = lattice_ladder(prec, depth)
+        assert len(chords) == len(rotations) == depth + 1
+        assert lattice_ladder(prec, depth) is lattice_ladder(prec, depth)
 
 
 def test_ring_depth_ceiling():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from archpi import cli, polygons
+from archpi import circuits, cli, polygons
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.interval import Interval
@@ -90,6 +91,22 @@ def test_circuit_report(capsys):
     measures = report["measures"]
     assert float(measures["perimeter_in"][1]) < float(measures["perimeter_circ"][0])
     assert float(measures["mesh"][1]) < 0.125
+
+
+def test_a_4096_bit_circuit_builds_only_the_ring_levels(monkeypatch, capsys):
+    # the ladder is keyed by precision and depth: a circuit builds the ring
+    # levels 0..MAX_RING_DEPTH it reads, and none deeper
+    built, rotation = [], circuits._rotation
+    monkeypatch.setattr(circuits, "_rotation",
+                        lambda c, terms: built.append(c) or rotation(c, terms))
+    circuits.lattice_ladder.cache_clear()
+    code, out = run_cli(["circuit", "--precision", "4096", "--mesh-cap-exp", "6"], capsys)
+    circuits.lattice_ladder.cache_clear()
+    assert code == 0
+    assert 0 < len(built) <= circuits.MAX_RING_DEPTH + 1
+    # the bytes that the former eager ladder, max(prec, MAX_RING_DEPTH) + 9 levels, gave
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0ebd5b62fff71dffdb9f55382faa1298b05b51bcd047e0c9c6af5ce38bddacd7")
 
 
 CIRCUIT_OVERLAP = ["circuit", "--points", "6", "--mesh-cap-exp", "4", "--seed", "442621",

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archpi import circuits, polygons, rational
-from archpi.circuits import Rotation, _ball_walk, _edge_terms, lattice_ladder
+from archpi.circuits import MAX_RING_DEPTH, Rotation, _ball_walk, _edge_terms, lattice_ladder
 from archpi.cli import main
 from archpi.dyadic import Dyadic, _rounded
 from archpi.errors import AmbiguousCrossing, ArchpiError, InvalidChord
@@ -147,9 +147,11 @@ def test_chord_error_paths_are_reached(c, fused, error):
 
 @pytest.mark.parametrize("prec", [16, 64, 128, 256])
 def test_ladder_is_the_interval_ladder(prec):
-    chords, rotations = lattice_ladder(prec)
-    expected = interval_ladder(prec, len(chords))
-    assert (_bits(chords), _bits(rotations)) == (_bits(expected[0]), _bits(expected[1]))
+    # at the depths its two readers ask for: the rings and trig's bisection
+    for depth in (MAX_RING_DEPTH, prec - 6):
+        chords, rotations = lattice_ladder(prec, depth)
+        expected = interval_ladder(prec, len(chords))
+        assert (_bits(chords), _bits(rotations)) == (_bits(expected[0]), _bits(expected[1]))
 
 
 def _counted_roots(monkeypatch):
@@ -175,7 +177,7 @@ def test_scheme_measures_form_one_root_per_level(n, m_max, monkeypatch):
 def test_ladder_forms_one_root_per_level(monkeypatch):
     # past the cache, so the ladder is built here whatever ran before
     calls = _counted_roots(monkeypatch)
-    chords, _ = lattice_ladder.__wrapped__(77)
+    chords, _ = lattice_ladder.__wrapped__(77, 77 - 6)
     assert len(calls) == len(chords)
 
 

@@ -178,6 +178,41 @@ def test_pi_digits_retries_with_a_higher_order_and_twice_the_bits(monkeypatch, c
     assert bound == romberg_error_bound(m0, k + 4)
 
 
+def test_a_kernel_that_never_agrees_gives_up_after_four_attempts(monkeypatch, cold_digits):
+    pi_digits(50)
+    calls = []
+    kernel = polygons._romberg_ends
+
+    def never_agrees(m0, k, frac_bits, bound):
+        calls.append((k, frac_bits, bound))
+        lo, hi = kernel(m0, k, frac_bits, bound)
+        # one unit of pi wider below: the ends truncate apart at every attempt
+        return lo - (1 << frac_bits), hi
+
+    monkeypatch.setattr(polygons, "_romberg_ends", never_agrees)
+    with pytest.raises(IterationCapExceeded):
+        pi_digits(100)
+    k, bits, _ = calls[0]
+    assert [(order, width) for order, width, _ in calls] == [
+        (k + 4 * i, bits << i) for i in range(4)]
+    assert [bound for _, _, bound in calls] == [
+        romberg_error_bound(polygons.ROMBERG_BASE_DEPTH, order) for order, _, _ in calls]
+    assert polygons._digit_string == machin_pi_digits(50).replace(".", "")
+
+
+@pytest.mark.parametrize("m0", [0, 5])
+def test_romberg_bound_forms_the_weights_denominator(m0):
+    # D = prod_{t=1..k} (4^t - 1), formed without the weights themselves
+    base = 9 << 2 * m0
+    for k in range(65):
+        _, denom = polygons._romberg_weights(k)
+        assert denom == math.prod(4**t - 1 for t in range(1, k + 1))
+        span = (2 * k + 5) * (2 * k + 6)
+        assert romberg_error_bound(m0, k) == Fraction(
+            span * base << 6 * k + 11,
+            base ** (k + 1) * denom * math.factorial(2 * k + 4) * (span * base - 64))
+
+
 def test_romberg_order_search_matches_the_scan():
     orders = [polygons._romberg_order(count) for count in range(1, DEFAULT_DIGIT_CAP + 1)]
     assert orders == [scanned_romberg_order(count)

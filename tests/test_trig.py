@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from archpi.circuits import lattice_ladder, step_by_chord, unit_start
 from archpi.dyadic import Dyadic
-from archpi.errors import FractionOutOfRange, ThetaOutOfRange
+from archpi.errors import ArchpiError, FractionOutOfRange, ThetaOutOfRange
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import edge_chain, pi_enclosure, two_pi_enclosure
 from archpi.trig import (
@@ -20,7 +20,7 @@ from archpi.trig import (
     sandwich_report,
 )
 
-from oracles import contains, trig_value
+from oracles import contains, tolerance_geometric_point, trig_value
 
 PREC = 64
 
@@ -103,14 +103,14 @@ def test_enclosure_width_tracks_precision():
         assert p.y.width() < Dyadic(1, 10 - prec)
 
 
-@pytest.mark.parametrize("prec", [16, 17, 32, 64, 128, 256, 1024])
+@pytest.mark.parametrize("prec", sorted({*range(3, 131), 16, 17, 32, 64, 128, 256, 1024}))
 def test_tolerance_break_is_the_ladders_level_prec_minus_6(prec):
-    # geometric_point stops at the first level above 0 whose chord is below
-    # 2^(8-prec); the ladder has that level, so it alone bounds the loop
-    chords = lattice_ladder(prec)[0]
+    # geometric_point's former loop stopped at the first level above 0 whose
+    # chord is below 2^(8-prec): the last level of the ladder it now reads
+    chords = lattice_ladder(prec, max(prec - 6, 1))[0]
     tol = Dyadic(1, 8 - prec)
     stop = next(level for level in range(1, len(chords)) if chords[level].hi < tol)
-    assert stop == prec - 6 < len(chords)
+    assert stop == max(prec - 6, 1) < len(chords)
 
 
 @given(st.integers(min_value=0, max_value=20), st.data())
@@ -233,3 +233,44 @@ def test_geometric_point_matches_the_stepwise_reference(prec):
     for theta in thetas:
         assert _point_bits(geometric_point(theta, prec)) == _point_bits(
             _reference_point(theta, prec)), theta
+
+
+def _outcome(locate, theta, prec):
+    """The point's bits, or the error's type and message."""
+    try:
+        return _point_bits(locate(theta, prec))
+    except ArchpiError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _thetas(draw):
+    """(theta, prec): theta within a few widths of 0, of the full turn or of
+    a lattice boundary (two_pi * count) / (3 * 2^level), either sign."""
+    prec = draw(st.sampled_from([16, 17, 32, 33, 64, 65, 128, 256]))
+    two_pi = two_pi_enclosure(prec)
+    near = draw(st.sampled_from(["zero", "turn", "boundary", "boundary"]))
+    if near == "zero":
+        center = Interval.exact(0, prec)
+    elif near == "turn":
+        center = two_pi
+    else:
+        level = draw(st.integers(0, prec - 6))
+        center = (two_pi * draw(st.integers(1, (3 << level) - 1))) / (3 << level)
+    # the ends step by quarters of the center's width, at least 2^-prec
+    quarter = max(center.width().as_fraction() / 4, Fraction(1, 1 << prec))
+    a = draw(st.integers(-12, 12))
+    b = a + draw(st.integers(-4, 12))
+    lo = center.lo.as_fraction() + a * quarter
+    theta = Interval.from_endpoints(lo, max(lo, center.hi.as_fraction() + b * quarter), prec)
+    return (-theta if draw(st.booleans()) else theta), prec
+
+
+@given(_thetas())
+@settings(max_examples=300, deadline=None)
+def test_geometric_point_is_the_tolerance_loop(case):
+    # the fixed count of levels walks exactly the levels the chord
+    # tolerance did, so every bit of both coordinates agrees
+    theta, prec = case
+    assert _outcome(geometric_point, theta, prec) == _outcome(
+        tolerance_geometric_point, theta, prec)
