@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 a check found a certain violation,
 size that yields no rows or is above its ceiling in ``suites.MOST``, a job
 count outside 1..256, a precision above
 the command's ceiling in ``PRECISION_CEILING`` or above what the chord solver
-takes, and an ``--output`` that cannot be written),
+takes, a ``--count`` outside 1..``DEFAULT_DIGIT_CAP``, a ``--theta`` that is
+not a fraction or whose decimal exponent lies beyond +-10000, and an
+``--output`` that cannot be written),
 3 inconclusive (interval
 overlap persisting at the precision cap, a winding whose crossings stay
 ambiguous on pieces of the chord enclosure one unit wide or disagree
@@ -20,7 +22,8 @@ the one place that writes such a report, names its inconclusive rows on
 stderr and picks the exit code: 1 if a row is violated, else 3 if a row is
 inconclusive (a shortfall, or a row whose verdicts overlap, by
 ``suites.checked``'s rule), else 0.  A ``circuit`` report is one row, judged
-by the circuit suites' sandwich rule on both of its measures.
+by the circuit suites' sandwich rule on both of its measures, against
+``pi_enclosure`` at the report's precision.
 Reports are deterministic for identical argv and seed.
 
 ``main`` hands a request whose first word names a command straight to that
@@ -41,6 +44,7 @@ import inspect
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -87,6 +91,13 @@ PRECISION_CEILING = {
     "trig": 4096,
     "sweep-rational": SOLVER_CEILING,
 }
+
+
+#: the largest decimal exponent ``trig --theta`` takes, either sign
+_THETA_EXPONENT_CAP = 10_000
+#: ``Fraction``'s decimal form; the group is its exponent's digits
+_THETA_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d+(?:_\d+)*)?)?"
+                             r"E[-+]?(\d+(?:_\d+)*)\s*", re.IGNORECASE)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -279,8 +290,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_digits(args) -> int:
-    if args.count > DEFAULT_DIGIT_CAP:
-        raise ValueError(f"--count must be at most {DEFAULT_DIGIT_CAP}, got {args.count}")
+    if not 1 <= args.count <= DEFAULT_DIGIT_CAP:
+        raise ValueError(f"--count must lie in 1..{DEFAULT_DIGIT_CAP}, got {args.count}")
     digits = pi_digits(args.count)
     if args.format == "text":
         _write(digits + "\n", args.output)
@@ -365,36 +376,33 @@ def _cmd_circuit(args) -> int:
     }
     if args.include_points:
         report["vertices"] = [p.serialize() for p in circuit.vertices]
-    return _finish(report, [_circuit_status(measures, prec)], args, prec,
-                   subject={"seed", "mesh_cap_exp"}, rows=[report])
-
-
-def _circuit_status(measures, prec: int) -> str:
-    """The circuit suites' sandwich rule on both measures, kept off the report.
-
-    Any enclosure of pi certifies what it separates, so pi is taken at
-    ``min(prec, 64)`` bits first, and at ``prec`` only when that leaves a
-    check open: above 64 bits the measures stand further from 2 pi and pi
-    than a 64-bit bracket is wide (``circuit --precision 8192`` would spend
-    3 s on pi alone).
-    """
-    for bits in sorted({min(prec, 64), prec}):
-        pi = pi_enclosure(bits)
-        status = checked({},
-                         *sandwich_checks(measures.perimeter_in, pi * 2, measures.perimeter_circ),
-                         *sandwich_checks(measures.area_in, pi, measures.area_circ))["status"]
-        if status != "inconclusive":
-            break
-    return status
+    # the circuit suites' sandwich rule on both measures, kept off the report
+    pi = pi_enclosure(prec)
+    status = checked({}, *sandwich_checks(measures.perimeter_in, pi * 2, measures.perimeter_circ),
+                     *sandwich_checks(measures.area_in, pi, measures.area_circ))["status"]
+    return _finish(report, [status], args, prec, subject={"seed", "mesh_cap_exp"},
+                   rows=[report])
 
 
 def _cmd_trig(args) -> int:
     prec = _precision(args, floor=32)
     if args.theta is not None:
+        # Fraction builds the power of ten before any check; as a mantissa
+        # has at most 4300 digits, the int-to-str limit, a value whose
+        # exponent lies beyond the cap is above a quarter turn or below
+        # 10^-5700, which no precision up to trig's ceiling resolves
+        exponent = _THETA_EXPONENT.fullmatch(args.theta)
+        if exponent:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > 5 or int(digits or "0") > _THETA_EXPONENT_CAP:
+                raise ValueError(f"--theta must have a decimal exponent in "
+                                 f"-{_THETA_EXPONENT_CAP}..{_THETA_EXPONENT_CAP}")
         try:
             theta = Fraction(args.theta)
         except ZeroDivisionError:
             raise ValueError(f"--theta {args.theta} has a zero denominator") from None
+        except ValueError as exc:
+            raise ValueError(f"--theta: {exc}") from None
         thetas = [Interval.from_fraction(theta, prec)]
     else:
         _require_size("k_max", args.k_max)

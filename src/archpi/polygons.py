@@ -15,9 +15,11 @@ truncation error that falls superlinearly in k, brackets pi^2
 2 cos(pi/N), the nested radical of Viete's formula, as an integer ball at
 scale 2^-G, with one integer square root per halving; as s_m^2 = 2 + s_(m-1),
 each node reads Q_m = 4^m ell_m^2 = 4^m (2 - s_(m-1)) off it unsquared.
-``pi_digits`` certifies digits from the integer ends of pi, and keeps the
-longest digit string it has certified in the process: a shorter count is
-that string's prefix, and is served from it.
+``pi_enclosure``, the pi the package computes with, rounds the Romberg bracket
+outward to one ulp, and ``pi_digits`` certifies digits from its integer
+ends; ``_certified_order`` picks the order for both.  ``pi_digits`` keeps
+the longest digit string it has certified in the process: a shorter count
+is that string's prefix, and is served from it.
 """
 
 from __future__ import annotations
@@ -201,20 +203,6 @@ def pi_bounds(scheme: RegularScheme, prec: int) -> Interval:
 
 
 @lru_cache(maxsize=64)
-def pi_enclosure(prec: int) -> Interval:
-    """Cached pi enclosure from the triangle scheme, tight at ``prec`` bits.
-
-    Depth prec//2 + 8 drives the bracket width below the rounding floor,
-    so the result is limited by precision, not refinement depth.
-    """
-    return pi_bounds(RegularScheme(3, prec // 2 + 8), prec + 16).with_prec(prec)
-
-
-def two_pi_enclosure(prec: int) -> Interval:
-    return pi_enclosure(prec) * 2
-
-
-@lru_cache(maxsize=64)
 def _romberg_weights(k: int) -> tuple:
     """Integers (W_0 .. W_k) and D with W_i/D the Lagrange weight at h = 0
     of the nodes h_i = h_0 4^-i: w_i = prod_{l != i} h_l/(h_l - h_i).
@@ -366,6 +354,32 @@ def _romberg_order(count: int) -> int:
     return bisect_left(range(k), True, lo=k // 2, key=below)
 
 
+def _certified_order(count: int) -> tuple:
+    """The least order k whose exact ``romberg_error_bound`` from depth
+    ``ROMBERG_BASE_DEPTH`` is below 10^-(count+2), and that bound: from
+    ``_romberg_order``'s estimate, which never exceeds the bound, upward."""
+    k = _romberg_order(count)
+    target = Fraction(1, 10 ** (count + 2))
+    while (bound := romberg_error_bound(ROMBERG_BASE_DEPTH, k)) >= target:
+        k += 1
+    return k, bound
+
+
+@lru_cache(maxsize=64)
+def pi_enclosure(prec: int) -> Interval:
+    """Cached pi enclosure at ``prec`` bits (one ulp wide at each up to
+    8192): the Romberg bracket at prec + 16 fraction bits, of the order
+    ``_certified_order`` gives for ceil((prec + 16) log10 2) digits,
+    rounded outward."""
+    bits = prec + 16
+    k, _ = _certified_order(math.ceil(bits * math.log10(2)))
+    return romberg_bounds(ROMBERG_BASE_DEPTH, k, bits).with_prec(prec)
+
+
+def two_pi_enclosure(prec: int) -> Interval:
+    return pi_enclosure(prec) * 2
+
+
 def _decimal(n: int) -> str:
     """str(n) for n >= 0, in chunks under the interpreter's int-to-str limit."""
     chunks = []
@@ -416,10 +430,7 @@ def _romberg_digits(count: int) -> str:
     accepted when both integer ends truncate to the same string; otherwise
     k rises by 4 and the precision doubles, for at most four attempts.
     """
-    k = _romberg_order(count)
-    target = Fraction(1, 10 ** (count + 2))
-    while (bound := romberg_error_bound(ROMBERG_BASE_DEPTH, k)) >= target:
-        k += 1
+    k, bound = _certified_order(count)
     # log2(10) < 10/3 bits per digit, and guard bits
     prec = max(64, 10 * count // 3 + 32)
     scale = 10 ** (count - 1)

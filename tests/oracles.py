@@ -29,7 +29,10 @@ These are the only oracles built on archpi.
 ``per_draw_circuit`` is ``random_circuit``'s former loop, one ``randint``
 per vertex, the reference for its bulk gap draws.  ``scanned_romberg_order``
 is ``polygons._romberg_order``'s former scan, one k at a time, the
-reference for its search.  Nothing here is imported by the library.
+reference for its search.  ``chain_pi_enclosure`` is
+``polygons.pi_enclosure``'s former formula, Archimedes' bracket from the
+``Interval`` chain, the reference for its Romberg bracket.  Nothing here is
+imported by the library.
 """
 
 import math
@@ -43,8 +46,8 @@ from archpi.circuits import (MAX_RING_DEPTH, CircuitMeasures, Rotation, _ball_wa
 from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, AntipodalTangents, ClosureFailure, ThetaOutOfRange
 from archpi.interval import Interval, Verdict, compare_certain
-from archpi.polygons import (ROMBERG_BASE_DEPTH, SchemeMeasures, require_chord, seed_edge,
-                             two_pi_enclosure, vertex_gap)
+from archpi.polygons import (ROMBERG_BASE_DEPTH, RegularScheme, SchemeMeasures, pi_bounds,
+                             require_chord, seed_edge, two_pi_enclosure, vertex_gap)
 from archpi.rational import _ball_crosses, gamma_path
 from archpi.trig import _inflate, _lattice_verdict, _theta_slack
 
@@ -358,3 +361,9 @@ def scanned_romberg_order(count: int) -> int:
            - math.lgamma(2 * k + 5) / math.log(10)) >= -(count + 2):
         k += 1
     return k
+
+
+def chain_pi_enclosure(prec: int) -> Interval:
+    """Archimedes' bracket of the triangle at depth prec//2 + 8 and
+    prec + 16 bits, rounded outward to ``prec`` bits."""
+    return pi_bounds(RegularScheme(3, prec // 2 + 8), prec + 16).with_prec(prec)

@@ -129,19 +129,17 @@ def test_circuit_exit_code_is_the_sandwich_rule(monkeypatch, capsys):
     assert captured.err == "inconclusive: seed 442621, mesh_cap_exp 4 at 16 bits: overlap\n"
     # at 64 bits it separates from 2 pi and pi
     assert run_cli(CIRCUIT_OVERLAP[:-1] + ["64"], capsys)[0] == 0
-    # above 64 bits pi is taken at the report's precision only when the
-    # 64-bit bracket leaves a check open; here [3, 4] leaves all four open
-    asked, real = [], cli.pi_enclosure
+    # pi is taken once, at the report's precision; [3, 4] there leaves all
+    # four checks open
+    asked = []
 
-    def recorded(bits, wide=False):
+    def recorded(bits):
         asked.append(bits)
-        return Interval(Dyadic(3), Dyadic(4), bits) if wide and bits == 64 else real(bits)
+        return Interval(Dyadic(3), Dyadic(4), bits)
 
     monkeypatch.setattr(cli, "pi_enclosure", recorded)
-    assert run_cli(CIRCUIT_OVERLAP[:-1] + ["128"], capsys)[0] == 0
-    monkeypatch.setattr(cli, "pi_enclosure", lambda bits: recorded(bits, wide=True))
-    assert run_cli(CIRCUIT_OVERLAP[:-1] + ["128"], capsys)[0] == 0
-    assert asked == [64, 64, 128]
+    assert run_cli(CIRCUIT_OVERLAP[:-1] + ["128"], capsys)[0] == 3
+    assert asked == [128]
     # against a wrong pi, 4, the sandwich certainly fails
     monkeypatch.setattr(cli, "pi_enclosure", lambda prec: Interval.exact(Dyadic(4), prec))
     assert run_cli(CIRCUIT_OVERLAP[:-1] + ["64"], capsys)[0] == 1
@@ -310,6 +308,23 @@ def test_digits_above_cap_exits_2(capsys):
     assert "--count" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_digits_count_below_one_names_the_flag(count, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pi_digits", _reached)
+    code, err = run_cli_err(["digits", "--count", count], capsys)
+    assert code == 2
+    assert err == f"error: --count must lie in 1..{cli.DEFAULT_DIGIT_CAP}, got {count}\n"
+
+
+@pytest.mark.parametrize("theta", ["0x10", "1/2/3", "0." + "1" * 4301, "1e" + "0" * 4301 + "1"],
+                         ids=["hex", "two-slashes", "long-mantissa", "long-exponent"])
+def test_trig_theta_that_is_not_a_fraction_names_the_flag(theta, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sandwich_report", _reached)
+    code, err = run_cli_err(["trig", "--theta", theta], capsys)
+    assert code == 2
+    assert err.startswith("error: --theta: ")
+
+
 @pytest.mark.parametrize("precision", ["8", "99999999"])
 def test_digits_takes_no_precision(precision, capsys):
     # pi_digits sets its own bits from --count, so the flag is refused
@@ -416,6 +431,21 @@ def test_precision_above_the_ceiling_exits_2_before_work(args, body, source,
     assert err.startswith(f"error: {source} must be at most {ceiling} bits for {args[0]}")
     with pytest.raises(_Reached):
         run(ceiling)
+
+
+@pytest.mark.parametrize("theta", ["1e-20000", "1e20000", "-1E+1_0_001", " 5.5e-0010001 ",
+                                   "1e" + "9" * 5000],
+                         ids=["small", "large", "underscores", "padded", "long-exponent"])
+def test_trig_theta_exponent_beyond_the_cap_exits_2_before_work(theta, monkeypatch, capsys):
+    # Fraction would build the power of ten before any check: only the stub
+    # runs, and only at the cap itself
+    monkeypatch.setattr(cli, "sandwich_report", _reached)
+    code, err = run_cli_err(["trig", f"--theta={theta}"], capsys)
+    assert code == 2
+    assert err == "error: --theta must have a decimal exponent in -10000..10000\n"
+    for edge in ("1e-10000", "1e10_000", "0.5E+0010000"):
+        with pytest.raises(_Reached):
+            main(["trig", "--theta", edge])
 
 
 #: each size flag, its ``suites.MOST`` key, and the first call of the body

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import mpmath
@@ -31,7 +32,8 @@ from archpi.polygons import (
     vertex_gap,
 )
 
-from oracles import contains, machin_pi_digits, scanned_romberg_order, trig_chord
+from oracles import (chain_pi_enclosure, contains, machin_pi_digits, scanned_romberg_order,
+                     trig_chord)
 
 PREC = 96
 
@@ -117,6 +119,56 @@ def test_pi_bounds_and_enclosure():
     assert contains(enc, "3.14159265358979323846264338327950288419716939937510")
     assert enc.width() < Dyadic(1, -100)
     assert contains(two_pi_enclosure(64), "6.2831853071795864769252867665590057683943387987502")
+
+
+def test_pi_enclosure_is_the_chain_bracket_to_400_bits():
+    # below 601 bits the Romberg bracket rounds to the former chain's bits
+    for prec in range(1, 401):
+        enc, chain = pi_enclosure(prec), chain_pi_enclosure(prec)
+        assert (enc.lo, enc.hi, enc.prec) == (chain.lo, chain.hi, chain.prec), prec
+
+
+@lru_cache(maxsize=1)
+def _machin_pi_ends():
+    """Integers t, t + 1 and a scale 10^d with t/10^d <= pi < (t + 1)/10^d,
+    from 2,700 digits: enough for pi's bits to 8,192 bits and beyond."""
+    text = machin_pi_digits(2700).replace(".", "")
+    return int(text), int(text) + 1, 10 ** (len(text) - 1)
+
+
+def _pi_floor(prec):
+    """floor(pi 2^(prec-2)), certain: both Machin ends give the same floor."""
+    lo, hi, scale = _machin_pi_ends()
+    floor = (lo << prec - 2) // scale
+    assert floor == (hi << prec - 2) // scale, prec
+    return floor
+
+
+#: the precisions to 1,056 bits at which the chain's bracket is two ulps
+#: wide: pi has a long run of equal bits just past bit prec
+_TWO_ULP_CHAIN = [646, 647, 648, 649, 726, 819, 820, 903, 904, 905, 906, 1042, 1043, 1056]
+
+
+@pytest.mark.parametrize("prec", _TWO_ULP_CHAIN)
+def test_pi_enclosure_is_the_half_of_a_two_ulp_chain_bracket_that_holds_pi(prec):
+    enc, chain = pi_enclosure(prec), chain_pi_enclosure(prec)
+    ulp = Fraction(1, 1 << prec - 2)
+    lo, hi = chain.lo.as_fraction(), chain.hi.as_fraction()
+    assert hi - lo == 2 * ulp
+    half = Fraction(_pi_floor(prec), 1 << prec - 2)
+    assert half in (lo, lo + ulp)
+    assert (enc.lo.as_fraction(), enc.hi.as_fraction(), enc.prec) == (half, half + ulp, prec)
+
+
+def test_pi_enclosure_is_one_ulp_around_pi():
+    # [floor(pi 2^(p-2)), that + 1] 2^(2-p) at every p to 1,100 bits, at the
+    # ends of the precision ceilings, and at seeded draws to 8,192 bits
+    draws = random.Random(30).sample(range(1101, 8193), 20)
+    for prec in [*range(2, 1101), 2048, 4095, 4096, 8192, *draws]:
+        floor, enc = _pi_floor(prec), pi_enclosure(prec)
+        assert enc.prec == prec
+        assert enc.lo.as_fraction() == Fraction(floor, 1 << prec - 2), prec
+        assert enc.hi.as_fraction() == Fraction(floor + 1, 1 << prec - 2), prec
 
 
 def test_pi_digits_against_machin():
