@@ -254,9 +254,7 @@ class Circuit:
     @staticmethod
     def from_regular_indices(m: int, indices: Sequence[int], prec: int) -> "Circuit":
         """Circuit through the given vertices of the 3*2^m-gon ring."""
-        if not 0 <= m <= MAX_RING_DEPTH:
-            raise PreconditionViolation(
-                f"ring depth must lie in 0..{MAX_RING_DEPTH}, got {m}")
+        _require_depth(m)
         n = 3 << m
         idx = sorted(set(i % n for i in indices))
         gaps = [(b - a) % n for a, b in zip(idx, idx[1:] + idx[:1])]
@@ -327,13 +325,21 @@ def circuit_measures(circuit: Circuit) -> CircuitMeasures:
     )
 
 
+def _require_depth(m: int) -> None:
+    """Reject a ring depth outside 0..``MAX_RING_DEPTH``, the ladder's levels."""
+    if not 0 <= m <= MAX_RING_DEPTH:
+        raise PreconditionViolation(f"ring depth must lie in 0..{MAX_RING_DEPTH}, got {m}")
+
+
 def regular_ring(m: int, prec: int) -> List[CirclePoint]:
     """All 3*2^m vertices of the regular triangle refinement."""
+    _require_depth(m)
     return list(ring_walk(m, prec, (3 << m) - 1))
 
 
 def ring_walk(m: int, prec: int, k: int) -> Iterator[CirclePoint]:
-    """The first k + 1 vertices, from (1, 0), of the 3*2^m-gon ring, m <= MAX_RING_DEPTH."""
+    """The first k + 1 vertices, from (1, 0), of the 3*2^m-gon ring, 0 <= m <= MAX_RING_DEPTH."""
+    _require_depth(m)
     return walk(unit_start(prec), lattice_ladder(prec, MAX_RING_DEPTH)[1][m], k)
 
 

@@ -33,7 +33,9 @@ command, or words the command's parser leaves over) goes through the full
 parser, so its usage message and exit code are the ones argparse gives.  A
 JSON report is ``json.dumps(report, indent=2, default=str)``, joined by
 ``_json`` rather than by the standard library's pure-Python indenting
-encoder.
+encoder; a ``sweep-rational`` report joins the text each realized pair
+keeps, ``RationalLength.sweep_text``, so a warm one encodes only its
+shortfall rows.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .errors import SHORTFALLS, ArchpiError, PrecisionCeiling
 from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, pi_enclosure, scheme_measures)
-from .rational import coprime_pairs, realize_rational
+from .rational import _RowText, coprime_pairs, realize_rational
 from .suites import (DEFAULT_SEED, LEAST, LESS, MAX_JOBS, MOST, SUITES, checked,
                      run_suite, sandwich_checks, shortfall_row)
 from .trig import sandwich_report
@@ -129,8 +131,16 @@ def _json(value, indent: str = "") -> str:
     it writes them, and containers are joined.  Any other value, or a dict
     with a key that is not a str, is left to ``json.dumps``: JSON text holds
     no raw newline inside a string, so indenting its lines is exact.
+
+    A ``rational._RowText`` is JSON text already indented for an item of a
+    report's ``rows`` list, and is written out as it is.  Under a dict with
+    a key that is not a str it would go to ``json.dumps`` and be quoted;
+    ``sweep-rational``, the one report that holds such text, builds no such
+    dict.
     """
     if isinstance(value, str):
+        if type(value) is _RowText:
+            return value
         return encode_basestring_ascii(value)
     if type(value) is int:
         return repr(value)
@@ -431,29 +441,23 @@ def _cmd_trig(args) -> int:
 def _cmd_sweep_rational(args) -> int:
     _require_size("max_n", args.max_n)
     prec = _precision(args)
-    rows = []
+    rows, statuses = [], []
     for k, N in coprime_pairs(args.max_n):
         try:
-            chord, inscribed, circumscribed, winding = realize_rational(k, N, prec).sweep_row
-            row = {
-                "k": k,
-                "N": N,
-                "chord": list(chord),
-                "inscribed": list(inscribed),
-                "circumscribed": list(circumscribed),
-                "winding": winding,
-            }
+            pair = realize_rational(k, N, prec)
+            # a JSON report joins the row text the pair keeps
+            rows.append(pair.sweep_text if args.format == "json" else pair.sweep_dict())
+            statuses.append("ok")
         except SHORTFALLS as exc:
-            row = shortfall_row({"k": k, "N": N}, prec, exc)
-        rows.append(row)
+            rows.append(shortfall_row({"k": k, "N": N}, prec, exc))
+            statuses.append("inconclusive")
     report = {
         "command": "sweep-rational",
         "max_n": args.max_n,
         "precision": prec,
         "rows": rows,
     }
-    return _finish(report, ["inconclusive" if "error" in row else "ok" for row in rows],
-                   args, prec)
+    return _finish(report, statuses, args, prec)
 
 
 def build_parser() -> argparse.ArgumentParser:

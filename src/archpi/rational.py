@@ -8,15 +8,16 @@ the chord enclosure.
 
 ``realize_rational`` is cached per (k, N, prec), and the ``RationalLength``
 it returns keeps each measure it forms: the chord's root and rotation, its
-two normalized lengths, its winding and its sweep row's decimals.  So a
-pair's measures are formed once per process, however many sweeps, suite
-runs and adjacent comparisons read them.  A measure that falls short of
-precision raises and is kept nowhere; reading it again forms it again,
-with the same error.
+two normalized lengths, its winding, its sweep row's decimals and that
+row's JSON text.  So a pair's measures are formed once per process, however
+many sweeps, suite runs and adjacent comparisons read them.  A measure that
+falls short of precision raises and is kept nowhere; reading it again forms
+it again, with the same error.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -38,6 +39,10 @@ from .interval import Interval, Verdict, compare_certain
 from .polygons import _chord_root, _tangent_edge, require_chord, seed_edge
 
 
+class _RowText(str):
+    """JSON text that ``cli._json`` writes out as it is, not as a string."""
+
+
 @dataclass(frozen=True)
 class RationalLength:
     """Chord spanning k steps of a regular N-gon, gcd(k, N) = 1.
@@ -45,8 +50,8 @@ class RationalLength:
     Each measure is formed the first time it is read, and kept: the chord's
     square root sqrt(4 - chord^2), shared by its rotation and its root; the
     ``inscribed`` and ``circumscribed`` normalized lengths; the ``winding``;
-    and the decimal ``sweep_row``.  A measure whose formation raises is not
-    kept.
+    the decimal ``sweep_row``; and its JSON text, ``sweep_text``.  A measure
+    whose formation raises is not kept.
     """
 
     k: int
@@ -91,6 +96,19 @@ class RationalLength:
         in tuples that nothing can change."""
         return (self.chord.decimal_pair(17), self.inscribed.decimal_pair(17),
                 self.circumscribed.decimal_pair(17), self.winding)
+
+    def sweep_dict(self) -> dict:
+        """The ``sweep-rational`` row, k, N and ``sweep_row``, as a new dict."""
+        chord, inscribed, circumscribed, winding = self.sweep_row
+        return {"k": self.k, "N": self.N, "chord": list(chord), "inscribed": list(inscribed),
+                "circumscribed": list(circumscribed), "winding": winding}
+
+    @cached_property
+    def sweep_text(self) -> str:
+        """``json.dumps(self.sweep_dict(), indent=2)`` at the indent of an
+        item of a report's ``rows`` list, four spaces, as a ``_RowText``:
+        ``cli._json`` writes it there as it is."""
+        return _RowText(json.dumps(self.sweep_dict(), indent=2).replace("\n", "\n    "))
 
     @property
     def numerator(self) -> int:

@@ -6,18 +6,26 @@ The requests come from ``bench/workloads.py`` and are hashed as
 ``bench/run.py``'s ``digest()`` hashes them, with every ``ARCHPI_*``
 variable unset, as the benchmark runs.  A kernel or algorithm change that
 alters any byte of any report changes the digest.
+
+The first block is replayed on nothing kept, as in the benchmark's fresh
+process; it fills what the process keeps, and the blocks after it are
+served from that.  So the second circle-walks block, replayed on what the
+first kept and again on nothing kept, must give the same bytes.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
+from archpi import polygons
 from archpi.cli import main
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -29,22 +37,62 @@ SEED_ONE_DIGESTS = {
 }
 
 
-def _first_block(workload, seed):
+def _workloads():
     spec = importlib.util.spec_from_file_location("archpi_bench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.first_block(workload, seed)
+    return module
+
+
+def _unset_archpi_variables(monkeypatch):
+    for name in [name for name in os.environ if name.startswith("ARCHPI_")]:
+        monkeypatch.delenv(name)
+
+
+def _replay(block):
+    """(argv, exit code, stdout, stderr) of each request of ``block``."""
+    runs = []
+    for argv in block:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        runs.append((argv, code, out.getvalue(), err.getvalue()))
+    return runs
+
+
+def _forget_everything_kept():
+    """Clear every ``lru_cache`` of the package and its kept digit string."""
+    for module in [module for name, module in sys.modules.items()
+                   if name.startswith("archpi.")]:
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) == module.__name__ and hasattr(
+                    value, "cache_clear"):
+                value.cache_clear()
+    polygons._digit_string = ""
+
+
+def test_second_circle_walks_block_is_the_same_warm_and_cold(monkeypatch):
+    _unset_archpi_variables(monkeypatch)
+    workloads = _workloads()
+    first = workloads.first_block("circle-walks", 1)
+    stream = workloads.stream("circle-walks", 1)
+    assert list(itertools.islice(stream, len(first))) == first
+    second = list(itertools.islice(stream, len(first)))
+    _forget_everything_kept()
+    _replay(first)
+    warm = _replay(second)
+    _forget_everything_kept()
+    cold = _replay(second)
+    assert warm == cold
 
 
 @pytest.mark.parametrize("workload", sorted(SEED_ONE_DIGESTS))
 def test_seed_one_first_block_digest(workload, monkeypatch):
-    for name in [name for name in os.environ if name.startswith("ARCHPI_")]:
-        monkeypatch.delenv(name)
+    _unset_archpi_variables(monkeypatch)
+    # nothing kept, as in the benchmark's fresh process
+    _forget_everything_kept()
     h = hashlib.sha256()
-    for argv in _first_block(workload, 1):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+    for argv, code, out, _ in _replay(_workloads().first_block(workload, 1)):
         h.update(json.dumps([argv, code]).encode())
-        h.update(out.getvalue().encode())
+        h.update(out.encode())
     assert h.hexdigest() == SEED_ONE_DIGESTS[workload]

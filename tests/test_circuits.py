@@ -19,6 +19,7 @@ from archpi.circuits import (
     distance,
     random_circuit,
     regular_ring,
+    ring_walk,
     step_by_chord,
     tangent_intersection,
     lattice_ladder,
@@ -409,6 +410,25 @@ def test_fused_step_across_zero_matches_the_interval_expression(prec):
 
 def test_regular_ring_has_every_vertex():
     assert len(regular_ring(3, PREC)) == 24
+
+
+@pytest.mark.parametrize("m", [-1, MAX_RING_DEPTH + 1])
+def test_a_ring_depth_outside_the_ladder_is_rejected(m):
+    message = f"ring depth must lie in 0..{MAX_RING_DEPTH}, got {m}"
+    with pytest.raises(PreconditionViolation, match=message):
+        ring_walk(m, PREC, 2)
+    with pytest.raises(PreconditionViolation, match=message):
+        regular_ring(m, PREC)
+
+
+def test_the_ladder_ends_are_ring_depths():
+    # the triangle, and the first step of the deepest ring
+    triangle = [p.serialize() for p in regular_ring(0, PREC)]
+    assert len(triangle) == 3
+    assert triangle == [p.serialize() for p in ring_walk(0, PREC, 2)]
+    start, step = ring_walk(MAX_RING_DEPTH, PREC, 1)
+    assert start.serialize() == unit_start(PREC).serialize()
+    assert step.serialize() == lattice_ladder(PREC, MAX_RING_DEPTH)[1][-1](start).serialize()
 
 
 MEASURES = ("perimeter_in", "perimeter_circ", "area_in", "area_circ", "mesh", "min_edge")

@@ -161,6 +161,29 @@ def test_warm_and_cold_rational_reports_are_identical(args, capsys):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("sizes", [["--max-n", "16"], ["--max-n", "20", "--precision", "16"]],
+                         ids=["sweep", "sweep-shortfalls"])
+def test_warm_and_cold_sweep_reports_are_identical_in_every_format(sizes, fmt, output,
+                                                                   tmp_path, capsys):
+    # after a JSON sweep has kept each pair's row text, then on an empty cache
+    argv = ["sweep-rational", *sizes, "--format", fmt]
+    report = tmp_path / "report"
+    if output:
+        argv += ["--output", str(report)]
+    runs = []
+    for clear in (False, True):
+        if clear:
+            realize_rational.cache_clear()
+        else:
+            main(["sweep-rational", *sizes])
+            capsys.readouterr()
+        code = main(argv)
+        runs.append((code, *capsys.readouterr(), report.read_text() if output else None))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("count", ["1", "2", "57", "600", "0"])
 def test_warm_and_cold_digits_reports_are_identical(count, fmt, capsys):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archpi import cli
+from archpi.rational import coprime_pairs, realize_rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -178,3 +179,26 @@ def _containers(children):
 @example([{"k": _OnlyStr()}, Fraction(1, 3), (1, (2, ()))])
 def test_json_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2, default=str)
+
+
+_PAIRS = coprime_pairs(16)
+_PLAIN = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), st.text()),
+                      lambda children: st.one_of(st.lists(children, max_size=3),
+                                                 st.dictionaries(st.text(), children,
+                                                                 max_size=3)),
+                      max_leaves=8)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_PAIRS), _PLAIN), max_size=6),
+       st.dictionaries(st.text(), _PLAIN, max_size=3))
+@example([(1, 3), {"k": 2, "N": 5, "error": "InvalidChord"}, (2, 5)], {"max_n": 5})
+def test_kept_row_text_joins_as_json_dumps(items, fields):
+    # a pair in the rows is its kept text in the report and its dict in the
+    # plain one; every other row is the same value in both
+    pairs = [realize_rational(*item, 64) if type(item) is tuple else None for item in items]
+    report = {**fields, "rows": [pair.sweep_text if pair else item
+                                 for pair, item in zip(pairs, items)]}
+    plain = {**fields, "rows": [pair.sweep_dict() if pair else item
+                                for pair, item in zip(pairs, items)]}
+    assert cli._json(report) == json.dumps(plain, indent=2)

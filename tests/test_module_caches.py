@@ -1,6 +1,6 @@
 """Every ``functools`` cache in the package is bounded by an explicit
 integer ``maxsize``, and the README's cache bullet names every cache the
-package keeps.
+package keeps and every public ``cached_property``.
 
 A cache keeps its results for the life of the process, so one without a
 bound grows with every distinct argument a long-lived caller sends.  The
@@ -114,13 +114,49 @@ def test_kept_names_are_found():
     assert kept_names(source) == {"cached", "forever", "_kept"}
 
 
+def kept_properties(source):
+    """The public ``cached_property`` names of ``source``: what an instance
+    keeps for as long as it lives."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and any(_name(use) == "cached_property" for use in node.decorator_list)}
+
+
+def test_kept_properties_are_found():
+    source = ("import functools\n"
+              "from functools import cached_property, lru_cache\n"
+              "class C:\n"
+              "    @cached_property\n"
+              "    def kept(self): return 1\n"
+              "    @functools.cached_property\n"
+              "    def qualified(self): return 1\n"
+              "    @cached_property\n"
+              "    def _private(self): return 1\n"
+              "    @property\n"
+              "    def formed(self): return 1\n"
+              "    @lru_cache(maxsize=1)\n"
+              "    def cached(self): return 1\n")
+    assert kept_properties(source) == {"kept", "qualified"}
+
+
+def _cache_bullet():
+    """The README bullet that lists the caches, up to the next bullet."""
+    text = README.read_text()
+    start = text.index("- Every cache the process keeps")
+    return text[start:text.index("\n- ", start)]
+
+
 def test_the_readme_names_every_kept_cache():
     kept = {f"{path.stem}.{name}" for path in MODULES
             for name in kept_names(path.read_text())}
     # the digit string is found, so the search reads a rebinding
     assert "polygons._digit_string" in kept
-    # the bullet that lists the caches, up to the next bullet
-    text = README.read_text()
-    start = text.index("- Every cache the process keeps")
-    bullet = text[start:text.index("\n- ", start)]
+    bullet = _cache_bullet()
+    assert {name for name in kept if f"`{name}`" not in bullet} == set()
+
+
+def test_the_readme_names_every_kept_property():
+    kept = {name for path in MODULES for name in kept_properties(path.read_text())}
+    assert "sweep_text" in kept
+    bullet = _cache_bullet()
     assert {name for name in kept if f"`{name}`" not in bullet} == set()

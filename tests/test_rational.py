@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from archpi import chords, circuits, polygons, rational
+from archpi import chords, circuits, cli, polygons, rational
 from archpi.cli import main
 from archpi.circuits import Rotation, _ball_walk
 from archpi.dyadic import Dyadic
@@ -425,6 +425,28 @@ def test_a_second_sweep_writes_no_decimal(monkeypatch, cold_rational):
     # the kept row is tuples, which no reader of it can change
     row = realize_rational(1, 5, 64).sweep_row
     assert all(type(part) is tuple for part in row[:3]) and row[3] == 1
+
+
+def test_a_second_sweep_joins_only_kept_row_text(monkeypatch, cold_rational):
+    argv = ["sweep-rational", "--max-n", "16"]
+    assert _sweep(argv) == 0
+    formed = _count_calls(monkeypatch, RationalLength, "sweep_dict")
+    joined = _count_calls(monkeypatch, cli, "_json")
+    assert _sweep(argv) == 0
+    assert formed == []
+    # no realized row is joined again: each is its pair's kept text
+    assert [value for value, *_ in joined if isinstance(value, dict) and "k" in value] == []
+    kept = [value for value, *_ in joined if type(value) is rational._RowText]
+    assert kept == [realize_rational(k, N, PREC).sweep_text for k, N in coprime_pairs(16)]
+
+
+def test_a_shortfall_sweep_text_is_not_kept(cold_rational):
+    # (7, 18) at 16 bits: its winding falls short, and so does its row text
+    r = realize_rational(7, 18, 16)
+    for _ in range(2):
+        with pytest.raises(AmbiguousCrossing):
+            r.sweep_text
+    assert "sweep_text" not in vars(r) and "sweep_row" not in vars(r)
 
 
 def test_a_shortfall_sweep_row_is_not_kept(monkeypatch, cold_rational):
