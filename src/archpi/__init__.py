@@ -54,9 +54,7 @@ from .rational import (
     winding_count,
 )
 from .trig import (
-    ArcMeasure,
     SandwichReport,
-    arc_measure,
     geometric_cos,
     geometric_point,
     geometric_sin,
@@ -109,8 +107,6 @@ __all__ = [
     "normalized_compare",
     "normalized_length",
     "coprime_pairs",
-    "ArcMeasure",
-    "arc_measure",
     "geometric_point",
     "geometric_sin",
     "geometric_cos",

@@ -38,10 +38,6 @@ class CirclePoint:
         self.x = x
         self.y = y
 
-    def on_circle(self) -> bool:
-        """Certified membership: x^2 + y^2 must contain 1."""
-        return (self.x * self.x + self.y * self.y).contains(1)
-
     def reflect(self) -> "CirclePoint":
         return CirclePoint(self.x, -self.y)
 

@@ -53,10 +53,6 @@ class HypothesisUnordered(ArchpiError):
     """The two chords being compared cannot be certifiably ordered."""
 
 
-class FractionOutOfRange(ArchpiError):
-    """Circle fraction outside [0, 1)."""
-
-
 class ThetaOutOfRange(ArchpiError):
     """Arclength argument outside the supported range."""
 

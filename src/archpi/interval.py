@@ -188,10 +188,6 @@ class Interval:
             self.hi.decimal(frac_digits, up=True),
         )
 
-    def serialize(self, frac_digits: int = 17) -> str:
-        lo, hi = self.decimal_pair(frac_digits)
-        return f"[{lo}, {hi}] @{self.prec}"
-
     def __repr__(self) -> str:
         lo, hi = self.decimal_pair(12)
         return f"Interval({lo}, {hi}, prec={self.prec})"

@@ -110,16 +110,6 @@ class RationalLength:
         ``cli._json`` writes it there as it is."""
         return _RowText(json.dumps(self.sweep_dict(), indent=2).replace("\n", "\n    "))
 
-    @property
-    def numerator(self) -> int:
-        """Steps until the stepping path first closes."""
-        return self.N
-
-    @property
-    def denominator(self) -> int:
-        """Windings of the closed path around the center."""
-        return self.k
-
 
 @lru_cache(maxsize=64)
 def _ngon_vertices(N: int, prec: int) -> Tuple[CirclePoint, ...]:
@@ -276,12 +266,12 @@ def normalized_compare(
     Circumscribed: the tangent counterparts reverse the inequality.  Each
     side is the pair's kept ``inscribed`` or ``circumscribed`` length.
     """
+    if mode not in ("inscribed", "circumscribed"):
+        raise PreconditionViolation(f"unknown mode {mode!r}")
     order = compare_certain(a.chord, b.chord)
     if order is Verdict.OVERLAP:
         raise HypothesisUnordered("chords cannot be certifiably ordered")
     larger, smaller = (a, b) if order is Verdict.CERTAINLY_GREATER else (b, a)
-    if mode not in ("inscribed", "circumscribed"):
-        raise PreconditionViolation(f"unknown mode {mode!r}")
     lhs, rhs = getattr(larger, mode), getattr(smaller, mode)
     return NormalizedCompare(compare_certain(lhs, rhs), lhs, rhs)
 
@@ -299,9 +289,5 @@ def normalized_length(r: RationalLength, mode: str = "inscribed") -> Interval:
 
 def coprime_pairs(max_n: int) -> List[Tuple[int, int]]:
     """All (k, N) with N <= max_n, 1 <= k < N/2, gcd(k, N) = 1."""
-    pairs = []
-    for N in range(3, max_n + 1):
-        for k in range(1, (N + 1) // 2):
-            if 2 * k < N and math.gcd(k, N) == 1:
-                pairs.append((k, N))
-    return pairs
+    return [(k, N) for N in range(3, max_n + 1) for k in range(1, (N + 1) // 2)
+            if math.gcd(k, N) == 1]

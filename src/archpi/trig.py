@@ -1,4 +1,4 @@
-"""Arclength, sector area, and sine/cosine grounded in the polygon scheme.
+"""Sine and cosine grounded in the polygon scheme, and the theta/sin theta sandwich.
 
 The point at a given arclength is found by inverting the certified
 arclength map: one bisection on the circle fraction over the vertex lattice
@@ -10,35 +10,12 @@ reflect across the x-axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 from .circuits import CirclePoint, lattice_ladder, unit_start
 from .dyadic import Dyadic, _rounded
-from .errors import FractionOutOfRange, ThetaOutOfRange
+from .errors import ThetaOutOfRange
 from .interval import Interval, Verdict, compare_certain
 from .polygons import two_pi_enclosure
-
-
-@dataclass(frozen=True)
-class ArcMeasure:
-    fraction: Union[Fraction, Interval]
-    theta: Interval
-    sector_area: Interval
-
-
-def arc_measure(fraction: Union[Fraction, Interval], prec: int) -> ArcMeasure:
-    """Arclength 2*pi*fraction and sector area theta/2, certified."""
-    two_pi = two_pi_enclosure(prec)
-    if isinstance(fraction, Fraction):
-        if not 0 <= fraction < 1:
-            raise FractionOutOfRange(f"fraction {fraction} outside [0, 1)")
-        theta = (two_pi * fraction.numerator) / fraction.denominator
-    else:
-        if fraction.lo.sign < 0 or fraction.hi >= Dyadic(1):
-            raise FractionOutOfRange(f"fraction {fraction} outside [0, 1)")
-        theta = two_pi * fraction
-    return ArcMeasure(fraction=fraction, theta=theta, sector_area=theta / 2)
 
 
 def geometric_point(theta: Interval, prec: int) -> CirclePoint:

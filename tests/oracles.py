@@ -31,8 +31,9 @@ per vertex, the reference for its bulk gap draws.  ``scanned_romberg_order``
 is ``polygons._romberg_order``'s former scan, one k at a time, the
 reference for its search.  ``chain_pi_enclosure`` is
 ``polygons.pi_enclosure``'s former formula, Archimedes' bracket from the
-``Interval`` chain, the reference for its Romberg bracket.  Nothing here is
-imported by the library.
+``Interval`` chain, the reference for its Romberg bracket.  ``on_circle``
+checks that a point's coordinates can lie on the unit circle.  Nothing here
+is imported by the library.
 """
 
 import math
@@ -123,6 +124,11 @@ def contains(interval, reference, dps: int = 50) -> bool:
         lo = mpmath.mpf(interval.lo.man) * mpmath.power(2, interval.lo.exp)
         hi = mpmath.mpf(interval.hi.man) * mpmath.power(2, interval.hi.exp)
         return lo <= ref <= hi
+
+
+def on_circle(point) -> bool:
+    """Certified membership: x^2 + y^2 must contain 1."""
+    return (point.x * point.x + point.y * point.y).contains(1)
 
 
 def interval_walk(step, n: int, prec: int) -> list:

@@ -38,14 +38,14 @@ from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import pi_enclosure, seed_edge
 
 from oracles import (contains, explicit_circuit_measures, interval_distance,
-                     interval_tangent_meet, per_draw_circuit)
+                     interval_tangent_meet, on_circle, per_draw_circuit)
 
 PREC = 64
 
 
 def test_unit_start_on_circle():
     p = unit_start(PREC)
-    assert p.on_circle()
+    assert on_circle(p)
     assert p.x.contains(1) and p.y.contains(0)
 
 
@@ -55,7 +55,7 @@ def test_step_by_chord_hexagon_closes():
     for _ in range(6):
         p = step_by_chord(p, edge)
     assert p.x.contains(1) and p.y.contains(0)
-    assert p.on_circle()
+    assert on_circle(p)
 
 
 def test_step_chord_validation():
@@ -66,7 +66,7 @@ def test_step_chord_validation():
 def test_long_chain_drift_stays_small():
     ring = regular_ring(10, PREC)  # 3072 steps
     last = ring[-1]
-    assert last.on_circle()
+    assert on_circle(last)
     assert last.x.width() < Dyadic(1, -40)
 
 

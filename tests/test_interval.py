@@ -92,11 +92,10 @@ def test_widen_by_negative_slack_past_the_midpoint_raises():
         x.widen(Dyadic(-3, -2))
 
 
-def test_serialize_shapes():
+def test_decimal_pair_shape():
     x = ival("0.5", "0.5", 32)
     lo, hi = x.decimal_pair(4)
     assert lo == "0.5000" and hi == "0.5000"
-    assert x.serialize(4) == "[0.5000, 0.5000] @32"
 
 
 fractions = st.fractions(

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,7 +35,7 @@ from archpi.rational import (
     winding_count,
 )
 
-from oracles import ball_winding, contains, interval_winding, trig_chord
+from oracles import ball_winding, contains, interval_winding, on_circle, trig_chord
 
 PREC = 64
 
@@ -43,7 +44,7 @@ def test_realize_simple_polygon_edges():
     # k=1 gives plain regular polygon edges
     tri = realize_rational(1, 3, PREC)
     assert tri.chord.overlaps(seed_edge(3, PREC))
-    assert (tri.numerator, tri.denominator) == (3, 1)
+    assert (tri.N, tri.k) == (3, 1)
     sq = realize_rational(1, 4, PREC)
     assert contains(sq.chord, trig_chord(Fraction(1, 4)))
 
@@ -51,7 +52,7 @@ def test_realize_simple_polygon_edges():
 def test_realize_winding_chord():
     star = realize_rational(2, 5, PREC)
     assert contains(star.chord, trig_chord(Fraction(2, 5)))
-    assert star.numerator == 5 and star.denominator == 2
+    assert star.N == 5 and star.k == 2
 
 
 def test_realize_validation():
@@ -68,7 +69,7 @@ def test_gamma_path_closes():
     path = gamma_path(star)
     assert len(path) == 5
     for p in path:
-        assert p.on_circle()
+        assert on_circle(p)
 
 
 def test_winding_counts():
@@ -116,14 +117,21 @@ def test_normalized_compare_rejects_unordered():
         normalized_compare(a, realize_rational(1, 3, PREC), "sideways")
     with pytest.raises(PreconditionViolation):
         normalized_length(a, "bogus")
+    # an unknown mode is a bad argument, not a shortfall, even for a pair
+    # whose chords cannot be ordered
+    with pytest.raises(PreconditionViolation, match="unknown mode 'bogus'"):
+        normalized_compare(a, a, "bogus")
 
 
 def test_coprime_pairs():
     pairs = coprime_pairs(8)
     assert (2, 5) in pairs and (3, 7) in pairs and (3, 8) in pairs
     assert (2, 6) not in pairs and (4, 8) not in pairs
-    assert all(2 * k < n for k, n in pairs)
-    assert pairs == sorted(pairs, key=lambda p: (p[1], p[0]))
+    # the definition, in order of N then k: 1 <= k < N/2, gcd(k, N) = 1
+    defined = [(k, N) for N in range(3, 257) for k in range(1, N)
+               if 2 * k < N and math.gcd(k, N) == 1]
+    for max_n in range(3, 257):
+        assert coprime_pairs(max_n) == [(k, N) for k, N in defined if N <= max_n], max_n
 
 
 def _reference_sign(value, radius):

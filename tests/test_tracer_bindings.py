@@ -36,13 +36,17 @@ def test_traced_bindings_resolve():
             assert attr in Interval.__dict__, attr
 
 
+def kernel_imports():
+    """Every ``from archpi.<module> import <name>`` in the kernel timings,
+    wherever it sits in the file, as (module, name): read, not run."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(KERNELS.read_text()))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("archpi")
+            for alias in node.names]
+
+
 def test_kernel_imports_resolve():
-    # read, not run: every ``from archpi.<module> import <name>`` in the
-    # kernel timings, wherever it sits in the file
-    imports = [(node.module, alias.name)
-               for node in ast.walk(ast.parse(KERNELS.read_text()))
-               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("archpi")
-               for alias in node.names]
+    imports = kernel_imports()
     assert ("archpi.polygons", "halve_edge") in imports
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 from archpi.circuits import lattice_ladder, step_by_chord, unit_start
 from archpi.dyadic import Dyadic
-from archpi.errors import ArchpiError, FractionOutOfRange, ThetaOutOfRange
+from archpi.errors import ArchpiError, ThetaOutOfRange
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import edge_chain, pi_enclosure, two_pi_enclosure
 from archpi.trig import (
     _inflate,
     _theta_slack,
-    arc_measure,
     geometric_cos,
     geometric_point,
     geometric_sin,
     sandwich_report,
 )
 
-from oracles import contains, tolerance_geometric_point, trig_value
+from oracles import contains, on_circle, tolerance_geometric_point, trig_value
 
 PREC = 64
 
@@ -31,37 +30,16 @@ def exact(value, prec=PREC):
     return Interval.exact(value, prec)
 
 
-def test_arc_measure_rational_fractions():
-    m = arc_measure(Fraction(1, 4), PREC)
-    assert contains(m.theta, "1.5707963267948966192313216916397514420986")
-    assert contains(m.sector_area, "0.7853981633974483096156608458198757210493")
-    half = arc_measure(Fraction(1, 2), PREC)
-    assert contains(half.theta, "3.1415926535897932384626433832795028841972")
-    zero = arc_measure(Fraction(0), PREC)
-    assert zero.theta.contains(0)
-
-
-def test_arc_measure_interval_fraction():
-    frac = Interval.from_endpoints(Fraction(1, 10), Fraction(1, 5), PREC)
-    m = arc_measure(frac, PREC)
-    two_pi = two_pi_enclosure(PREC)
-    # theta must cover the whole image [2pi/10, 2pi/5] and little more
-    assert m.theta.lo <= (two_pi / 10).hi and (two_pi / 5).lo <= m.theta.hi
-    assert m.theta.width() < Dyadic(11, -4)  # ~ 2pi/10 plus rounding
-
-
-def test_arc_measure_domain():
-    with pytest.raises(FractionOutOfRange):
-        arc_measure(Fraction(3, 2), PREC)
-    with pytest.raises(FractionOutOfRange):
-        arc_measure(Fraction(-1, 4), PREC)
+def arc(a, b, prec=PREC):
+    """The arclength 2*pi*a/b, as an enclosure."""
+    return (two_pi_enclosure(prec) * a) / b
 
 
 def test_geometric_point_known_values():
     p = geometric_point(exact(1), PREC)
     assert contains(p.x, trig_value("cos", 1))
     assert contains(p.y, trig_value("sin", 1))
-    assert p.on_circle()
+    assert on_circle(p)
 
 
 def test_geometric_point_zero_and_negative():
@@ -74,10 +52,10 @@ def test_geometric_point_zero_and_negative():
 
 def test_geometric_point_lattice_boundary():
     # exactly a quarter turn sits on the fraction lattice
-    theta = arc_measure(Fraction(1, 4), PREC).theta
+    theta = arc(1, 4)
     p = geometric_point(theta, PREC)
     assert p.x.contains(0) and p.y.contains(1)
-    third = geometric_point(arc_measure(Fraction(1, 3), PREC).theta, PREC)
+    third = geometric_point(arc(1, 3), PREC)
     assert contains(third.x, "-0.5")
     assert contains(third.y, "0.8660254037844386467637231707529361834714")
 
@@ -151,7 +129,7 @@ def test_sandwich_ladder_gap_shrinks():
 def test_sandwich_domain():
     with pytest.raises(ThetaOutOfRange):
         sandwich_report(exact(0), PREC)
-    quarter_turn = arc_measure(Fraction(1, 4), PREC).theta
+    quarter_turn = arc(1, 4)
     with pytest.raises(ThetaOutOfRange):
         sandwich_report(quarter_turn, PREC)
 
@@ -226,9 +204,8 @@ def _point_bits(p):
 def test_geometric_point_matches_the_stepwise_reference(prec):
     thetas = [exact(s, prec) for s in ("0.001", "0.5", "1", "-1", "-2.5", "3", "4.75",
                                        "6.2", "-0.125")]
-    thetas += [arc_measure(Fraction(a, b), prec).theta
-               for a, b in ((1, 4), (1, 3), (2, 3), (1, 12), (5, 24))]
-    thetas.append(-arc_measure(Fraction(1, 6), prec).theta)
+    thetas += [arc(a, b, prec) for a, b in ((1, 4), (1, 3), (2, 3), (1, 12), (5, 24))]
+    thetas.append(-arc(1, 6, prec))
     thetas.append(Interval.from_endpoints(Fraction(7, 10), Fraction(7001, 10000), prec))
     for theta in thetas:
         assert _point_bits(geometric_point(theta, prec)) == _point_bits(
