@@ -26,11 +26,16 @@ by the circuit suites' sandwich rule on both of its measures, against
 ``pi_enclosure`` at the report's precision.
 Reports are deterministic for identical argv and seed.
 
-``main`` hands a request whose first word names a command straight to that
-command's parser, which is all the full parser would do with it; every other
-request (no words, an unknown or abbreviated command, an option before the
-command, or words the command's parser leaves over) goes through the full
-parser, so its usage message and exit code are the ones argparse gives.  A
+``main`` parses a plain request off the flag table that ``_flag_table``
+reads from the parser once: a command name, then exact option strings with
+their values and the command's positionals, each value passing its action's
+``type`` and ``choices``, and every required flag and positional given.  It
+gets the namespace the full parser gives.  Every other request (no words,
+an unknown or abbreviated command or flag, an option before the command,
+``--flag=value``, ``-h``, ``--``, a value that starts with ``-`` or that
+its flag refuses, a missing flag or extra words) goes through the full
+parser, so its usage message, help and exit code are the ones argparse
+gives.  A
 JSON report is ``json.dumps(report, indent=2, default=str)``, joined by
 ``_json`` rather than by the standard library's pure-Python indenting
 encoder; a ``sweep-rational`` report joins the text each realized pair
@@ -522,22 +527,94 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@lru_cache(maxsize=1)
+def _flag_table(parser: argparse.ArgumentParser) -> dict:
+    """Per command name: its option strings, each mapped to its action, its
+    positionals, its defaults (the command's name and ``func`` among them),
+    and its required actions, read off ``parser``.
+
+    A command with an action other than a one-value store, a ``store_true``
+    or help, or with a mutually exclusive group, has no entry.  Keyed by the
+    parser, so the table of a new parser is read off that parser.
+    """
+    commands = next(action.choices for action in parser._actions
+                    if action.dest == "command")
+    table = {}
+    for name, command in commands.items():
+        actions = [action for action in command._actions
+                   if not isinstance(action, argparse._HelpAction)]
+        if command._mutually_exclusive_groups or not all(
+                type(action) is argparse._StoreTrueAction
+                or (type(action) is argparse._StoreAction and action.nargs is None)
+                for action in actions):
+            continue
+        defaults = {"command": name}
+        for action in actions:
+            if action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        for dest, value in command._defaults.items():
+            defaults.setdefault(dest, value)
+        table[name] = (
+            {option: action for action in actions for option in action.option_strings},
+            [action for action in actions if not action.option_strings],
+            defaults,
+            {action for action in actions if action.required},
+        )
+    return table
+
+
+def _plain_parse(argv) -> Optional[argparse.Namespace]:
+    """``_parser().parse_args(argv)`` for a plain request (see the module
+    docstring), else None: any other request, whether argparse would take
+    it or refuse or explain it, is left to the full parser, so this reports
+    no error itself."""
+    entry = _flag_table(_parser()).get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, positionals, defaults, required = entry
+    values = dict(defaults)
+    seen = set()
+    words = iter(argv[1:])
+    pending = iter(positionals)
+    for word in words:
+        action = options.get(word)
+        if action is None:
+            if word.startswith("-"):
+                return None
+            action = next(pending, None)
+            if action is None:
+                return None
+            value = word
+        elif action.nargs == 0:
+            values[action.dest] = action.const
+            seen.add(action)
+            continue
+        else:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(values)
+    return namespace
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, parsing a request that starts with a
-    command name by that command's parser alone."""
-    parser = _parser()
+    """``_parser().parse_args(argv)``: a plain request is read off the flag
+    table, and every other one is parsed by the full parser."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv:
-        commands = next(action.choices for action in parser._actions
-                        if action.dest == "command")
-        command = commands.get(argv[0])
-        if command is not None:
-            args, rest = command.parse_known_args(argv[1:])
-            if not rest:
-                args.command = argv[0]
-                return args
-    return parser.parse_args(argv)
+    return _plain_parse(argv) or _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -162,12 +162,6 @@ class Interval:
     def mag(self) -> Dyadic:
         return max(abs(self.lo), abs(self.hi))
 
-    def contains(self, value: Union[int, Fraction, Dyadic]) -> bool:
-        if isinstance(value, Dyadic):
-            return self.lo <= value <= self.hi
-        f = Fraction(value)
-        return self.lo.as_fraction() <= f <= self.hi.as_fraction()
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

@@ -130,10 +130,6 @@ class SuiteResult:
     def inconclusive(self) -> int:
         return sum(row["status"] == "inconclusive" for row in self.rows)
 
-    @property
-    def passed(self) -> bool:
-        return all(row["status"] == "ok" for row in self.rows)
-
 
 def _sample_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) & 0xFFFFFFFFFFFFFFFF

@@ -31,8 +31,10 @@ per vertex, the reference for its bulk gap draws.  ``scanned_romberg_order``
 is ``polygons._romberg_order``'s former scan, one k at a time, the
 reference for its search.  ``chain_pi_enclosure`` is
 ``polygons.pi_enclosure``'s former formula, Archimedes' bracket from the
-``Interval`` chain, the reference for its Romberg bracket.  ``on_circle``
-checks that a point's coordinates can lie on the unit circle.  Nothing here
+``Interval`` chain, the reference for its Romberg bracket.  ``encloses``
+checks that an interval holds an exact value, ``suite_passed`` that every
+row of a suite result is ok, and ``on_circle`` that a point's coordinates
+can lie on the unit circle.  Nothing here
 is imported by the library.
 """
 
@@ -126,9 +128,20 @@ def contains(interval, reference, dps: int = 50) -> bool:
         return lo <= ref <= hi
 
 
+def encloses(interval, value) -> bool:
+    """Does ``interval`` hold the exact ``value``, an int, a Fraction or a Dyadic?"""
+    exact = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
+    return interval.lo.as_fraction() <= exact <= interval.hi.as_fraction()
+
+
+def suite_passed(result) -> bool:
+    """Is every row of a ``SuiteResult`` ok?"""
+    return all(row["status"] == "ok" for row in result.rows)
+
+
 def on_circle(point) -> bool:
     """Certified membership: x^2 + y^2 must contain 1."""
-    return (point.x * point.x + point.y * point.y).contains(1)
+    return encloses(point.x * point.x + point.y * point.y, 1)
 
 
 def interval_walk(step, n: int, prec: int) -> list:

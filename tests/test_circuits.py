@@ -37,7 +37,7 @@ from archpi.errors import (
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import pi_enclosure, seed_edge
 
-from oracles import (contains, explicit_circuit_measures, interval_distance,
+from oracles import (contains, encloses, explicit_circuit_measures, interval_distance,
                      interval_tangent_meet, on_circle, per_draw_circuit)
 
 PREC = 64
@@ -46,7 +46,7 @@ PREC = 64
 def test_unit_start_on_circle():
     p = unit_start(PREC)
     assert on_circle(p)
-    assert p.x.contains(1) and p.y.contains(0)
+    assert encloses(p.x, 1) and encloses(p.y, 0)
 
 
 def test_step_by_chord_hexagon_closes():
@@ -54,7 +54,7 @@ def test_step_by_chord_hexagon_closes():
     p = unit_start(PREC)
     for _ in range(6):
         p = step_by_chord(p, edge)
-    assert p.x.contains(1) and p.y.contains(0)
+    assert encloses(p.x, 1) and encloses(p.y, 0)
     assert on_circle(p)
 
 
@@ -80,7 +80,7 @@ def test_tangent_intersection_square():
     ring = regular_ring(2, PREC)  # 12-gon
     p, q = ring[0], ring[3]  # quarter turn apart
     tx, ty = tangent_intersection(p, q)
-    assert tx.contains(1) and ty.contains(1)
+    assert encloses(tx, 1) and encloses(ty, 1)
 
 
 def test_tangent_intersection_antipodal_raises():
@@ -178,17 +178,17 @@ def test_square_circuit_measures():
     sq = Circuit.from_regular_indices(2, [0, 3, 6, 9], PREC)
     m = circuit_measures(sq)
     assert contains(m.perimeter_in, "5.6568542494923801952067548968387923142786875015078")
-    assert m.perimeter_circ.contains(8)
-    assert m.area_in.contains(2)
-    assert m.area_circ.contains(4)
+    assert encloses(m.perimeter_circ, 8)
+    assert encloses(m.area_in, 2)
+    assert encloses(m.area_circ, 4)
     assert contains(m.mesh, "1.4142135623730950488016887242096980785696718753769")
 
 
 def test_hexagon_circuit_measures():
     hexa = Circuit.from_regular_indices(1, [0, 1, 2, 3, 4, 5], PREC)
     m = circuit_measures(hexa)
-    assert m.perimeter_in.contains(6)
-    assert m.mesh.contains(1) and m.min_edge.contains(1)
+    assert encloses(m.perimeter_in, 6)
+    assert encloses(m.mesh, 1) and encloses(m.min_edge, 1)
     assert contains(m.area_circ, "3.4641016151377545870548926830117447338560753926457")
 
 

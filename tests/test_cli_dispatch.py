@@ -1,22 +1,27 @@
-"""The per-request path of ``cli.main``: dispatch to a command's parser, the
-suite keyword table and the JSON joiner give what the full parser, a fresh
+"""The per-request path of ``cli.main``: the flag table, the suite keyword
+table and the JSON joiner give what the full parser, a fresh
 ``inspect.signature`` and ``json.dumps(..., indent=2, default=str)`` give."""
 
 import argparse
+import contextlib
+import importlib.util
 import inspect
+import io
 import json
 import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from archpi import cli
 from archpi.rational import coprime_pairs, realize_rational
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 #: per command, a cheap request and one value for each flag it takes
 _COMMANDS = {
@@ -47,6 +52,17 @@ _ODD = [
     ["digits", "--count", "5", "--precision", "64"],
     ["digits", "--count", "5", "--", "x"],
     ["bounds", "--n", "6", "--m", "2", "extra"],
+    # shapes the flag table declines or reads, beside the full parser
+    ["digits", "--count=5"], ["digits", "--count", "1_000"], ["digits", "--count", " 5"],
+    ["digits", "--count", ""], ["digits", "--count", "-5"], ["digits", "--count"],
+    ["digits", "--count", "5", "--count", "6"], ["digits", "--count", "5", "-h"],
+    ["digits", "--format", "xml", "--count", "5"], ["digits", "--count", "5", "--format"],
+    ["bounds", "--m", "2", "--n", "6"], ["bounds", "--n", "6"],
+    ["verify", "--samples", "1", "chord-compare"], ["verify", "chord-compare", "monotone"],
+    ["verify", "chord-compare", "--samples", "x"], ["verify", "--", "chord-compare"],
+    ["circuit", "--include-points", "x"], ["circuit", "--include-points=1"],
+    ["circuit", "--include-points", "--include-points"], ["trig", "--theta", "-1/8"],
+    ["sweep-rational", "--max-n", "5", "--", "--max-n", "4"],
 ]
 
 
@@ -129,19 +145,107 @@ def test_a_request_parses_once_and_reads_no_signature(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
     monkeypatch.setattr(inspect, "signature", counting)
     cli._suite_keywords.cache_clear()
+    # a plain request is read off the flag table: argparse parses nothing
     assert cli.main(["verify", "chord-compare", "--samples", "1"]) == 0
-    assert parsed == ["archpi verify"]
+    assert parsed == []
     assert len(signatures) == len(cli.SUITES)
-    parsed.clear()
     signatures.clear()
     for argv in (["digits", "--count", "5"],
                  ["verify", "monotone", "--m-max", "1"],
                  ["verify", "chord-compare", "--samples", "1", "--seed", "2"]):
         assert cli.main(argv) == 0
-        assert parsed == ["archpi " + argv[0]], argv
-        parsed.clear()
+        assert parsed == [], argv
+    assert signatures == []
+    # a request the table declines is parsed once, by the full parser,
+    # which hands its words to the command's parser
+    assert cli.main(["digits", "--cou", "5"]) == 0
+    assert parsed == ["archpi", "archpi digits"]
     assert signatures == []
     capsys.readouterr()
+
+
+_VALUES = ["5", "1_000", " 5", "", "-5", "x"]
+
+
+def _commands():
+    return next(a.choices for a in cli._parser()._actions if a.dest == "command")
+
+
+def _request(name):
+    """argvs for command ``name`` from its own words: its flags with a value
+    each, and a few stray words: flags, their abbreviations and
+    ``--flag=value`` forms, values, suite names, ``-h``, ``--`` and
+    ``extra``; in any order, mostly with a request the command takes."""
+    actions = _commands()[name]._actions
+    flags = [s for a in actions for s in a.option_strings]
+    pairs = st.sampled_from([(flag, value) for a in actions if a.nargs is None
+                             for flag in a.option_strings
+                             for value in ([*a.choices, "x"] if a.choices else ["3", *_VALUES])])
+    abbreviations = [flag[:k] for flag in flags if flag.startswith("--")
+                     for k in range(3, len(flag))]
+    strays = st.sampled_from(flags + abbreviations + _VALUES + sorted(cli.SUITES)
+                             + [f"{flag}={value}" for flag in flags for value in _VALUES[:2]]
+                             + ["-h", "--", "extra"]).map(lambda word: (word,))
+    base = [("monotone",)] if name == "verify" else [
+        tuple(_COMMANDS[name][0][i:i + 2]) for i in range(0, len(_COMMANDS[name][0]), 2)]
+    return st.tuples(st.lists(pairs, max_size=4), st.lists(strays, max_size=2),
+                     st.sampled_from([True, True, False])).flatmap(
+        lambda drawn: st.permutations(drawn[0] + drawn[1] + (base if drawn[2] else []))).map(
+        lambda chunks: [name, *(word for chunk in chunks for word in chunk)])
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(sorted(_COMMANDS) + ["verify"]).flatmap(_request))
+@example(["digits", "--count", "5"])
+@example(["verify", "--seed", "2", "chord-compare", "--samples", "1"])
+@example(["circuit", "--include-points", "--seed", "3", "--include-points"])
+@example(["trig", "--theta", "1/8", "--format", "text", "--output", "x"])
+@example([])
+@example(["--format", "json", "digits", "--count", "5"])
+@example(["dig", "--count", "5"])
+@example(["bounds", "--n", "6", "--m", "-2"])
+def test_the_flag_table_agrees_with_the_full_parser(argv):
+    plain = cli._plain_parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = cli._parser().parse_args(argv)
+    except SystemExit:
+        event("argparse exits")
+        assert plain is None
+    else:
+        event("declined" if plain is None else "plain")
+        # the same attributes, in the same order
+        assert plain is None or list(vars(plain).items()) == list(vars(full).items())
+
+
+def test_the_flag_table_is_read_off_the_current_parser():
+    old = cli._parser()
+    cli._parser.cache_clear()
+    assert cli._parser() is not old
+    options = cli._flag_table(cli._parser())["digits"][0]
+    assert options["--count"] in _commands()["digits"]._actions
+
+
+def test_a_command_with_an_action_the_table_does_not_read_has_no_entry():
+    parser = argparse.ArgumentParser(prog="toy")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("plain").add_argument("--n", type=int)
+    sub.add_parser("appends").add_argument("--n", action="append")
+    group = sub.add_parser("exclusive").add_mutually_exclusive_group()
+    group.add_argument("--a", action="store_true")
+    group.add_argument("--b", action="store_true")
+    assert set(cli._flag_table(parser)) == {"plain"}
+
+
+def test_the_first_benchmark_blocks_decline_nothing():
+    spec = importlib.util.spec_from_file_location("archpi_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in ("arc-compare", "pi-digits", "circle-walks"):
+        block = workloads.first_block(name, 1)
+        assert sum(cli._plain_parse(argv) is None for argv in block) == 0, name
+        for argv in block:
+            assert cli._plain_parse(argv) == cli._parser().parse_args(argv), argv
 
 
 class _OnlyStr:

@@ -1,9 +1,13 @@
-"""Every name in ``archpi.__all__`` is reached by a command, named by the
-benchmark, or declared part of the paper's API.
+"""Every name in ``archpi.__all__``, and every public method of a class of
+the package, is reached by a command, named by the benchmark, or declared
+part of the paper's API.
 
 The reach is an ``ast`` name graph over the package, in the style of
 ``tests/test_private_names.py``: names are matched across modules, and a
-function or class that is reached reaches every name its body reads.  The
+function or class that is reached reaches every name its body reads.  A
+method other than a dunder is a name of its own, reached when reached code
+reads it as an attribute; a class reaches the rest of its body, dunders
+included, since they run without being named.  The
 roots are ``cli.main`` and the module-level code that runs on import, such
 as the suite table; imports are edges, not roots: a name imported with
 ``from`` reaches the name it binds and the module it comes from, so
@@ -24,8 +28,9 @@ from test_tracer_bindings import _load_tracer, kernel_imports
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "archpi"
 
-#: the paper's named objects that no command reaches, as attribute paths
-#: from ``archpi``; each is checked against its twin or an oracle
+#: the paper's named objects and methods that no command reaches, as
+#: attribute paths from ``archpi``; each is checked against its twin or an
+#: oracle
 PAPER_API = (
     "circumscribed_edge",            # tests/test_fused_kernels.py
     "geometric_sin",                 # mpmath, tests/test_trig.py
@@ -43,13 +48,28 @@ def _references(statement):
             yield node.attr
 
 
+def _methods(statement):
+    """The methods of a class statement, dunders left out."""
+    return [node for node in statement.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def reached_names(sources, roots):
     """The names read on some path from ``roots`` or from the module-level
     code of ``sources``."""
     reads, pending = {}, list(roots)
     for source in sources:
         for statement in ast.parse(source).body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(statement, ast.ClassDef):
+                methods = _methods(statement)
+                for method in methods:
+                    reads.setdefault(method.name, set()).update(_references(method))
+                rest = [*statement.bases, *statement.keywords, *statement.decorator_list,
+                        *(node for node in statement.body if node not in methods)]
+                reads.setdefault(statement.name, set()).update(
+                    name for node in rest for name in _references(node))
+            elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 reads.setdefault(statement.name, set()).update(_references(statement))
             elif isinstance(statement, ast.ImportFrom):
                 for alias in statement.names:
@@ -68,10 +88,20 @@ def reached_names(sources, roots):
     return reached
 
 
+def _sources():
+    return [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
 def _command_reach():
-    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"]
-    return reached_names(sources, ["main"])
+    return reached_names(_sources(), ["main"])
+
+
+def public_methods(sources):
+    """``Class.method`` for each public method of a module-level class."""
+    return [f"{statement.name}.{method.name}" for source in sources
+            for statement in ast.parse(source).body if isinstance(statement, ast.ClassDef)
+            for method in _methods(statement) if not method.name.startswith("_")]
 
 
 def _bench_names():
@@ -96,15 +126,28 @@ def test_unreached_names_are_found():
     cli = ("from .kernel import helper as run\n"
            "def main():\n"
            "    return run() + Box().method()\n")
-    errors = "class Bad(Exception):\n    pass\n"
+    errors = ("class Bad(Exception):\n"
+              "    def __str__(self):\n"
+              "        return dunder_read()\n"
+              "    def unread(self):\n"
+              "        return only_unread()\n")
     reached = reached_names([kernel, cli, errors], ["main"])
-    names = ["tabled", "helper", "Bad", "errors", "Box", "boxed", "unreached"]
-    assert [name for name in names if name not in reached] == ["unreached"]
+    names = ["tabled", "helper", "Bad", "errors", "Box", "method", "boxed", "dunder_read",
+             "unreached", "unread", "only_unread"]
+    assert [name for name in names if name not in reached] == [
+        "unreached", "unread", "only_unread"]
+    assert public_methods([kernel, errors]) == ["Box.method", "Bad.unread"]
 
 
 def test_every_public_name_is_reached_named_or_declared():
     kept = _command_reach() | _bench_names() | set(PAPER_API)
     assert [name for name in archpi.__all__ if name not in kept] == []
+
+
+def test_every_public_method_is_reached_named_or_declared():
+    kept = _command_reach() | _bench_names()
+    assert [method for method in public_methods(_sources())
+            if method.split(".")[1] not in kept and method not in PAPER_API] == []
 
 
 def test_paper_api_is_not_stale():
@@ -113,4 +156,5 @@ def test_paper_api_is_not_stale():
     for entry in PAPER_API:
         reduce(getattr, entry.split("."), archpi)
         assert entry.split(".")[0] in archpi.__all__, entry
-    assert set(PAPER_API) & (_command_reach() | _bench_names()) == set()
+    reach = _command_reach() | _bench_names()
+    assert [entry for entry in PAPER_API if entry.split(".")[-1] in reach] == []

@@ -14,7 +14,7 @@ from archpi.interval import Verdict
 from archpi.rational import realize_rational
 from archpi.suites import SUITES, SuiteResult, checked, run_suite
 
-from oracles import two_path_winding
+from oracles import suite_passed, two_path_winding
 
 LESS = Verdict.CERTAINLY_LESS
 GREATER = Verdict.CERTAINLY_GREATER
@@ -45,14 +45,14 @@ def test_unknown_suite():
 
 def test_monotone_small_grid():
     res = run_suite("monotone", m_max=4, precision=64)
-    assert res.passed
+    assert suite_passed(res)
     assert res.samples == 3 * 5 * 4
     assert all(row["status"] == "ok" for row in res.rows)
 
 
 def test_h_ratio_rows_carry_ratio():
     res = run_suite("h-ratio", m_max=3, precision=64)
-    assert res.passed
+    assert suite_passed(res)
     assert all("ratio" in row for row in res.rows)
 
 
@@ -68,19 +68,19 @@ def test_jobs_match_serial():
     serial = run_suite("tangent-compare", samples=6, seed=4, precision=64, jobs=1)
     parallel = run_suite("tangent-compare", samples=6, seed=4, precision=64, jobs=2)
     assert serial.rows == parallel.rows
-    assert serial.passed and parallel.passed
+    assert suite_passed(serial) and suite_passed(parallel)
 
 
 def test_projection_suite_small():
     res = run_suite("projections", samples=6, seed=2, precision=64)
-    assert res.passed
+    assert suite_passed(res)
     checks = {row["check"] for row in res.rows}
     assert {"symmetric", "sum-encloses-chord"} <= checks
 
 
 def test_rational_suite_small():
     res = run_suite("rational", max_n=8, precision=64)
-    assert res.passed
+    assert suite_passed(res)
     assert any(row.get("mode") == "circumscribed" for row in res.rows)
     assert all(
         row["winding_checked"] for row in res.rows if "winding_checked" in row
@@ -91,14 +91,14 @@ def test_circuit_suite_small():
     res = run_suite(
         "circuit-sandwich", circuits_per_cap=2, cap_exps=(1, 2, 3), seed=5
     )
-    assert res.passed
+    assert suite_passed(res)
     gap_rows = [r for r in res.rows if r.get("check") == "worst-gap-nonincreasing"]
     assert len(gap_rows) == 2
 
 
 def test_trig_suite_small():
     res = run_suite("trig-sandwich", k_max=4)
-    assert res.passed
+    assert suite_passed(res)
     assert res.samples == 4
 
 

@@ -1,8 +1,11 @@
 """Byte-check the CLI across the installed CPython interpreters.
 
-Runs, in one process per interpreter, the README's ``archpi`` examples and
-the seed-1 benchmark blocks (the first block of each workload, then the
-second circle-walks block, which the first one's kept values serve) through
+Runs, in one process per interpreter, the README's ``archpi`` examples, the
+odd and declined requests of ``tests/test_cli_dispatch.py``'s ``_ODD`` (help,
+usage errors, abbreviations, ``--flag=value``, values starting with ``-``
+and the other shapes the flag table leaves to argparse) and the seed-1
+benchmark blocks (the first block of each workload, then the second
+circle-walks block, which the first one's kept values serve) through
 ``archpi.cli.main``.  Every pyenv CPython from 3.10 to 3.13 is used, and
 each request's stdout, stderr and exit code are compared with those under
 3.11.  It prints each interpreter's per-group sha256, hashed as
@@ -17,6 +20,7 @@ interpreters need not have pytest.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -39,7 +43,7 @@ from archpi.cli import main
 spec = importlib.util.spec_from_file_location("workloads", root + "/bench/workloads.py")
 workloads = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)
-groups = [("readme", json.loads(sys.argv[2]))]
+groups = [("readme", json.loads(sys.argv[2])), ("odd and declined", json.loads(sys.argv[3]))]
 groups += [(name, workloads.first_block(name, 1))
            for name in ("arc-compare", "pi-digits", "circle-walks")]
 first = groups[-1][1]
@@ -67,6 +71,13 @@ def readme_examples() -> list:
             for line in block.splitlines() if line.startswith("archpi ")]
 
 
+def odd_requests() -> list:
+    """The ``_ODD`` list of ``tests/test_cli_dispatch.py``, read, not run."""
+    tree = ast.parse((ROOT / "tests" / "test_cli_dispatch.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_ODD")
+
+
 def interpreters() -> dict:
     """{"3.x": path} of the newest installed pyenv CPython of each minor in ``MINORS``."""
     root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
@@ -80,10 +91,11 @@ def interpreters() -> dict:
     return found
 
 
-def run(python: Path, examples: list) -> list:
+def run(python: Path, examples: list, odd: list) -> list:
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("ARCHPI_", "PYTHON"))}
-    done = subprocess.run([str(python), "-c", _CHILD, str(ROOT), json.dumps(examples)],
+    done = subprocess.run([str(python), "-c", _CHILD, str(ROOT), json.dumps(examples),
+                           json.dumps(odd)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(done.stdout)
 
@@ -102,12 +114,12 @@ def main() -> int:
     if REFERENCE not in found:
         print(f"no CPython {REFERENCE} under pyenv", file=sys.stderr)
         return 2
-    examples = readme_examples()
+    examples, odd = readme_examples(), odd_requests()
     status = 0
     replies = {}
     for version, python in found.items():
         try:
-            replies[version] = run(python, examples)
+            replies[version] = run(python, examples, odd)
         except subprocess.CalledProcessError as exc:
             print(f"{version} ({python}) failed:\n{exc.stderr}", file=sys.stderr)
             status = 1
