@@ -20,7 +20,6 @@ from .polygons import (
     romberg_bounds,
     scheme_measures,
     seed_edge,
-    two_pi_enclosure,
     vertex_gap,
 )
 from .circuits import (
@@ -49,7 +48,6 @@ from .rational import (
     coprime_pairs,
     gamma_path,
     normalized_compare,
-    normalized_length,
     realize_rational,
     winding_count,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "pi_bounds",
     "romberg_bounds",
     "pi_enclosure",
-    "two_pi_enclosure",
     "pi_digits",
     "CirclePoint",
     "Circuit",
@@ -105,7 +102,6 @@ __all__ = [
     "gamma_path",
     "winding_count",
     "normalized_compare",
-    "normalized_length",
     "coprime_pairs",
     "geometric_point",
     "geometric_sin",

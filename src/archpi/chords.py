@@ -98,7 +98,7 @@ class PartitionProfile:
     step_chord: Interval
     cumulative_chords: List[Interval]   # |P_1 P_{k+1}|, k = 1..n
     tangent_segments: List[Interval]    # tangent path increments, k = 1..n
-    projections: List[Interval]         # |q_k q_{k+1}|, k = 1..n
+    projections: List[Interval]         # (P_{k+1} - P_k).u, k = 1..n
     tangent_total: Interval
     points: List[CirclePoint]
 
@@ -324,25 +324,12 @@ def tangent_segments(points: List[CirclePoint]) -> List[Interval]:
 
 
 def _projections(points: List[CirclePoint], full: Interval) -> List[Interval]:
-    """Projection gaps onto the full-chord direction, of length ``full``.
-
-    The exact gaps are mirror symmetric, so compute the first half and
-    reflect it; this keeps gap_i and gap_{n+1-i} bitwise equal by
-    construction.
-    """
+    """Projection gaps (P_{k+1} - P_k).u, k = 1..n, onto the unit vector u
+    from P_1 to P_{n+1}, the full chord of length ``full``."""
     first, last = points[0], points[-1]
-    n = len(points) - 1
     dx = (last.x - first.x) / full
     dy = (last.y - first.y) / full
-    projection_of = [(p.x - first.x) * dx + (p.y - first.y) * dy for p in points]
-    half_gaps = [
-        projection_of[k + 1] - projection_of[k] for k in range((n + 1) // 2)
-    ]
-    if n % 2 == 0:
-        return half_gaps + half_gaps[::-1]
-    # odd n: lone middle gap, then the mirror of the first half
-    mid_gap = projection_of[(n + 1) // 2] - projection_of[n // 2]
-    return half_gaps[: n // 2] + [mid_gap] + half_gaps[: n // 2][::-1]
+    return [(b.x - a.x) * dx + (b.y - a.y) * dy for a, b in zip(points, points[1:])]
 
 
 def partition_profile(arc: ArcSpec, n: int, prec: int) -> PartitionProfile:

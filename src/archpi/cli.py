@@ -518,6 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_sweep_rational)
 
+    # argparse's own usage line wraps differently across interpreters; set
+    # after add_subparsers, which reads it into every command's prog
+    indent = "\n" + " " * len("usage: archpi ")
+    parser.usage = f"%(prog)s [-h]{indent}{{{','.join(sub.choices)}}}{indent}..."
     return parser
 
 

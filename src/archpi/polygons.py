@@ -376,10 +376,6 @@ def pi_enclosure(prec: int) -> Interval:
     return romberg_bounds(ROMBERG_BASE_DEPTH, k, bits).with_prec(prec)
 
 
-def two_pi_enclosure(prec: int) -> Interval:
-    return pi_enclosure(prec) * 2
-
-
 def _decimal(n: int) -> str:
     """str(n) for n >= 0, in chunks under the interpreter's int-to-str limit."""
     chunks = []

@@ -48,10 +48,11 @@ class RationalLength:
     """Chord spanning k steps of a regular N-gon, gcd(k, N) = 1.
 
     Each measure is formed the first time it is read, and kept: the chord's
-    square root sqrt(4 - chord^2), shared by its rotation and its root; the
-    ``inscribed`` and ``circumscribed`` normalized lengths; the ``winding``;
-    the decimal ``sweep_row``; and its JSON text, ``sweep_text``.  A measure
-    whose formation raises is not kept.
+    square root sqrt(4 - chord^2), shared by its rotation and its tangent
+    edge; the ``inscribed`` and ``circumscribed`` normalized lengths, (N/k)
+    times the chord and its tangent edge; the ``winding``; the decimal
+    ``sweep_row``; and its JSON text, ``sweep_text``.  A measure whose
+    formation raises is not kept.
     """
 
     k: int
@@ -68,21 +69,17 @@ class RationalLength:
         require_chord(self.chord, "step chord")
         return _rotation(self.chord, self._terms)
 
-    @property
-    def root(self) -> Interval:
-        """sqrt(4 - chord^2), for a chord certifiably in (0, 2)."""
-        require_chord(self.chord, "chord")
-        return self._terms[4]
-
     @cached_property
     def inscribed(self) -> Interval:
-        """``normalized_length(self)``."""
-        return normalized_length(self)
+        """(N/k) times the chord."""
+        return (self.chord * self.N) / self.k
 
     @cached_property
     def circumscribed(self) -> Interval:
-        """``normalized_length(self, "circumscribed")``."""
-        return normalized_length(self, "circumscribed")
+        """(N/k) times the chord's tangent edge 2c/sqrt(4 - c^2), for a
+        chord certifiably in (0, 2)."""
+        require_chord(self.chord, "chord")
+        return (_tangent_edge(self.chord, self._terms[4]) * self.N) / self.k
 
     @cached_property
     def winding(self) -> int:
@@ -250,17 +247,11 @@ def _ball_crosses(a: Tuple[int, int, int], b: Tuple[int, int, int], w: int) -> b
     raise AmbiguousCrossing("ambiguous crossing test; raise precision")
 
 
-@dataclass(frozen=True)
-class NormalizedCompare:
-    verdict: Verdict
-    lhs: Interval
-    rhs: Interval
-
-
 def normalized_compare(
     a: RationalLength, b: RationalLength, mode: str = "inscribed"
-) -> NormalizedCompare:
-    """Single-wrap path lengths (N/k)*length, ordered against chord order.
+) -> Tuple[Verdict, Interval, Interval]:
+    """Single-wrap path lengths (N/k)*length, ordered against chord order:
+    the verdict, then the larger chord's length, then the smaller's.
 
     Inscribed: the larger chord has the certainly smaller normalized length.
     Circumscribed: the tangent counterparts reverse the inequality.  Each
@@ -273,18 +264,7 @@ def normalized_compare(
         raise HypothesisUnordered("chords cannot be certifiably ordered")
     larger, smaller = (a, b) if order is Verdict.CERTAINLY_GREATER else (b, a)
     lhs, rhs = getattr(larger, mode), getattr(smaller, mode)
-    return NormalizedCompare(compare_certain(lhs, rhs), lhs, rhs)
-
-
-def normalized_length(r: RationalLength, mode: str = "inscribed") -> Interval:
-    """(N/k) times the chord (inscribed) or its tangent edge (circumscribed)."""
-    if mode == "inscribed":
-        edge = r.chord
-    elif mode == "circumscribed":
-        edge = _tangent_edge(r.chord, r.root)
-    else:
-        raise PreconditionViolation(f"unknown mode {mode!r}")
-    return (edge * r.N) / r.k
+    return compare_certain(lhs, rhs), lhs, rhs
 
 
 def coprime_pairs(max_n: int) -> List[Tuple[int, int]]:

@@ -37,19 +37,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple, Union
 
-from .chords import (ArcSpec, _partition, chord_compare, partition_profile, tangent_compare,
+from .chords import (ArcSpec, _partition, _projections, chord_compare, tangent_compare,
                      tangent_segments)
-from .circuits import circuit_measures, random_circuit
+from .circuits import circuit_measures, distance, random_circuit
 from .dyadic import Dyadic
 from .errors import SHORTFALLS
 from .interval import Interval, Verdict, compare_certain
-from .polygons import (
-    RegularScheme,
-    iter_scheme_measures,
-    pi_bounds,
-    pi_enclosure,
-    two_pi_enclosure,
-)
+from .polygons import RegularScheme, iter_scheme_measures, pi_bounds, pi_enclosure
 from .rational import coprime_pairs, normalized_compare, realize_rational
 from .trig import sandwich_report
 
@@ -304,24 +298,18 @@ def _tangent_profile_sample(seed: int, precision: int, suite: str) -> List[dict]
 def _projections_sample(seed: int, precision: int, suite: str) -> List[dict]:
     """One random arc split n ways: its projection gaps onto the chord."""
     arc, n = _random_split(seed, precision)
-    profile = partition_profile(arc, n, precision)
+    _, points = _partition(arc, n, precision)
+    full = distance(points[0], points[n])
+    gaps = _projections(points, full)
     base = {"suite": suite, "sample_seed": seed, "n": n}
-    gaps = profile.projections
     rows = [
         checked(dict(base, index=i + 1, check="increasing"),
                 (LESS, compare_certain(gaps[i], gaps[i + 1])))
         for i in range((n + 1) // 2 - 1)
     ]
-    # symmetry, from gaps recomputed out of the points rather than the
-    # mirrored profile.projections (which are symmetric by construction)
-    pts = profile.points
-    full = profile.cumulative_chords[-1]
-    dx = (pts[n].x - pts[0].x) / full
-    dy = (pts[n].y - pts[0].y) / full
-    recomputed = [(b.x - a.x) * dx + (b.y - a.y) * dy for a, b in zip(pts, pts[1:])]
     rows.append(
         checked(dict(base, check="symmetric"),
-                *(recomputed[i].overlaps(recomputed[n - 1 - i]) for i in range(n // 2)))
+                *(gaps[i].overlaps(gaps[n - 1 - i]) for i in range(n // 2)))
     )
     total = sum(gaps[1:], gaps[0])
     rows.append(
@@ -381,7 +369,7 @@ def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> Iterato
     inconclusive row; a pair whose chord was realized still takes part in
     the ordering.
     """
-    two_pi = two_pi_enclosure(precision)
+    two_pi = pi_enclosure(precision) * 2
     realized = []
     for k, N in coprime_pairs(max_n):
         row = {"suite": "rational", "k": k, "N": N}
@@ -407,12 +395,12 @@ def run_rational(max_n: int = 24, precision: int = DEFAULT_PRECISION) -> Iterato
         for a, b in zip(ordered, ordered[1:]):
             row = {"suite": "rational", "mode": mode, "pair": [[a.k, a.N], [b.k, b.N]]}
             try:
-                cmp = normalized_compare(a, b, mode)
+                verdict, lhs, rhs = normalized_compare(a, b, mode)
             except SHORTFALLS as exc:
                 yield fell_short(row, precision, exc)
                 continue
-            row.update(lhs=_dec(cmp.lhs), rhs=_dec(cmp.rhs))
-            yield checked(row, (expected, cmp.verdict))
+            row.update(lhs=_dec(lhs), rhs=_dec(rhs))
+            yield checked(row, (expected, verdict))
 
 
 # -- circuit suites ----------------------------------------------------------

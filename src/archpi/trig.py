@@ -15,7 +15,7 @@ from .circuits import CirclePoint, lattice_ladder, unit_start
 from .dyadic import Dyadic, _rounded
 from .errors import ThetaOutOfRange
 from .interval import Interval, Verdict, compare_certain
-from .polygons import two_pi_enclosure
+from .polygons import pi_enclosure
 
 
 def geometric_point(theta: Interval, prec: int) -> CirclePoint:
@@ -31,7 +31,7 @@ def geometric_point(theta: Interval, prec: int) -> CirclePoint:
         if theta.hi.sign > 0:
             raise ThetaOutOfRange("theta interval straddles zero")
         return geometric_point(-theta, prec).reflect()
-    two_pi = two_pi_enclosure(prec)
+    two_pi = pi_enclosure(prec) * 2
     if compare_certain(theta, two_pi) is not Verdict.CERTAINLY_LESS:
         raise ThetaOutOfRange("theta must be certifiably below the full turn")
     if theta.hi.sign == 0:
@@ -133,7 +133,7 @@ def sandwich_report(theta: Interval, prec: int) -> SandwichReport:
     """Certified two-triangle bracket 1 <= theta/sin(theta) <= 1/cos(theta)."""
     if theta.lo.sign <= 0:
         raise ThetaOutOfRange("theta must be certifiably positive")
-    half_pi = two_pi_enclosure(prec) / 4
+    half_pi = pi_enclosure(prec) / 2
     if compare_certain(theta, half_pi) is not Verdict.CERTAINLY_LESS:
         raise ThetaOutOfRange("theta must be certifiably below a quarter turn")
     point = geometric_point(theta, prec)

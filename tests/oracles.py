@@ -50,7 +50,7 @@ from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, AntipodalTangents, ClosureFailure, ThetaOutOfRange
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import (ROMBERG_BASE_DEPTH, RegularScheme, SchemeMeasures, pi_bounds,
-                             require_chord, seed_edge, two_pi_enclosure, vertex_gap)
+                             pi_enclosure, require_chord, seed_edge, vertex_gap)
 from archpi.rational import _ball_crosses, gamma_path
 from archpi.trig import _inflate, _lattice_verdict, _theta_slack
 
@@ -110,6 +110,17 @@ def trig_chord(fraction: Fraction, dps: int = 50) -> str:
     """Chord subtending the given fraction of the circle: 2*sin(pi*fraction)."""
     with mpmath.workdps(dps):
         value = 2 * mpmath.sin(mpmath.pi * fraction.numerator / fraction.denominator)
+        return mpmath.nstr(value, dps - 5)
+
+
+def projection_gap(fraction: Fraction, n: int, k: int, dps: int = 50) -> str:
+    """The gap (P_{k+2} - P_{k+1}).u, k = 0..n-1, between points of the arc
+    spanning ``fraction`` of the circle from (1, 0), split n ways, projected
+    onto the unit vector u along its chord: with beta the step angle, the
+    step chord 2 sin(beta/2) times cos((2k + 1 - n) beta/2)."""
+    with mpmath.workdps(dps):
+        beta = 2 * mpmath.pi * fraction.numerator / (fraction.denominator * n)
+        value = 2 * mpmath.sin(beta / 2) * mpmath.cos((2 * k + 1 - n) * beta / 2)
         return mpmath.nstr(value, dps - 5)
 
 
@@ -271,7 +282,7 @@ def tolerance_geometric_point(theta, prec):
         if theta.hi.sign > 0:
             raise ThetaOutOfRange("theta interval straddles zero")
         return tolerance_geometric_point(-theta, prec).reflect()
-    two_pi = two_pi_enclosure(prec)
+    two_pi = pi_enclosure(prec) * 2
     if compare_certain(theta, two_pi) is not Verdict.CERTAINLY_LESS:
         raise ThetaOutOfRange("theta must be certifiably below the full turn")
     if theta.hi.sign == 0:

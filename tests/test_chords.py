@@ -20,7 +20,8 @@ from archpi.errors import (SHORTFALLS, BisectionStall, InvalidChord,
 from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import seed_edge
 
-from oracles import contains, encloses, interval_classify, interval_walk, trig_chord
+from oracles import (contains, encloses, interval_classify, interval_walk, projection_gap,
+                     trig_chord)
 
 PREC = 64
 
@@ -419,10 +420,12 @@ def test_partition_profile_quarter_n4():
     # cumulative chords are the k-step chords
     assert contains(profile.cumulative_chords[1], trig_chord(Fraction(1, 8)))
     assert contains(profile.cumulative_chords[3], trig_chord(Fraction(1, 4)))
-    # projection gaps mirror exactly and sum to the full chord
+    # each projection gap holds the exact gap, mirrored gaps overlap, and
+    # they sum to the full chord
     gaps = profile.projections
-    assert gaps[0].lo == gaps[3].lo and gaps[0].hi == gaps[3].hi
-    assert gaps[1].lo == gaps[2].lo and gaps[1].hi == gaps[2].hi
+    for k, gap in enumerate(gaps):
+        assert contains(gap, projection_gap(Fraction(1, 4), 4, k))
+    assert gaps[0].overlaps(gaps[3]) and gaps[1].overlaps(gaps[2])
     total = gaps[0] + gaps[1] + gaps[2] + gaps[3]
     assert total.overlaps(quarter_arc().chord_total)
     assert compare_certain(gaps[0], gaps[1]) is Verdict.CERTAINLY_LESS
@@ -433,7 +436,8 @@ def test_partition_profile_odd_n():
     gaps = profile.projections
     assert len(gaps) == 5
     for i in range(5):
-        assert gaps[i].lo == gaps[4 - i].lo and gaps[i].hi == gaps[4 - i].hi
+        assert contains(gaps[i], projection_gap(Fraction(1, 4), 5, i))
+        assert gaps[i].overlaps(gaps[4 - i])
     assert compare_certain(gaps[0], gaps[1]) is Verdict.CERTAINLY_LESS
     assert compare_certain(gaps[1], gaps[2]) is Verdict.CERTAINLY_LESS
 

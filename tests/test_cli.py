@@ -560,7 +560,7 @@ def test_unordered_chords_exit_3(monkeypatch, capsys):
     assert err.startswith("inconclusive:") and "ordered" in err
 
 
-@pytest.mark.parametrize("suite", ["chord-compare", "tangent-profile", "projections"])
+@pytest.mark.parametrize("suite", ["chord-compare", "tangent-profile"])
 def test_operands_too_wide_exit_3(suite, capsys):
     # at 16 bits a coordinate difference straddles zero, so the square root
     # of a squared distance fails: a precision shortfall, not a usage error.
@@ -731,7 +731,7 @@ def test_h_ratio_shortfall_keeps_the_other_rows(capsys):
     assert rows[0]["status"] == "ok"
 
 
-@pytest.mark.parametrize("suite", ["projections", "tangent-profile"])
+@pytest.mark.parametrize("suite", ["tangent-profile"])
 def test_antipodal_tangents_are_a_shortfall(suite, capsys):
     # at 16 bits 1 + p.q straddles zero for one sample's tangent points;
     # profile arcs are under half a circle, so that is a precision shortfall
@@ -747,6 +747,22 @@ def test_antipodal_tangents_are_a_shortfall(suite, capsys):
     assert len(lines) == report["inconclusive"]
     assert all(line.startswith("inconclusive: sample ") for line in lines)
     assert sum(line.endswith(" at 16 bits: overlap") for line in lines) == len(lines) - len(short)
+
+
+def test_low_precision_projections_are_overlaps_not_shortfalls(capsys):
+    # the suite builds no tangent meet, so at 16 bits every sample checks
+    # its gaps, and the rows it cannot certify are overlaps
+    code = main(["verify", "projections", "--precision", "16"])
+    captured = capsys.readouterr()
+    assert code == 3
+    report = json.loads(captured.out)
+    assert report["violations"] == 0 and report["inconclusive"] > 0
+    assert {row["sample_seed"] for row in report["rows"]} == {
+        1_000_003 + i for i in range(100)}
+    assert [row for row in report["rows"] if "error" in row] == []
+    lines = captured.err.splitlines()
+    assert len(lines) == report["inconclusive"]
+    assert all(line.endswith(" at 16 bits: overlap") for line in lines)
 
 
 def test_circuit_sandwich_low_precision_is_inconclusive_not_violated(capsys):

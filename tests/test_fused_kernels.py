@@ -22,8 +22,8 @@ from archpi.errors import AmbiguousCrossing, ArchpiError, InvalidChord
 from archpi.interval import Interval, Verdict
 from archpi.polygons import (RegularScheme, SchemeMeasures, _chord_root, _measures_from_edge,
                              circumscribed_edge, halve_edge, iter_scheme_measures,
-                             require_chord, two_pi_enclosure)
-from archpi.rational import _crossings, coprime_pairs, normalized_length, realize_rational
+                             pi_enclosure, require_chord)
+from archpi.rational import RationalLength, _crossings, coprime_pairs, realize_rational
 from archpi.trig import _lattice_verdict
 
 from oracles import (interval_chord_root, interval_circumscribed_edge, interval_edge_terms,
@@ -189,7 +189,8 @@ def test_rational_length_keeps_the_chords_rotation_and_root(prec):
         except ArchpiError:
             continue
         assert _outcome(lambda: r.rotation) == _outcome(interval_rotation, r.chord)
-        assert _outcome(normalized_length, r, "circumscribed") == _outcome(
+        # a fresh length, not the cached pair's kept one
+        assert _outcome(lambda: RationalLength(k, N, r.chord).circumscribed) == _outcome(
             lambda c: (interval_circumscribed_edge(c) * N) / k, r.chord)
 
 
@@ -228,7 +229,7 @@ def _lattice_thetas(boundary, steps):
 
 @pytest.mark.parametrize("prec", [16, 32, 64, 256])
 def test_lattice_verdict_is_the_interval_test_on_every_level(prec):
-    two_pi = two_pi_enclosure(prec)
+    two_pi = pi_enclosure(prec) * 2
     seen = set()
     for level in range(prec - 5):
         for count in sorted({1, 2, 3, (3 << level) - 1, (5 << level) // 3}):
@@ -246,7 +247,7 @@ def test_lattice_verdict_is_the_interval_test_on_every_level(prec):
 def test_lattice_verdict_is_the_interval_test(prec, data):
     level = data.draw(st.integers(0, prec - 6))
     count = data.draw(st.integers(1, 3 << level))
-    two_pi = two_pi_enclosure(prec)
+    two_pi = pi_enclosure(prec) * 2
     boundary = (two_pi * count) / (3 << level)
     a = data.draw(st.integers(-12, 12))
     (theta,) = _lattice_thetas(boundary, [(a, a + data.draw(st.integers(-4, 12)))])

@@ -28,7 +28,6 @@ from archpi.polygons import (
     romberg_error_bound,
     scheme_measures,
     seed_edge,
-    two_pi_enclosure,
     vertex_gap,
 )
 
@@ -118,7 +117,7 @@ def test_pi_bounds_and_enclosure():
     enc = pi_enclosure(128)
     assert contains(enc, "3.14159265358979323846264338327950288419716939937510")
     assert enc.width() < Dyadic(1, -100)
-    assert contains(two_pi_enclosure(64), "6.2831853071795864769252867665590057683943387987502")
+    assert contains(pi_enclosure(64) * 2, "6.2831853071795864769252867665590057683943387987502")
 
 
 def test_pi_enclosure_is_the_chain_bracket_to_400_bits():

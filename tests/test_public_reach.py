@@ -36,6 +36,7 @@ PAPER_API = (
     "geometric_sin",                 # mpmath, tests/test_trig.py
     "geometric_cos",                 # mpmath, tests/test_trig.py
     "Circuit.from_regular_indices",  # oracles.explicit_circuit_measures
+    "PartitionProfile",              # mpmath, test_chords.test_partition_profile_*
 )
 
 

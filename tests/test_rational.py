@@ -23,14 +23,13 @@ from archpi.errors import (
     PreconditionViolation,
 )
 from archpi.interval import Interval, Verdict, compare_certain
-from archpi.polygons import seed_edge, two_pi_enclosure
+from archpi.polygons import pi_enclosure, seed_edge
 from archpi.rational import (
     RationalLength,
     _ball_crosses,
     coprime_pairs,
     gamma_path,
     normalized_compare,
-    normalized_length,
     realize_rational,
     winding_count,
 )
@@ -83,30 +82,25 @@ def test_winding_counts():
 
 
 def test_normalized_length_brackets_two_pi():
-    two_pi = two_pi_enclosure(PREC)
+    two_pi = pi_enclosure(PREC) * 2
     for k, N in ((1, 3), (2, 5), (3, 8), (5, 11)):
-        r = realize_rational(k, N, PREC)
-        assert (
-            compare_certain(normalized_length(r), two_pi)
-            is Verdict.CERTAINLY_LESS
-        )
-        assert (
-            compare_certain(normalized_length(r, "circumscribed"), two_pi)
-            is Verdict.CERTAINLY_GREATER
-        )
+        # a fresh length, not the cached pair's kept one
+        r = RationalLength(k, N, realize_rational(k, N, PREC).chord)
+        assert compare_certain(r.inscribed, two_pi) is Verdict.CERTAINLY_LESS
+        assert compare_certain(r.circumscribed, two_pi) is Verdict.CERTAINLY_GREATER
 
 
 def test_normalized_compare_example():
     a = realize_rational(2, 5, PREC)
     b = realize_rational(1, 3, PREC)
-    res = normalized_compare(a, b, "inscribed")
-    assert res.verdict is Verdict.CERTAINLY_LESS
-    assert contains(res.lhs, "4.755282581475767860582196666896910717028")
-    assert contains(res.rhs, "5.196152422706631880582339024517617100828")
+    verdict, lhs, rhs = normalized_compare(a, b, "inscribed")
+    assert verdict is Verdict.CERTAINLY_LESS
+    assert contains(lhs, "4.755282581475767860582196666896910717028")
+    assert contains(rhs, "5.196152422706631880582339024517617100828")
     flipped = normalized_compare(b, a, "inscribed")  # order-insensitive
-    assert flipped.verdict is Verdict.CERTAINLY_LESS
-    circ = normalized_compare(a, b, "circumscribed")
-    assert circ.verdict is Verdict.CERTAINLY_GREATER
+    assert flipped == (verdict, lhs, rhs)
+    verdict, _, _ = normalized_compare(a, b, "circumscribed")
+    assert verdict is Verdict.CERTAINLY_GREATER
 
 
 def test_normalized_compare_rejects_unordered():
@@ -115,8 +109,6 @@ def test_normalized_compare_rejects_unordered():
         normalized_compare(a, a)
     with pytest.raises(PreconditionViolation):
         normalized_compare(a, realize_rational(1, 3, PREC), "sideways")
-    with pytest.raises(PreconditionViolation):
-        normalized_length(a, "bogus")
     # an unknown mode is a bad argument, not a shortfall, even for a pair
     # whose chords cannot be ordered
     with pytest.raises(PreconditionViolation, match="unknown mode 'bogus'"):
@@ -401,12 +393,13 @@ def test_a_second_sweep_forms_no_root_and_walks_nothing(monkeypatch, cold_ration
 
 
 def test_verify_rational_forms_each_normalized_length_once(monkeypatch, cold_rational):
-    # a pair's row and its adjacent comparisons in one mode read one length
-    calls = _count_calls(monkeypatch, rational, "normalized_length")
+    # a pair's row and its adjacent circumscribed comparisons read one
+    # length, so each pair's chord forms one tangent edge
+    calls = _count_calls(monkeypatch, rational, "_tangent_edge")
     assert _sweep(["verify", "rational", "--max-n", "12"]) == 0
-    formed = Counter((r.k, r.N, *mode) for r, *mode in calls)
-    assert formed == {(k, N, *mode): 1 for k, N in coprime_pairs(12)
-                      for mode in ((), ("circumscribed",))}
+    # an Interval hashes by identity: these are the pairs' kept chords
+    formed = Counter(chord for chord, _ in calls)
+    assert formed == {realize_rational(k, N, PREC).chord: 1 for k, N in coprime_pairs(12)}
 
 
 def test_a_shortfall_is_not_kept(monkeypatch, cold_rational):

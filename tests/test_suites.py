@@ -1,12 +1,11 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from archpi import polygons, rational, suites
+from archpi import chords, circuits, polygons, rational, suites
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.errors import AmbiguousCrossing, DivByZeroInterval, HypothesisUnordered
@@ -369,20 +368,31 @@ def test_rational_overlap_is_inconclusive(monkeypatch):
 
 
 def test_projection_symmetry_is_checked_from_the_points(monkeypatch):
-    real = suites.partition_profile
+    real = suites._partition
 
     def skewed(arc, n, prec):
-        # move P_2 onto P_3: the mirrored projections stay symmetric, but the
-        # gaps recomputed from the points no longer are
-        profile = real(arc, n, prec)
-        points = list(profile.points)
-        points[1] = points[2]
-        return dataclasses.replace(profile, points=points)
+        # move P_2 onto P_3: the first gap spans two steps and the second
+        # none, so neither is the mirror of its partner
+        step, points = real(arc, n, prec)
+        return step, [points[0], points[2], *points[2:]]
 
-    monkeypatch.setattr(suites, "partition_profile", skewed)
+    monkeypatch.setattr(suites, "_partition", skewed)
     res = run_suite("projections", samples=2, seed=2)
     symmetric = [row for row in res.rows if row["check"] == "symmetric"]
     assert [row["status"] for row in symmetric] == ["violated"] * 2
+
+
+def test_projections_build_no_tangent_meet(monkeypatch):
+    # the suite reads the points, the full chord and the gaps alone
+    calls = []
+    for module in (chords, circuits):
+        def counted(p, q, real=module.tangent_intersection):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(module, "tangent_intersection", counted)
+    assert run_suite("projections", samples=20).violations == 0
+    assert calls == []
 
 
 #: sha256 of ``archpi … --format json`` output, pinned before the suites

@@ -9,7 +9,7 @@ from archpi.circuits import lattice_ladder, step_by_chord, unit_start
 from archpi.dyadic import Dyadic
 from archpi.errors import ArchpiError, ThetaOutOfRange
 from archpi.interval import Interval, Verdict, compare_certain
-from archpi.polygons import edge_chain, pi_enclosure, two_pi_enclosure
+from archpi.polygons import edge_chain, pi_enclosure
 from archpi.trig import (
     _inflate,
     _theta_slack,
@@ -32,7 +32,7 @@ def exact(value, prec=PREC):
 
 def arc(a, b, prec=PREC):
     """The arclength 2*pi*a/b, as an enclosure."""
-    return (two_pi_enclosure(prec) * a) / b
+    return (pi_enclosure(prec) * 2 * a) / b
 
 
 def test_geometric_point_known_values():
@@ -62,7 +62,7 @@ def test_geometric_point_lattice_boundary():
 
 def test_geometric_point_domain():
     with pytest.raises(ThetaOutOfRange):
-        geometric_point(two_pi_enclosure(PREC), PREC)
+        geometric_point(pi_enclosure(PREC) * 2, PREC)
     with pytest.raises(ThetaOutOfRange):
         geometric_point(Interval.from_endpoints(Fraction(-1), Fraction(1), PREC), PREC)
 
@@ -97,7 +97,7 @@ def test_theta_slack_is_never_negative_on_an_overlap(level, data):
     # _inflate widens by this slack, so it must not shrink a pinned point
     prec = data.draw(st.sampled_from([16, 32, 64]))
     index = data.draw(st.integers(min_value=1, max_value=(3 << level) - 1))
-    boundary = (two_pi_enclosure(prec) * index) / (3 << level)
+    boundary = (pi_enclosure(prec) * 2 * index) / (3 << level)
     # theta's ends step by half the boundary's width, so most draws overlap
     step = boundary.width().as_fraction() / 2
     lo = boundary.lo.as_fraction() + data.draw(st.integers(-6, 4)) * step
@@ -160,7 +160,7 @@ def _reference_point(theta, prec):
     chain per call and a chord step, cosine and sine recomputed, per level."""
     if theta.lo.sign < 0:
         return _reference_point(-theta, prec).reflect()
-    two_pi = two_pi_enclosure(prec)
+    two_pi = pi_enclosure(prec) * 2
     if theta.hi.sign == 0:
         return unit_start(prec)
     depth = prec + 8
@@ -225,7 +225,7 @@ def _thetas(draw):
     """(theta, prec): theta within a few widths of 0, of the full turn or of
     a lattice boundary (two_pi * count) / (3 * 2^level), either sign."""
     prec = draw(st.sampled_from([16, 17, 32, 33, 64, 65, 128, 256]))
-    two_pi = two_pi_enclosure(prec)
+    two_pi = pi_enclosure(prec) * 2
     near = draw(st.sampled_from(["zero", "turn", "boundary", "boundary"]))
     if near == "zero":
         center = Interval.exact(0, prec)
