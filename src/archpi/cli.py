@@ -26,21 +26,11 @@ by the circuit suites' sandwich rule on both of its measures, against
 ``pi_enclosure`` at the report's precision.
 Reports are deterministic for identical argv and seed.
 
-``main`` parses a plain request off the flag table that ``_flag_table``
-reads from the parser once: a command name, then exact option strings with
-their values and the command's positionals, each value passing its action's
-``type`` and ``choices``, and every required flag and positional given.  It
-gets the namespace the full parser gives.  Every other request (no words,
-an unknown or abbreviated command or flag, an option before the command,
-``--flag=value``, ``-h``, ``--``, a value that starts with ``-`` or that
-its flag refuses, a missing flag or extra words) goes through the full
-parser, so its usage message, help and exit code are the ones argparse
-gives.  A
-JSON report is ``json.dumps(report, indent=2, default=str)``, joined by
-``_json`` rather than by the standard library's pure-Python indenting
-encoder; a ``sweep-rational`` report joins the text each realized pair
-keeps, ``RationalLength.sweep_text``, so a warm one encodes only its
-shortfall rows.
+``main`` reads a plain request with ``_plain_parse`` and leaves every other
+one to the full parser.  Every byte of a JSON report is written by
+``_json``; a JSON ``sweep-rational`` report joins the row text the CLI
+keeps per pair, ``_sweep_text``, so a warm one encodes only its shortfall
+rows.
 """
 
 from __future__ import annotations
@@ -65,9 +55,9 @@ from .errors import SHORTFALLS, ArchpiError, PrecisionCeiling
 from .interval import Interval
 from .polygons import (DEFAULT_DIGIT_CAP, RegularScheme, iter_scheme_measures,
                        pi_digits, pi_enclosure, scheme_measures)
-from .rational import _RowText, coprime_pairs, realize_rational
-from .suites import (DEFAULT_SEED, LEAST, LESS, MAX_JOBS, MOST, SUITES, checked,
-                     run_suite, sandwich_checks, shortfall_row)
+from .rational import RationalLength, coprime_pairs, realize_rational
+from .suites import (DEFAULT_SEED, LEAST, LESS, SUITES, checked, require_bound, run_suite,
+                     sandwich_checks, shortfall_row)
 from .trig import sandwich_report
 
 EXIT_OK = 0
@@ -121,10 +111,8 @@ def _default_precision() -> int:
     return _env_int("ARCHPI_PRECISION", 64)
 
 
-def _require_jobs(source: str, jobs: int) -> None:
-    """Reject a job count outside 1..``suites.MAX_JOBS``, before any worker starts."""
-    if not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"{source} must lie in 1..{MAX_JOBS}, got {jobs}")
+class _RowText(str):
+    """JSON text that ``_json`` writes out as it is, not as a string."""
 
 
 def _json(value, indent: str = "") -> str:
@@ -137,8 +125,8 @@ def _json(value, indent: str = "") -> str:
     with a key that is not a str, is left to ``json.dumps``: JSON text holds
     no raw newline inside a string, so indenting its lines is exact.
 
-    A ``rational._RowText`` is JSON text already indented for an item of a
-    report's ``rows`` list, and is written out as it is.  Under a dict with
+    A ``_RowText`` is JSON text already indented for an item of a report's
+    ``rows`` list, and is written out as it is.  Under a dict with
     a key that is not a str it would go to ``json.dumps`` and be quoted;
     ``sweep-rational``, the one report that holds such text, builds no such
     dict.
@@ -248,15 +236,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _require_size(key: str, value: int) -> None:
-    """Reject, before any work, a size below ``suites.LEAST``, where it would
-    yield no rows, or above ``suites.MOST``."""
-    if key in LEAST and value < LEAST[key]:
-        raise ValueError(f"{_flag(key)} must be at least {LEAST[key]}, got {value}")
-    if value > MOST[key]:
-        raise ValueError(f"{_flag(key)} must be at most {MOST[key]}, got {value}")
-
-
 def _finish(report: dict, statuses, args, precision: int, subject=_SUBJECT,
             rows=None) -> int:
     """Write ``report``, name its inconclusive rows on stderr, and return the
@@ -285,7 +264,7 @@ def _finish(report: dict, statuses, args, precision: int, subject=_SUBJECT,
 
 
 def _cmd_bounds(args) -> int:
-    _require_size("m", args.m)
+    require_bound("m", args.m, "--m")
     prec = _precision(args)
     measures = scheme_measures(RegularScheme(args.n, args.m), prec)
     pi_lo = (measures.p / 2).lo
@@ -317,7 +296,7 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_archimedes(args) -> int:
-    _require_size("m_max", args.m_max)
+    require_bound("m_max", args.m_max, "--m-max")
     prec = _precision(args)
     rows = [
         meas.report_row()
@@ -353,13 +332,10 @@ def _cmd_verify(args) -> int:
                 f"{_flag(key)} does not apply to suite {args.suite}, "
                 f"which takes {flags}"
             )
-        if key in LEAST:
-            _require_size(key, value)
-    if args.jobs is not None:
-        _require_jobs("--jobs", args.jobs)
-    elif "jobs" in takes:
+        require_bound(key, value, _flag(key))
+    if args.jobs is None and "jobs" in takes:
         given["jobs"] = _env_int("ARCHPI_JOBS", 1)
-        _require_jobs("ARCHPI_JOBS", given["jobs"])
+        require_bound("jobs", given["jobs"], "ARCHPI_JOBS")
     if args.precision is not None or "ARCHPI_PRECISION" in os.environ:
         given["precision"] = _precision(args)
     precision = given.get("precision", takes["precision"].default)
@@ -420,7 +396,7 @@ def _cmd_trig(args) -> int:
             raise ValueError(f"--theta: {exc}") from None
         thetas = [Interval.from_fraction(theta, prec)]
     else:
-        _require_size("k_max", args.k_max)
+        require_bound("k_max", args.k_max, "--k-max")
         thetas = [Interval.exact(Dyadic(1, -k), prec) for k in
                   range(1, args.k_max + 1)]
     rows, statuses = [], []
@@ -443,15 +419,34 @@ def _cmd_trig(args) -> int:
     return _finish(report, statuses, args, prec, subject={"theta"})
 
 
+def _sweep_row(pair: RationalLength) -> dict:
+    """The ``sweep-rational`` row of ``pair``: k, N, the 17-digit decimal
+    ends of its chord, ``inscribed`` and ``circumscribed``, then its
+    ``winding``, formed in that order, so the first to fall short raises."""
+    return {"k": pair.k, "N": pair.N, "chord": list(pair.chord.decimal_pair(17)),
+            "inscribed": list(pair.inscribed.decimal_pair(17)),
+            "circumscribed": list(pair.circumscribed.decimal_pair(17)),
+            "winding": pair.winding}
+
+
+@lru_cache(maxsize=256)
+def _sweep_text(k: int, N: int, prec: int) -> _RowText:
+    """The JSON text of the sweep row of ``realize_rational(k, N, prec)``,
+    at the indent of an item of a report's ``rows`` list, kept per pair as
+    ``realize_rational`` keeps the pair.  A row that falls short raises and
+    is kept nowhere."""
+    return _RowText(_json(_sweep_row(realize_rational(k, N, prec)), "    "))
+
+
 def _cmd_sweep_rational(args) -> int:
-    _require_size("max_n", args.max_n)
+    require_bound("max_n", args.max_n, "--max-n")
     prec = _precision(args)
     rows, statuses = [], []
     for k, N in coprime_pairs(args.max_n):
         try:
-            pair = realize_rational(k, N, prec)
-            # a JSON report joins the row text the pair keeps
-            rows.append(pair.sweep_text if args.format == "json" else pair.sweep_dict())
+            # a JSON report joins the row text kept per pair
+            rows.append(_sweep_text(k, N, prec) if args.format == "json"
+                        else _sweep_row(realize_rational(k, N, prec)))
             statuses.append("ok")
         except SHORTFALLS as exc:
             rows.append(shortfall_row({"k": k, "N": N}, prec, exc))

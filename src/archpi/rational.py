@@ -8,16 +8,14 @@ the chord enclosure.
 
 ``realize_rational`` is cached per (k, N, prec), and the ``RationalLength``
 it returns keeps each measure it forms: the chord's root and rotation, its
-two normalized lengths, its winding, its sweep row's decimals and that
-row's JSON text.  So a pair's measures are formed once per process, however
-many sweeps, suite runs and adjacent comparisons read them.  A measure that
-falls short of precision raises and is kept nowhere; reading it again forms
-it again, with the same error.
+two normalized lengths and its winding.  So a pair's measures are formed
+once per process, however many sweeps, suite runs and adjacent comparisons
+read them.  A measure that falls short of precision raises and is kept
+nowhere; reading it again forms it again, with the same error.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -39,10 +37,6 @@ from .interval import Interval, Verdict, compare_certain
 from .polygons import _chord_root, _tangent_edge, require_chord, seed_edge
 
 
-class _RowText(str):
-    """JSON text that ``cli._json`` writes out as it is, not as a string."""
-
-
 @dataclass(frozen=True)
 class RationalLength:
     """Chord spanning k steps of a regular N-gon, gcd(k, N) = 1.
@@ -50,9 +44,8 @@ class RationalLength:
     Each measure is formed the first time it is read, and kept: the chord's
     square root sqrt(4 - chord^2), shared by its rotation and its tangent
     edge; the ``inscribed`` and ``circumscribed`` normalized lengths, (N/k)
-    times the chord and its tangent edge; the ``winding``; the decimal
-    ``sweep_row``; and its JSON text, ``sweep_text``.  A measure whose
-    formation raises is not kept.
+    times the chord and its tangent edge; and the ``winding``.  A measure
+    whose formation raises is not kept.
     """
 
     k: int
@@ -85,27 +78,6 @@ class RationalLength:
     def winding(self) -> int:
         """``winding_count(self)``."""
         return winding_count(self)
-
-    @cached_property
-    def sweep_row(self) -> tuple:
-        """The ``sweep-rational`` row's measures: the 17-digit decimal ends
-        of the chord, ``inscribed`` and ``circumscribed``, then ``winding``,
-        in tuples that nothing can change."""
-        return (self.chord.decimal_pair(17), self.inscribed.decimal_pair(17),
-                self.circumscribed.decimal_pair(17), self.winding)
-
-    def sweep_dict(self) -> dict:
-        """The ``sweep-rational`` row, k, N and ``sweep_row``, as a new dict."""
-        chord, inscribed, circumscribed, winding = self.sweep_row
-        return {"k": self.k, "N": self.N, "chord": list(chord), "inscribed": list(inscribed),
-                "circumscribed": list(circumscribed), "winding": winding}
-
-    @cached_property
-    def sweep_text(self) -> str:
-        """``json.dumps(self.sweep_dict(), indent=2)`` at the indent of an
-        item of a report's ``rows`` list, four spaces, as a ``_RowText``:
-        ``cli._json`` writes it there as it is."""
-        return _RowText(json.dumps(self.sweep_dict(), indent=2).replace("\n", "\n    "))
 
 
 @lru_cache(maxsize=64)

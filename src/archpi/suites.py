@@ -24,8 +24,9 @@ naming its seed, pair, step or k; the other rows still run.
 ``run_suite`` collects a suite's rows into a ``SuiteResult``, the only place
 one is built; its ``samples``, ``violations`` and ``inconclusive`` counts
 are read off the rows.  Every suite takes only the keyword arguments in its
-signature; ``run_suite`` rejects, up front, a size below its ``LEAST``
-value, where the suite would make no check, or above its ``MOST`` value.
+signature; ``run_suite`` rejects, up front, by ``require_bound``, a size
+below its ``LEAST`` value, where the suite would make no check, or above
+its ``MOST`` value, and a job count outside 1..``MAX_JOBS``.
 Randomized suites parallelize over samples; each sample owns its seed and
 returns its finished rows.
 """
@@ -68,6 +69,19 @@ MOST = {"samples": 10_000, "circuits_per_cap": 1_000, "k_max": 1_024,
 #: the most worker processes a suite may be asked for; it starts at most one
 #: per sample and per CPU
 MAX_JOBS = 256
+
+
+def require_bound(key: str, value: int, name: str) -> None:
+    """Reject, before any work, a size ``key`` below its ``LEAST`` value or
+    above its ``MOST`` value, or a ``jobs`` count outside 1..``MAX_JOBS``.
+    The message calls the value ``name``: a keyword, a flag or a variable."""
+    if key in LEAST and value < LEAST[key]:
+        raise ValueError(f"{name} must be at least {LEAST[key]}, got {value}")
+    if key in MOST and value > MOST[key]:
+        raise ValueError(f"{name} must be at most {MOST[key]}, got {value}")
+    if key == "jobs" and not 1 <= value <= MAX_JOBS:
+        raise ValueError(f"{name} must lie in 1..{MAX_JOBS}, got {value}")
+
 
 LESS = Verdict.CERTAINLY_LESS
 GREATER = Verdict.CERTAINLY_GREATER
@@ -542,10 +556,5 @@ def run_suite(name: str, **kwargs) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     for key, value in kwargs.items():
-        if key in LEAST and value < LEAST[key]:
-            raise ValueError(f"{key} must be at least {LEAST[key]}, got {value}")
-        if key in MOST and value > MOST[key]:
-            raise ValueError(f"{key} must be at most {MOST[key]}, got {value}")
-        if key == "jobs" and not 1 <= value <= MAX_JOBS:
-            raise ValueError(f"jobs must lie in 1..{MAX_JOBS}, got {value}")
+        require_bound(key, value, key)
     return SuiteResult(name, list(SUITES[name](**kwargs)))

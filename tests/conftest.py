@@ -1,10 +1,10 @@
 """Shared pytest hooks: surface acceptance pass/fail lines in the summary,
-and fixtures that run a test on an empty ``realize_rational`` cache or
-without ``pi_digits``' kept digit string."""
+and fixtures that run a test on empty ``realize_rational`` and
+``cli._sweep_text`` caches or without ``pi_digits``' kept digit string."""
 
 import pytest
 
-from archpi import polygons
+from archpi import cli, polygons
 from archpi.rational import realize_rational
 
 ACCEPTANCE_LINES: list[str] = []
@@ -24,15 +24,19 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def cold_rational():
-    """``realize_rational``'s cache, emptied before the test and after it.
+    """``realize_rational``'s cache and the CLI's kept sweep row texts,
+    emptied before the test and after it.
 
-    A cached ``RationalLength`` keeps the measures it formed, so a test that
-    counts or patches what forms them must start without it, and must not
-    leave behind measures formed by a patched function.
+    A cached ``RationalLength`` keeps the measures it formed, and a kept row
+    text the decimals of a row, so a test that counts or patches what forms
+    them must start without either, and must not leave behind what a patched
+    function formed.
     """
     realize_rational.cache_clear()
+    cli._sweep_text.cache_clear()
     yield
     realize_rational.cache_clear()
+    cli._sweep_text.cache_clear()
 
 
 @pytest.fixture

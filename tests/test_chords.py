@@ -236,6 +236,44 @@ def test_solve_stalls_when_ambiguous_steps_exceed_tolerance():
             solve(ArcSpec.from_chord(chord), 2, 16)
 
 
+def test_solve_refuses_a_subdivision_count_below_one():
+    with pytest.raises(PreconditionViolation, match="subdivision count must be at least 1"):
+        solve_regular_chord(quarter_arc(), 0, PREC)
+
+
+def test_solve_stalls_on_verdicts_out_of_order(monkeypatch):
+    # after one ambiguous mid, a mid below it classified over and a mid
+    # above it classified under order no step
+    zone = []
+
+    def classify(step, n, targets, prec):
+        if not zone:
+            zone.append(step)
+            return chords._AMBIG
+        return chords._OVER if step < zone[0] else chords._UNDER
+
+    monkeypatch.setattr(chords, "_bracket", lambda *args: None)
+    monkeypatch.setattr(chords, "_classify_adaptive", classify)
+    with pytest.raises(BisectionStall, match="verdicts out of order"):
+        solve_regular_chord(quarter_arc(), 5, PREC)
+
+
+@pytest.mark.parametrize("fails", ["sign", "error"])
+def test_a_failed_newton_step_leaves_no_bracket(fails, monkeypatch):
+    # a step whose walk cannot tell the sign of y, or that raises, gives no
+    # bracket, and the solve walks every mid to the same bits
+    def newton_step(step, n, target, prec):
+        if fails == "error":
+            raise InvalidChord("operand too wide at this precision")
+        return None
+
+    monkeypatch.setattr(chords, "_newton_step", newton_step)
+    arc = quarter_arc()
+    chord_total = arc.chord_total
+    assert chords._bracket(chord_total, 5, PREC, chords._targets(chord_total)) is None
+    assert _bits(solve_regular_chord(arc, 5, PREC)) == _bits(reference_solve(arc, 5, PREC))
+
+
 def test_solve_above_the_precision_ceiling_is_a_precondition_not_a_shortfall():
     # walks run 16 bits above the working precision, so above 4080 bits no
     # walk fits under the cap; that is a bad argument, not too little

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from archpi import circuits, cli, polygons
+from archpi import circuits, cli, polygons, suites
 from archpi.cli import main
 from archpi.dyadic import Dyadic
 from archpi.interval import Interval
@@ -156,6 +156,7 @@ def test_warm_and_cold_rational_reports_are_identical(args, capsys):
     for clear in (False, False, True):
         if clear:
             realize_rational.cache_clear()
+            cli._sweep_text.cache_clear()
         code = main(args)
         runs.append((code, *capsys.readouterr()))
     assert runs[0] == runs[1] == runs[2]
@@ -176,6 +177,7 @@ def test_warm_and_cold_sweep_reports_are_identical_in_every_format(sizes, fmt, o
     for clear in (False, True):
         if clear:
             realize_rational.cache_clear()
+            cli._sweep_text.cache_clear()
         else:
             main(["sweep-rational", *sizes])
             capsys.readouterr()
@@ -490,7 +492,7 @@ _SIZE_CASES = [
 def test_size_above_the_ceiling_exits_2_before_work(args, key, body, monkeypatch, capsys):
     # as for precision, only the stub runs, and only at the ceiling itself
     monkeypatch.setattr(cli, body, _reached)
-    ceiling = cli.MOST[key]
+    ceiling = suites.MOST[key]
     assert main([*args, str(ceiling + 1)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {args[-1]} must be at most {ceiling}, got {ceiling + 1}\n"
@@ -499,7 +501,7 @@ def test_size_above_the_ceiling_exits_2_before_work(args, key, body, monkeypatch
 
 
 def test_every_size_flag_has_a_ceiling():
-    assert {key for _, key, _ in _SIZE_CASES} == set(cli.MOST) == {*cli.LEAST, "m"}
+    assert {key for _, key, _ in _SIZE_CASES} == set(suites.MOST) == {*suites.LEAST, "m"}
 
 
 def test_bounds_precision_floor_has_message(capsys):

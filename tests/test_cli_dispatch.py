@@ -300,9 +300,8 @@ _PLAIN = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), st.text
 def test_kept_row_text_joins_as_json_dumps(items, fields):
     # a pair in the rows is its kept text in the report and its dict in the
     # plain one; every other row is the same value in both
-    pairs = [realize_rational(*item, 64) if type(item) is tuple else None for item in items]
-    report = {**fields, "rows": [pair.sweep_text if pair else item
-                                 for pair, item in zip(pairs, items)]}
-    plain = {**fields, "rows": [pair.sweep_dict() if pair else item
-                                for pair, item in zip(pairs, items)]}
+    report = {**fields, "rows": [cli._sweep_text(*item, 64) if type(item) is tuple else item
+                                 for item in items]}
+    plain = {**fields, "rows": [cli._sweep_row(realize_rational(*item, 64))
+                                if type(item) is tuple else item for item in items]}
     assert cli._json(report) == json.dumps(plain, indent=2)

@@ -1,6 +1,7 @@
 """Every ``functools`` cache in the package is bounded by an explicit
 integer ``maxsize``, and the README's cache bullet names every cache the
-package keeps and every public ``cached_property``.
+package keeps and every public ``cached_property``, and no cache of a
+package module that the module does not keep.
 
 A cache keeps its results for the life of the process, so one without a
 bound grows with every distinct argument a long-lived caller sends.  The
@@ -9,6 +10,7 @@ or run.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -155,8 +157,18 @@ def test_the_readme_names_every_kept_cache():
     assert {name for name in kept if f"`{name}`" not in bullet} == set()
 
 
+def test_the_readme_names_no_stale_cache():
+    # every `module.name` of the bullet whose module is a file of the
+    # package is a name that module keeps
+    kept = {path.stem: kept_names(path.read_text()) for path in MODULES}
+    named = re.findall(r"`(\w+)\.(\w+)`", _cache_bullet())
+    assert {module for module, _ in named} & set(kept)
+    assert [f"{module}.{name}" for module, name in named
+            if module in kept and name not in kept[module]] == []
+
+
 def test_the_readme_names_every_kept_property():
     kept = {name for path in MODULES for name in kept_properties(path.read_text())}
-    assert "sweep_text" in kept
+    assert "winding" in kept
     bullet = _cache_bullet()
     assert {name for name in kept if f"`{name}`" not in bullet} == set()

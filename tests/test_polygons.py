@@ -500,6 +500,21 @@ def test_precision_floor():
         scheme_measures(RegularScheme(3, 1), 8)
 
 
+def test_a_negative_refinement_depth_is_refused():
+    with pytest.raises(ValueError, match="refinement depth must be nonnegative"):
+        RegularScheme(6, -1)
+
+
+@pytest.mark.parametrize("m0, k, prec, message", [
+    (0, 1, 15, "precision must be at least 16 bits"),
+    (-1, 1, 64, "depth and order must be nonnegative"),
+    (0, -1, 64, "depth and order must be nonnegative"),
+], ids=["precision", "depth", "order"])
+def test_romberg_bounds_refuses_bad_arguments(m0, k, prec, message):
+    with pytest.raises(ValueError, match=message):
+        romberg_bounds(m0, k, prec)
+
+
 def test_report_row_shape():
     row = scheme_measures(RegularScheme(4, 2), 64).report_row()
     assert row["n"] == 4 and row["m"] == 2 and row["precision"] == 64

@@ -71,6 +71,12 @@ def test_gamma_path_closes():
         assert on_circle(p)
 
 
+def test_gamma_path_that_misses_its_start_fails_to_close():
+    # chord 1 steps a sixth of a turn, so five steps end a sixth short
+    with pytest.raises(ClosureFailure, match=r"path for \(1, 5\) certifiably misses"):
+        gamma_path(RationalLength(1, 5, Interval.exact(1, 64)))
+
+
 def test_winding_counts():
     assert winding_count(realize_rational(1, 6, PREC)) == 1
     assert winding_count(realize_rational(2, 5, PREC)) == 2
@@ -423,22 +429,21 @@ def test_a_second_sweep_writes_no_decimal(monkeypatch, cold_rational):
     calls.clear()
     assert _sweep(argv) == 0
     assert calls == []
-    # the kept row is tuples, which no reader of it can change
-    row = realize_rational(1, 5, 64).sweep_row
-    assert all(type(part) is tuple for part in row[:3]) and row[3] == 1
+    # the kept row is a str, which no reader of it can change
+    assert type(cli._sweep_text(1, 5, 64)) is cli._RowText
 
 
 def test_a_second_sweep_joins_only_kept_row_text(monkeypatch, cold_rational):
     argv = ["sweep-rational", "--max-n", "16"]
     assert _sweep(argv) == 0
-    formed = _count_calls(monkeypatch, RationalLength, "sweep_dict")
+    formed = _count_calls(monkeypatch, cli, "_sweep_row")
     joined = _count_calls(monkeypatch, cli, "_json")
     assert _sweep(argv) == 0
     assert formed == []
-    # no realized row is joined again: each is its pair's kept text
+    # no realized row is joined again: each is the CLI's kept text
     assert [value for value, *_ in joined if isinstance(value, dict) and "k" in value] == []
-    kept = [value for value, *_ in joined if type(value) is rational._RowText]
-    assert kept == [realize_rational(k, N, PREC).sweep_text for k, N in coprime_pairs(16)]
+    kept = [value for value, *_ in joined if type(value) is cli._RowText]
+    assert kept == [cli._sweep_text(k, N, PREC) for k, N in coprime_pairs(16)]
 
 
 def test_a_shortfall_sweep_text_is_not_kept(cold_rational):
@@ -446,15 +451,16 @@ def test_a_shortfall_sweep_text_is_not_kept(cold_rational):
     r = realize_rational(7, 18, 16)
     for _ in range(2):
         with pytest.raises(AmbiguousCrossing):
-            r.sweep_text
-    assert "sweep_text" not in vars(r) and "sweep_row" not in vars(r)
+            cli._sweep_text(7, 18, 16)
+    assert cli._sweep_text.cache_info().currsize == 0 and "winding" not in vars(r)
 
 
 def test_a_shortfall_sweep_row_is_not_kept(monkeypatch, cold_rational):
-    # (7, 18) at 16 bits: its winding, the row's last measure, falls short
+    # (7, 18) at 16 bits: its winding, the row's last measure, falls short,
+    # so each read forms the row's three decimal pairs again
     r = realize_rational(7, 18, 16)
     calls = _count_calls(monkeypatch, Interval, "decimal_pair")
     for _ in range(2):
         with pytest.raises(AmbiguousCrossing):
-            r.sweep_row
-    assert len(calls) == 6 and "sweep_row" not in vars(r)
+            cli._sweep_row(r)
+    assert len(calls) == 6 and "winding" not in vars(r)
