@@ -291,33 +291,58 @@ def _edge_terms(chord: Interval) -> Tuple[Interval, Interval]:
     return _tangent_edge(chord, root), (chord * root) / 4
 
 
+@lru_cache(maxsize=512)
+def _gap_terms(m: int, prec: int, g: int) -> Tuple[Interval, Interval, Interval]:
+    """(chord, detour, triangle area) of g steps of the 3*2^m-gon ring, kept.
+
+    The chord is the distance from (1, 0) to the end of a walk of g steps,
+    and the other two are its ``_edge_terms``.  A term that falls short of
+    precision raises, and is formed and raised again on the next call.
+    """
+    points = ring_walk(m, prec, g)
+    start = end = next(points)
+    for end in points:
+        pass
+    chord = distance(start, end)
+    return (chord, *_edge_terms(chord))
+
+
+def _weighted_sum(terms: Sequence[Interval], counts: Sequence[int], prec: int) -> Interval:
+    """Interval.exact(0, prec) + t1*n1 + t2*n2 + ... for counts n >= 0.
+
+    Bit-identical to that Interval expression: each product endpoint is
+    rounded at its term's precision and each sum endpoint at the sum's,
+    which is the least precision so far, with no Interval or Dyadic built
+    in between.  A raw endpoint may carry trailing zero bits, and directed
+    rounding depends only on the value.
+    """
+    lm = le = hm = he = 0
+    for t, n in zip(terms, counts):
+        a, b, q = t.lo, t.hi, t.prec
+        if q < prec:
+            prec = q
+        # the product rounded alone, as a sum with 0
+        am, ae = _raw_sum(a.man * n, a.exp, 0, a.exp, q, False)
+        bm, be = _raw_sum(b.man * n, b.exp, 0, b.exp, q, True)
+        lm, le = _raw_sum(lm, le, am, ae, prec, False)
+        hm, he = _raw_sum(hm, he, bm, be, prec, True)
+    return _interval(_rounded(lm, le, prec, False), _rounded(hm, he, prec, True), prec)
+
+
 def circuit_measures(circuit: Circuit) -> CircuitMeasures:
     prec = circuit.prec
-    # one chord per distinct step count, each with its multiplicity, read
-    # off one walk prefix
+    # the kept terms of each distinct step count, weighted by its multiplicity
     counts = Counter(circuit.gaps)
-    prefix = list(ring_walk(circuit.ring_m, prec, max(counts)))
-    terms = [(distance(prefix[0], prefix[g]), n) for g, n in counts.items()]
-    perim_in = perim_circ = area_in = Interval.exact(0, prec)
-    for chord, count in terms:
-        detour, tri_area = _edge_terms(chord)
-        perim_in = perim_in + chord * count
-        perim_circ = perim_circ + detour * count
-        area_in = area_in + tri_area * count
-    chords = [chord for chord, _ in terms]
-    mesh = Interval(
-        max(c.lo for c in chords), max(c.hi for c in chords), prec
-    )
-    min_edge = Interval(
-        min(c.lo for c in chords), min(c.hi for c in chords), prec
-    )
+    chords, detours, areas = zip(*(_gap_terms(circuit.ring_m, prec, g) for g in counts))
+    weights = list(counts.values())
+    perim_circ = _weighted_sum(detours, weights, prec)
     return CircuitMeasures(
-        perimeter_in=perim_in,
+        perimeter_in=_weighted_sum(chords, weights, prec),
         perimeter_circ=perim_circ,
-        area_in=area_in,
+        area_in=_weighted_sum(areas, weights, prec),
         area_circ=perim_circ / 2,
-        mesh=mesh,
-        min_edge=min_edge,
+        mesh=Interval(max(c.lo for c in chords), max(c.hi for c in chords), prec),
+        min_edge=Interval(min(c.lo for c in chords), min(c.hi for c in chords), prec),
     )
 
 
@@ -364,7 +389,13 @@ def _refinement_for_cap(k: int, mesh_cap: Interval, prec: int) -> Tuple[int, int
     if mesh_cap.lo.sign <= 0:
         raise PreconditionViolation("mesh cap must be certifiably positive")
     # only the cap's lower end decides "certainly shorter"
-    cap_lo = mesh_cap.lo
+    return _ring_depth(k, mesh_cap.lo, prec)
+
+
+@lru_cache(maxsize=256)
+def _ring_depth(k: int, cap_lo: Dyadic, prec: int) -> Tuple[int, int]:
+    """``_refinement_for_cap``'s search on the ladder, for a cap whose lower
+    end ``cap_lo`` is positive, kept per (k, cap_lo, prec)."""
     fallback = None
     for m, ell in enumerate(lattice_ladder(prec, MAX_RING_DEPTH)[0]):
         n = 3 << m

@@ -265,6 +265,7 @@ def _finish(report: dict, statuses, args, precision: int, subject=_SUBJECT,
 
 def _cmd_bounds(args) -> int:
     require_bound("m", args.m, "--m")
+    require_bound("n", args.n, "--n")
     prec = _precision(args)
     measures = scheme_measures(RegularScheme(args.n, args.m), prec)
     pi_lo = (measures.p / 2).lo

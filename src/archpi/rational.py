@@ -17,8 +17,10 @@ nowhere; reading it again forms it again, with the same error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import List, Tuple
 
 from .chords import ArcSpec, solve_regular_chord
@@ -239,7 +241,32 @@ def normalized_compare(
     return compare_certain(lhs, rhs), lhs, rhs
 
 
-def coprime_pairs(max_n: int) -> List[Tuple[int, int]]:
-    """All (k, N) with N <= max_n, 1 <= k < N/2, gcd(k, N) = 1."""
-    return [(k, N) for N in range(3, max_n + 1) for k in range(1, (N + 1) // 2)
+#: the largest N whose coprime pairs are kept: ``suites.MOST["max_n"]``,
+#: 9,973 pairs
+_KEPT_PAIRS_MAX_N = 256
+
+#: the longest ``coprime_pairs`` list formed in the process
+_kept_pairs: List[Tuple[int, int]] = []
+
+
+def _pairs(lo: int, hi: int) -> List[Tuple[int, int]]:
+    """The coprime pairs (k, N) with lo <= N <= hi, in order of N."""
+    return [(k, N) for N in range(lo, hi + 1) for k in range(1, (N + 1) // 2)
             if math.gcd(k, N) == 1]
+
+
+def coprime_pairs(max_n: int) -> List[Tuple[int, int]]:
+    """All (k, N) with N <= max_n, 1 <= k < N/2, gcd(k, N) = 1, in order of N.
+
+    So a shorter list is a prefix of a longer one.  The longest list formed
+    up to N = ``_KEPT_PAIRS_MAX_N`` is kept, and a call is served a new list
+    of its prefix, found by ``bisect``, so no caller can change what is kept.
+    """
+    global _kept_pairs
+    if max_n > _KEPT_PAIRS_MAX_N:
+        return _pairs(3, max_n)
+    # every N >= 3 has the pair (1, N), so the last pair's N is the kept bound
+    kept_n = _kept_pairs[-1][1] if _kept_pairs else 2
+    if max_n > kept_n:
+        _kept_pairs = _kept_pairs + _pairs(kept_n + 1, max_n)
+    return _kept_pairs[:bisect_right(_kept_pairs, max_n, key=itemgetter(1))]

@@ -58,6 +58,10 @@ _ARC_HI = 130416
 #: the least value of each size parameter that still yields a check
 LEAST = {"samples": 1, "circuits_per_cap": 1, "k_max": 1, "m_max": 0, "max_n": 3}
 
+#: the least ``bounds --n`` and ``--m``, a base polygon and a refinement
+#: depth; kept apart from ``LEAST``, whose keys are ``verify``'s size flags
+_SCHEME_LEAST = {"n": 3, "m": 0}
+
 #: the most of each size parameter, and of ``bounds --m``: at its default
 #: precision, every suite and command that takes one ran in at most 15 s at
 #: the ceiling on a 2-CPU x86-64 host under CPython 3.11 (README table).
@@ -72,11 +76,13 @@ MAX_JOBS = 256
 
 
 def require_bound(key: str, value: int, name: str) -> None:
-    """Reject, before any work, a size ``key`` below its ``LEAST`` value or
-    above its ``MOST`` value, or a ``jobs`` count outside 1..``MAX_JOBS``.
-    The message calls the value ``name``: a keyword, a flag or a variable."""
-    if key in LEAST and value < LEAST[key]:
-        raise ValueError(f"{name} must be at least {LEAST[key]}, got {value}")
+    """Reject, before any work, a size ``key`` below its ``LEAST`` or
+    ``_SCHEME_LEAST`` value or above its ``MOST`` value, or a ``jobs`` count
+    outside 1..``MAX_JOBS``.  The message calls the value ``name``: a
+    keyword, a flag or a variable."""
+    least = LEAST.get(key, _SCHEME_LEAST.get(key))
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     if key in MOST and value > MOST[key]:
         raise ValueError(f"{name} must be at most {MOST[key]}, got {value}")
     if key == "jobs" and not 1 <= value <= MAX_JOBS:

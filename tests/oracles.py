@@ -11,7 +11,8 @@ are the ``Interval`` expressions that ``circuits.distance`` and
 ``circuits.tangent_intersection`` fuse; ``explicit_circuit_measures``
 measures a circuit edge by edge in ``Interval`` expressions, the reference
 for ``circuits.circuit_measures``, which measures one chord per distinct
-gap; ``ball_winding`` counts a winding on one ball walk of the whole chord
+gap, and ``interval_weighted_sum`` is the count-weighted ``Interval`` sum
+that ``circuits._weighted_sum`` fuses; ``ball_winding`` counts a winding on one ball walk of the whole chord
 enclosure, with no split, and ``interval_winding`` on the ``Interval`` walk
 of ``gamma_path``; ``two_path_winding``, the first with the second as its
 fallback, is ``rational.winding_count`` as it was before it split the
@@ -190,6 +191,15 @@ def interval_tangent_meet(p, q):
     if denom.lo.sign <= 0 <= denom.hi.sign:
         raise AntipodalTangents("tangent lines are (possibly) parallel")
     return ((p.x + q.x) / denom, (p.y + q.y) / denom)
+
+
+def interval_weighted_sum(terms, counts, prec):
+    """``circuits._weighted_sum``: the ``Interval`` expression
+    Interval.exact(0, prec) + t1*n1 + t2*n2 + ..., in that order."""
+    total = Interval.exact(0, prec)
+    for term, count in zip(terms, counts):
+        total = total + term * count
+    return total
 
 
 def explicit_circuit_measures(vertices, prec):

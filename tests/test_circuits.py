@@ -38,7 +38,7 @@ from archpi.interval import Interval, Verdict, compare_certain
 from archpi.polygons import pi_enclosure, seed_edge
 
 from oracles import (contains, encloses, explicit_circuit_measures, interval_distance,
-                     interval_tangent_meet, on_circle, per_draw_circuit)
+                     interval_tangent_meet, interval_weighted_sum, on_circle, per_draw_circuit)
 
 PREC = 64
 
@@ -444,13 +444,12 @@ def _reference_gap_measures(m, gaps, prec):
     counts = Counter(gaps)
     ring = regular_ring(m, prec)
     chord_of = {g: distance(ring[0], ring[g]) for g in counts}
-    perim_in = perim_circ = area_in = Interval.exact(0, prec)
-    for g, count in counts.items():
-        chord = chord_of[g]
-        detour, tri_area = _edge_terms(chord)
-        perim_in = perim_in + chord * count
-        perim_circ = perim_circ + detour * count
-        area_in = area_in + tri_area * count
+    chords = [chord_of[g] for g in counts]
+    detours, areas = zip(*(_edge_terms(chord) for chord in chords))
+    weights = list(counts.values())
+    perim_in = interval_weighted_sum(chords, weights, prec)
+    perim_circ = interval_weighted_sum(detours, weights, prec)
+    area_in = interval_weighted_sum(areas, weights, prec)
     chords = [chord_of[min(counts)], chord_of[max(counts)]]
     mesh = Interval(max(c.lo for c in chords), max(c.hi for c in chords), prec)
     min_edge = Interval(min(c.lo for c in chords), min(c.hi for c in chords), prec)
@@ -530,3 +529,89 @@ def test_ring_depth_ceiling():
     # the deepest cap the bench and the fixtures use stays well inside it
     m, gmax = _refinement_for_cap(3, Interval.exact(Dyadic(1, -9), PREC), PREC)
     assert (m, gmax) == (13, 7)
+
+
+def _gap_max(m):
+    """The largest gap a random circuit on ring m draws: at most 7, the
+    depth search's bound, and under half the ring."""
+    return min(7, ((3 << m) - 1) // 2)
+
+
+@given(st.integers(min_value=32, max_value=256))
+@settings(max_examples=12, deadline=None)
+def test_gap_terms_are_read_off_one_walk(prec):
+    # each kept term, and each formed on a miss, is the chord from (1, 0)
+    # to the g-th point of one walk of the ring prefix, and its edge terms
+    for m in range(MAX_RING_DEPTH + 1):
+        prefix = list(ring_walk(m, prec, _gap_max(m)))
+        for g in range(1, _gap_max(m) + 1):
+            chord = distance(prefix[0], prefix[g])
+            expected = [_ibits(x) for x in (chord, *_edge_terms(chord))]
+            assert [_ibits(x) for x in circuits._gap_terms.__wrapped__(m, prec, g)] == expected
+            assert [_ibits(x) for x in circuits._gap_terms(m, prec, g)] == expected
+
+
+@st.composite
+def weighted_terms(draw):
+    """Terms of mixed sign and precision, counts from 0, and a sum precision."""
+    terms, counts = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        ends = sorted(draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**9))
+                      for _ in range(2))
+        terms.append(Interval.from_endpoints(*ends, draw(st.integers(min_value=2, max_value=160))))
+        counts.append(draw(st.integers(min_value=0, max_value=10**6)))
+    return terms, counts, draw(st.integers(min_value=2, max_value=128))
+
+
+@given(weighted_terms())
+@settings(max_examples=120, deadline=None)
+def test_weighted_sum_is_the_interval_expression(case):
+    terms, counts, prec = case
+    assert _ibits(circuits._weighted_sum(terms, counts, prec)) == _ibits(
+        interval_weighted_sum(terms, counts, prec))
+
+
+def test_a_warm_circuit_walks_no_ring_and_searches_no_depth(monkeypatch, capsys):
+    from archpi.cli import main
+
+    args = ["circuit", "--mesh-cap-exp", "5"]
+    assert main([*args, "--seed", "11"]) == 0
+    capsys.readouterr()
+    steps, ladders = [], []
+    step, ladder = Rotation.__call__, circuits.lattice_ladder
+    monkeypatch.setattr(Rotation, "__call__", lambda r, p: steps.append(p) or step(r, p))
+    monkeypatch.setattr(circuits, "lattice_ladder", lambda *a: ladders.append(a) or ladder(*a))
+    searched = circuits._ring_depth.cache_info().misses
+    assert main([*args, "--seed", "12"]) == 0
+    warm = capsys.readouterr().out
+    assert (steps, ladders, circuits._ring_depth.cache_info().misses) == ([], [], searched)
+    # and the kept terms give the bytes that a cold request forms
+    monkeypatch.undo()
+    circuits._gap_terms.cache_clear()
+    circuits._ring_depth.cache_clear()
+    assert main([*args, "--seed", "12"]) == 0
+    assert capsys.readouterr().out == warm
+
+
+@pytest.mark.parametrize("cap", [
+    Interval(Dyadic(0), Dyadic(1, -3), PREC),
+    Interval(Dyadic(-1, -3), Dyadic(1, -3), PREC),
+    Interval.exact(Dyadic(-1, -2), PREC),
+], ids=["zero", "straddling", "negative"])
+def test_a_non_positive_cap_raises_on_every_call(cap):
+    kept = circuits._ring_depth.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(PreconditionViolation, match="certifiably positive"):
+            _refinement_for_cap(3, cap, PREC)
+        with pytest.raises(PreconditionViolation, match="certifiably positive"):
+            random_circuit(3, cap, seed=1, prec=PREC)
+    assert circuits._ring_depth.cache_info().currsize == kept
+
+
+def test_a_cap_no_depth_supports_is_kept_nowhere():
+    cap = Interval.exact(Dyadic(1, -40), PREC)
+    kept = circuits._ring_depth.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PreconditionViolation, match="--mesh-cap-exp"):
+            _refinement_for_cap(3, cap, PREC)
+    assert circuits._ring_depth.cache_info().currsize == kept

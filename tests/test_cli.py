@@ -95,13 +95,17 @@ def test_circuit_report(capsys):
 
 def test_a_4096_bit_circuit_builds_only_the_ring_levels(monkeypatch, capsys):
     # the ladder is keyed by precision and depth: a circuit builds the ring
-    # levels 0..MAX_RING_DEPTH it reads, and none deeper
+    # levels 0..MAX_RING_DEPTH it reads, and none deeper; its kept gap terms
+    # and depth search are cleared too, or a warm request reads no level
     built, rotation = [], circuits._rotation
     monkeypatch.setattr(circuits, "_rotation",
                         lambda c, terms: built.append(c) or rotation(c, terms))
-    circuits.lattice_ladder.cache_clear()
+    kept = (circuits.lattice_ladder, circuits._gap_terms, circuits._ring_depth)
+    for cache in kept:
+        cache.cache_clear()
     code, out = run_cli(["circuit", "--precision", "4096", "--mesh-cap-exp", "6"], capsys)
-    circuits.lattice_ladder.cache_clear()
+    for cache in kept:
+        cache.cache_clear()
     assert code == 0
     assert 0 < len(built) <= circuits.MAX_RING_DEPTH + 1
     # the bytes that the former eager ladder, max(prec, MAX_RING_DEPTH) + 9 levels, gave
@@ -498,6 +502,28 @@ def test_size_above_the_ceiling_exits_2_before_work(args, key, body, monkeypatch
     assert err == f"error: {args[-1]} must be at most {ceiling}, got {ceiling + 1}\n"
     with pytest.raises(_Reached):
         main([*args, str(ceiling)])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "6", "--m", "-1"], "--m must be at least 0, got -1"),
+    (["--n", "2", "--m", "1"], "--n must be at least 3, got 2"),
+], ids=["m", "n"])
+def test_bounds_below_its_least_names_the_flag_before_work(args, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "scheme_measures", _reached)
+    assert run_cli_err(["bounds", *args], capsys) == (2, f"error: {message}\n")
+    # the least values themselves reach the body
+    with pytest.raises(_Reached):
+        main(["bounds", "--n", "3", "--m", "0"])
+
+
+def test_verify_takes_no_scheme_flag(capsys):
+    # verify's flags are LEAST's keys: bounds' --n and --m are kept apart
+    assert not {"n", "m"} & set(cli._VERIFY_KEYS)
+    for flag in ("--n", "--m"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "identities", flag, "3"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_every_size_flag_has_a_ceiling():

@@ -132,6 +132,30 @@ def test_coprime_pairs():
         assert coprime_pairs(max_n) == [(k, N) for k, N in defined if N <= max_n], max_n
 
 
+def test_coprime_pairs_serve_new_prefixes_of_the_kept_list(monkeypatch):
+    from archpi import suites
+
+    assert rational._KEPT_PAIRS_MAX_N == suites.MOST["max_n"]
+    monkeypatch.setattr(rational, "_kept_pairs", [])
+    formed, pairs_of = [], rational._pairs
+    monkeypatch.setattr(rational, "_pairs", lambda lo, hi: formed.append((lo, hi)) or pairs_of(lo, hi))
+    defined = pairs_of(3, 300)
+    for max_n, forms in [(40, [(3, 40)]), (12, []), (2, []), (3, []), (41, [(41, 41)]),
+                         (256, [(42, 256)]), (100, []), (257, [(3, 257)]), (300, [(3, 300)]),
+                         (256, [])]:
+        formed.clear()
+        served = coprime_pairs(max_n)
+        assert served == [(k, N) for k, N in defined if N <= max_n], max_n
+        assert formed == forms, max_n
+        # a caller may change its list: the kept one stays as it was
+        served.append((1, 1))
+        served[:1] = []
+        assert coprime_pairs(max_n) == [(k, N) for k, N in defined if N <= max_n], max_n
+    # only the pairs up to the bound are kept: 9,973 of them
+    assert len(rational._kept_pairs) == 9_973
+    assert rational._kept_pairs[-1][1] == 256
+
+
 def _reference_sign(value, radius):
     return 1 if value > radius else -1 if value < -radius else 0
 
